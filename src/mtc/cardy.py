@@ -4,7 +4,9 @@ topological defect operators and their fusion algebra, two-point pairings,
 and the free-module adjunction maps.
 """
 
-from .linalg import Matrix, kron, solve_right, rank, NoSolution
+from itertools import accumulate, repeat
+
+from .linalg import Matrix, kron, rank, IncrementalSpan, minimal_polynomial
 from . import repcat, hopf as hopf_mod, coend as coend_mod
 from .repcat import (ModuleObject, Morphism, trivial_module, tensor_obj,
                      dual_obj, hom_basis, simples_data, grothendieck_ring)
@@ -171,7 +173,6 @@ def product_composition_multiplicities(h, t, w, sd, gen_elements):
     mults = [[0] * sd.count for _ in range(sd.count)]
     sdt_simples = [[outer_module(t, su, sv) for sv in sd.simples]
                    for su in sd.simples]
-    from .linalg import IncrementalSpan
     while cur.dim > 0:
         # span of rad(T) . cur: images of rad x 1 and 1 x rad, closed under
         # the generator actions
@@ -193,15 +194,14 @@ def product_composition_multiplicities(h, t, w, sd, gen_elements):
                     if not w2.is_zero() and span.add(w2):
                         new.append(w2)
             frontier = new
-        basis = span.basis_vectors()
-        layer = repcat._quotient_module(cur, basis)
+        layer = repcat.quotient_module(cur, span)
         for u in range(sd.count):
             for v in range(sd.count):
                 mults[u][v] += len(hom_basis(layer, sdt_simples[u][v],
                                              gen_elements=gen_elements))
-        if not basis:
+        if not span.rank:
             break
-        cur = repcat._sub_module(cur, basis)
+        cur = repcat.sub_module(cur, span.basis_vectors())
     return mults
 
 
@@ -355,10 +355,8 @@ def defect_algebra(cd):
     one_idx = sd.trivial_index()
     rep.add("O_1 = id", ops[one_idx].matrix == Matrix.identity(f, h.dim))
 
-    stack = None
-    for op in ops:
-        col = Matrix.column(f, op.matrix.data)
-        stack = col if stack is None else stack.hstack(col)
+    cols = [Matrix.column(f, op.matrix.data) for op in ops]
+    stack = cols[0].hstack(*cols[1:])
     rep.add("span{O_S} has dimension = number of simples", rank(stack) == m)
 
     gr = grothendieck_ring(h)
@@ -405,40 +403,17 @@ def nondiagonalizable_defect(cd):
     None when all are semisimple operators."""
     h = cd.h
     sd = simples_data(h)
-    for s in sd.simples:
-        op = defect_operator(cd, s, check=False)
-        q = _matrix_min_poly(op.matrix)
-        qs = poly_squarefree_k(q, cd.field)
-        if len(qs) < len(q):
-            return op, q
     # projective covers can also act non-diagonalizably
-    for p in sd.projectives:
-        op = defect_operator(cd, p, check=False)
-        q = _matrix_min_poly(op.matrix)
+    for d_obj in list(sd.simples) + list(sd.projectives):
+        op = defect_operator(cd, d_obj, check=False)
+        f = op.matrix.field
+        powers = accumulate(repeat(op.matrix), Matrix.__mul__,
+                            initial=Matrix.identity(f, h.dim))
+        q = minimal_polynomial(Matrix.column(f, p.data) for p in powers)
         qs = poly_squarefree_k(q, cd.field)
         if len(qs) < len(q):
             return op, q
     return None
-
-
-def _matrix_min_poly(m):
-    f = m.field
-    n = m.rows
-    powers = [Matrix.identity(f, n)]
-    cur = powers[0]
-    for k in range(1, n + 2):
-        cur = cur * m
-        stack = None
-        for p in powers:
-            col = Matrix.column(f, p.data)
-            stack = col if stack is None else stack.hstack(col)
-        try:
-            sol = solve_right(stack, Matrix.column(f, cur.data))
-        except NoSolution:
-            powers.append(cur)
-            continue
-        return [-sol.data[i] for i in range(k)] + [f.one()]
-    raise AssertionError("minimal polynomial not found")
 
 
 # ---------------------------------------------------------------------------

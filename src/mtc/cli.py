@@ -274,12 +274,9 @@ def _character_checks(h, sd, cd, rep):
             ok = False
         cochars.append(chk.matrix)
     rep.add("chi = omega(chk x id)", ok)
-    stack = None
-    for v in cochars[:sd.count]:
-        stack = v if stack is None else stack.hstack(v)
     from .linalg import rank
     rep.add("cocharacters of simples linearly independent",
-            rank(stack) == sd.count)
+            rank(cochars[0].hstack(*cochars[1:sd.count])) == sd.count)
 
 
 # ---------------------------------------------------------------------------

@@ -280,11 +280,9 @@ def _faithful_witness(h):
             mod = sd.projectives[combo[0]]
             for i in combo[1:]:
                 mod = direct_sum(mod, sd.projectives[i])
-            stack = None
-            for k in range(n):
-                col = Matrix.column(h.field, mod.action[k].data)
-                stack = col if stack is None else stack.hstack(col)
-            if len(kernel_basis(stack)) == 0:
+            cols = [Matrix.column(h.field, mod.action[k].data)
+                    for k in range(n)]
+            if len(kernel_basis(cols[0].hstack(*cols[1:]))) == 0:
                 best = (dims, mod)
         if best is not None:
             break
@@ -718,10 +716,8 @@ def solve_integrals(cd):
         eps_a = eye.scale(cd.eps.data[a])
         cond.append(block - eps_a)
         cond.append(block2 - eps_a)
-    stack = None
-    for m in rows + cond:
-        stack = m if stack is None else stack.vstack(m)
-    space = kernel_basis(stack)
+    blocks = rows + cond
+    space = kernel_basis(blocks[0].vstack(*blocks[1:]))
     if len(space) != 1:
         raise CoendError("integral space has dimension %d (expected 1: "
                          "non-unimodularity contradicts modularity)" % len(space))
@@ -739,10 +735,8 @@ def solve_integrals(cd):
         eta_a = eye.scale(cd.eta.data[a])
         cond.append(blockL - eta_a)
         cond.append(blockR - eta_a)
-    stack = None
-    for m in rows + cond:
-        stack = m if stack is None else stack.vstack(m)
-    space = kernel_basis(stack)
+    blocks = rows + cond
+    space = kernel_basis(blocks[0].vstack(*blocks[1:]))
     if len(space) != 1:
         raise CoendError("cointegral space has dimension %d (expected 1)" % len(space))
     lam = space[0].transpose()
@@ -929,17 +923,12 @@ def sl2z_check(cd, rep=None):
     one = trivial_module(h)
     basis = hom_basis(L, one)
     m = len(basis)
-    stack = None
-    for b in basis:
-        col = b.matrix.transpose()
-        stack = col if stack is None else stack.hstack(col)
+    cols = [b.matrix.transpose() for b in basis]
+    stack = cols[0].hstack(*cols[1:])
 
     def op(mat):
-        cols = None
-        for b in basis:
-            img = (b.matrix * mat).transpose()
-            cols = img if cols is None else cols.hstack(img)
-        return solve_right(stack, cols)
+        imgs = [(b.matrix * mat).transpose() for b in basis]
+        return solve_right(stack, imgs[0].hstack(*imgs[1:]))
 
     ms = op(cd.S_transform)
     mt = op(cd.T_transform)
@@ -1137,14 +1126,11 @@ def cutting_decomposition(cd, x):
         if not e.is_zero():
             raise CoendError("cutting endomorphism nonzero but Hom spaces trivial")
         return 0, Matrix.zeros(f, 0, d), Matrix.zeros(f, d, 0)
-    cols = None
-    for bj in b_basis:
-        for ai in a_basis:
-            prod = bj.matrix * ai.matrix
-            col = Matrix.column(f, prod.data)
-            cols = col if cols is None else cols.hstack(col)
+    cols = [Matrix.column(f, (bj.matrix * ai.matrix).data)
+            for bj in b_basis for ai in a_basis]
     try:
-        coeff = solve_right(cols, Matrix.column(f, e.data))
+        coeff = solve_right(cols[0].hstack(*cols[1:]),
+                            Matrix.column(f, e.data))
     except NoSolution:
         raise CoendError("cutting endomorphism is not expressible through the"
                          " unit (modularity contradiction)")
@@ -1156,14 +1142,8 @@ def cutting_decomposition(cd, x):
             idx += 1
     bfac, afac = rank_factor(cmat)
     m = bfac.cols
-    a_stack = None
-    for ai in a_basis:
-        a_stack = ai.matrix if a_stack is None else a_stack.vstack(ai.matrix)
-    b_stack = None
-    for bj in b_basis:
-        b_stack = bj.matrix if b_stack is None else b_stack.hstack(bj.matrix)
-    a = afac * a_stack
-    b = b_stack * bfac
+    a = afac * a_basis[0].matrix.vstack(*(ai.matrix for ai in a_basis[1:]))
+    b = b_basis[0].matrix.hstack(*(bj.matrix for bj in b_basis[1:])) * bfac
     assert b * a == e, "cutting factorization failed"
     rho = canonical_action(cd, x, check=False).matrix
     lhs = rho * kron(Matrix.identity(f, d), cd.Lambda)

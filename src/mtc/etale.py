@@ -13,8 +13,12 @@ delegated to sympy.  Everything else is exact linear algebra:
 """
 
 from fractions import Fraction
+from itertools import accumulate, repeat
 
 import sympy
+
+from .scalars import CycField
+from .linalg import Matrix, IncrementalSpan, minimal_polynomial
 
 
 # ---------------------------------------------------------------------------
@@ -180,70 +184,6 @@ def _cyclic_powers(theta, q, field, count):
     return pows
 
 
-def _q_minpoly(vectors):
-    """Minimal monic dependency among successive power vectors given as
-    Fraction coordinate lists.  Returns coefficient list (low first, monic)."""
-    rows = []
-    for k in range(1, len(vectors) + 1):
-        rows = [vectors[i] for i in range(k)]
-        # solve rows[k-1] = sum c_i rows[i], i<k-1  -> dependency test
-        m = len(vectors[0])
-        # Gaussian elimination on the transposed stack
-        a = [[rows[i][j] for i in range(k)] for j in range(m)]
-        # find nullspace of a (m x k)
-        ns = _frac_nullspace(a, k)
-        if ns:
-            # smallest k with dependency: normalize so last coeff is 1
-            vec = ns[0]
-            if vec[k - 1] != 0:
-                inv = 1 / vec[k - 1]
-                return [c * inv for c in vec]
-    raise AssertionError("no dependency found; power list too short")
-
-
-def _frac_nullspace(a, ncols):
-    nrows = len(a)
-    rows = [dict((j, x) for j, x in enumerate(row) if x != 0) for row in a]
-    pivots = {}
-    used = [False] * nrows
-    for col in range(ncols):
-        prow = None
-        for r in range(nrows):
-            if not used[r] and col in rows[r]:
-                prow = r
-                break
-        if prow is None:
-            continue
-        used[prow] = True
-        pivots[col] = prow
-        inv = 1 / rows[prow][col]
-        rows[prow] = {j: inv * v for j, v in rows[prow].items()}
-        items = list(rows[prow].items())
-        for r in range(nrows):
-            if r != prow and col in rows[r]:
-                f = rows[r].pop(col)
-                for j, v in items:
-                    if j == col:
-                        continue
-                    nv = rows[r].get(j, Fraction(0)) - f * v
-                    if nv == 0:
-                        rows[r].pop(j, None)
-                    else:
-                        rows[r][j] = nv
-    out = []
-    for fc in range(ncols):
-        if fc in pivots:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for c, r in pivots.items():
-            v = rows[r].get(fc)
-            if v is not None:
-                vec[c] = -v
-        out.append(vec)
-    return out
-
-
 def split_etale_cyclic(field, q):
     """Primitive idempotents of k[t]/(q) for squarefree q over the scalar
     field k.  Returns a list of Scalar coefficient vectors (t-basis, degree
@@ -254,18 +194,16 @@ def split_etale_cyclic(field, q):
     if deg == 1:
         return [[field.one()]]
     dimQ = deg * field.dim
+    rationals = CycField(1)
     # primitive element theta = t + c*z, c a small integer
     zgen = field.zeta(1) if field.phi > 1 else field.one()
     for c in _int_stream(deg * deg * field.dim * field.dim + 2):
         theta = [field.from_rational(c) * zgen, field.one()]  # c*z + t
         pows = _cyclic_powers(theta, q, field, dimQ + 1)
-        qvecs = []
-        for p in pows:
-            flat = []
-            for s in p:
-                flat.extend(s.q_coords())
-            qvecs.append(flat)
-        mp = _q_minpoly(qvecs)
+        qvecs = (Matrix.column(rationals, [rationals.scalar((x,), s.den)
+                                           for s in p for x in s.num])
+                 for p in pows)
+        mp = [c.as_fraction() for c in minimal_polynomial(qvecs)]
         if len(mp) - 1 == dimQ:
             break
     else:
@@ -367,43 +305,16 @@ class Subalgebra:
     the multiplication of the ambient algebra, and its own unit."""
 
     def __init__(self, field, mul, basis, unit):
-        from .linalg import Matrix, solve_right
         self.field = field
         self.mul = mul
         self.basis = basis
         self.unit = unit
         self.dim = len(basis)
-        cols = basis[0]
-        for b in basis[1:]:
-            cols = cols.hstack(b)
-        self._basis_mat = cols
-
-    def express(self, v):
-        """Coordinates of v in the subalgebra basis."""
-        from .linalg import solve_right
-        return solve_right(self._basis_mat, v)
-
-    def element(self, coords):
-        return self._basis_mat * coords
 
     def min_poly(self, w):
         """Monic minimal polynomial of w, with unit as w^0."""
-        from .linalg import Matrix, solve_right, NoSolution
-        powers = [self.unit]
-        cur = self.unit
-        for k in range(1, self.dim + 1):
-            cur = self.mul(cur, w)
-            stack = powers[0]
-            for p in powers[1:]:
-                stack = stack.hstack(p)
-            try:
-                sol = solve_right(stack, cur)
-            except NoSolution:
-                powers.append(cur)
-                continue
-            coeffs = [-sol.data[i] for i in range(k)] + [self.field.one()]
-            return coeffs
-        raise AssertionError("minimal polynomial exceeds algebra dimension")
+        return minimal_polynomial(accumulate(repeat(w), self.mul,
+                                             initial=self.unit))
 
     def evaluate_poly(self, coeffs, w):
         """Polynomial in w with Scalar coefficients, unit as w^0."""
@@ -414,48 +325,25 @@ class Subalgebra:
             acc = acc + cur.scale(c)
         return acc
 
-    def newton_lift_idempotent(self, e, max_iter=64):
-        """Lift an idempotent-mod-nilpotents to an exact one via
-        e -> 3e^2 - 2e^3."""
-        three = self.field.from_rational(3)
-        two = self.field.from_rational(2)
-        for _ in range(max_iter):
-            e2 = self.mul(e, e)
-            if e2 == e:
-                return e
-            e3 = self.mul(e2, e)
-            e = e2.scale(three) - e3.scale(two)
-        raise AssertionError("idempotent lifting did not converge")
+
+def newton_lift_idempotent(field, mul, e, max_iter=64):
+    """Lift an idempotent-mod-nilpotents to an exact one via
+    e -> 3e^2 - 2e^3."""
+    three = field.from_rational(3)
+    two = field.from_rational(2)
+    for _ in range(max_iter):
+        e2 = mul(e, e)
+        if e2 == e:
+            return e
+        e = e2.scale(three) - mul(e2, e).scale(two)
+    raise AssertionError("idempotent lifting did not converge")
 
 
 def corner_subalgebra(field, mul, ambient_basis, p):
     """The corner p*A*p as a Subalgebra (unit p)."""
-    from .linalg import Matrix
-    span = []
-    for b in ambient_basis:
-        span.append(mul(mul(p, b), p))
-    basis = _column_space_basis(field, span)
-    return Subalgebra(field, mul, basis, p)
-
-
-def _column_space_basis(field, vectors):
-    """Deterministic basis of the span: original vectors at the pivot
-    positions of the stacked matrix."""
-    from .linalg import Matrix, rank
-    basis = []
-    cur_rank = 0
-    for v in vectors:
-        if v.is_zero():
-            continue
-        stack = basis[0] if basis else None
-        for b in basis[1:]:
-            stack = stack.hstack(b)
-        cand = v if stack is None else stack.hstack(v)
-        r = rank(cand)
-        if r > cur_rank:
-            basis.append(v)
-            cur_rank = r
-    return basis
+    span = IncrementalSpan(field, p.rows)
+    corner = (mul(mul(p, b), p) for b in ambient_basis)
+    return Subalgebra(field, mul, [v for v in corner if span.add(v)], p)
 
 
 def _candidate_stream(sub, max_height=3):
@@ -485,8 +373,8 @@ def split_corner_once(sub):
         idems = split_etale_cyclic(field, q_sf)
         if len(idems) < 2:
             continue
-        e = sub.evaluate_poly(idems[0], w)
-        e = sub.newton_lift_idempotent(e)
+        e = newton_lift_idempotent(field, sub.mul,
+                                   sub.evaluate_poly(idems[0], w))
         if e.is_zero() or e == sub.unit:
             continue
         return e

@@ -726,32 +726,27 @@ def solve_ribbon(h):
     candidates are found by taking square roots of u S(u) in each local
     factor of the S-fixed part of the centre, then filtered by the counit
     and Delta(v) relations."""
-    assert h.rmatrix is not None
+    if h.rmatrix is None:
+        raise HopfError("%s has no R-matrix: a ribbon element needs a "
+                        "quasitriangular structure" % h.name)
     f = h.field
     n = h.dim
     u = h.drinfeld_u()
     c = h.mul_vec(u, h.antipode * u)
 
     # centre: [L_i - R_i] x = 0 for all i
-    rows = []
-    for i in range(n):
-        d = h.left_regular(i) - h.right_mult_matrix(h.basis_vec(i))
-        rows.append(d)
-    stack = rows[0]
-    for d in rows[1:]:
-        stack = stack.vstack(d)
-    stack = stack.vstack(h.antipode - Matrix.identity(f, n))
+    rows = [h.left_regular(i) - h.right_mult_matrix(h.basis_vec(i))
+            for i in range(n)]
+    stack = rows[0].vstack(*rows[1:], h.antipode - Matrix.identity(f, n))
     zbasis = kernel_basis(stack)
     if not zbasis:
         return []
-    sub = Subalgebra(f, h.mul_vec, zbasis, h.unit)
     idems = orthogonal_primitive_idempotents(
         f, h.mul_vec, zbasis, h.unit, require_split=False,
         block_name="S-fixed centre of %s" % h.name)
     idems.sort(key=lambda e: tuple(s.sort_key() for s in e.data))
 
     from .scalars import sqrt_in_field
-    from fractions import Fraction
     per_factor = []
     for e in idems:
         corner = Subalgebra(f, h.mul_vec, zbasis, e)

@@ -1,9 +1,10 @@
 """Dense exact matrices over a CycField and the linear-algebra kernel:
 row reduction with deterministic pivoting, right-hand solves, kernel bases,
-Kronecker products, and partial traces.
+growing spans with canonical reduction modulo a subspace, minimal
+polynomials, Kronecker products, and partial traces.
 
 The external contract is dense row-major; the elimination engine works on
-sparse rows internally.
+sparse rows internally, and no other module sees its rows or pivots.
 """
 
 from .scalars import Scalar
@@ -145,15 +146,24 @@ class Matrix:
             t = t + self.data[i * self.cols + i]
         return t
 
-    def hstack(self, other):
-        assert self.rows == other.rows
-        rows = [self.row_list(i) + other.row_list(i) for i in range(self.rows)]
-        return Matrix.from_rows(self.field, rows)
+    def hstack(self, *others):
+        """Side-by-side concatenation with one or more blocks, in one pass."""
+        blocks = (self,) + others
+        assert all(b.rows == self.rows for b in blocks)
+        data = []
+        for i in range(self.rows):
+            for b in blocks:
+                data.extend(b.data[i * b.cols:(i + 1) * b.cols])
+        return Matrix(self.field, self.rows, sum(b.cols for b in blocks), data)
 
-    def vstack(self, other):
-        assert self.cols == other.cols
-        return Matrix(self.field, self.rows + other.rows, self.cols,
-                      self.data + other.data)
+    def vstack(self, *others):
+        """Concatenation top to bottom with one or more blocks, in one pass."""
+        blocks = (self,) + others
+        assert all(b.cols == self.cols for b in blocks)
+        data = []
+        for b in blocks:
+            data.extend(b.data)
+        return Matrix(self.field, sum(b.rows for b in blocks), self.cols, data)
 
     def __str__(self):
         rows = []
@@ -333,13 +343,12 @@ def kernel_basis(a):
 
 def invert(m):
     assert m.rows == m.cols
+    # a singular square m leaves a zero RREF row whose carried row of the
+    # (invertible) elimination is nonzero, so the solve itself fails
     try:
-        inv = solve_right(m, Matrix.identity(m.field, m.rows))
+        return solve_right(m, Matrix.identity(m.field, m.rows))
     except NoSolution:
         raise NoSolution("matrix is singular")
-    if rank(m) != m.rows:
-        raise NoSolution("matrix is singular")
-    return inv
 
 
 class IncrementalSpan:
@@ -390,6 +399,19 @@ class IncrementalSpan:
     def contains(self, vec):
         return not self._reduce(vec)
 
+    def reduce(self, vec):
+        """The canonical representative of vec modulo the span: vec minus
+        the span element that agrees with it at every pivot, as a column."""
+        out = Matrix.zeros(self.field, self.dim, 1)
+        for j, w in self._reduce(vec).items():
+            out.data[j] = w
+        return out
+
+    def free_indices(self):
+        """Coordinates that are not pivots; their unit vectors map to a
+        basis of the quotient by the span."""
+        return [j for j in range(self.dim) if j not in self.rows]
+
     @property
     def rank(self):
         return len(self.rows)
@@ -402,6 +424,24 @@ class IncrementalSpan:
                 m.data[j] = w
             out.append(m)
         return out
+
+
+def minimal_polynomial(powers):
+    """Monic minimal polynomial, coefficients low degree first, of an
+    element given by the column vectors of its successive powers w^0, w^1,
+    ...  The first power in the span of the lower ones fixes it; `powers` is
+    consumed lazily up to that power."""
+    span = None
+    lower = []
+    for v in powers:
+        if span is None:
+            span = IncrementalSpan(v.field, v.rows)
+        if span.add(v):
+            lower.append(v)
+            continue
+        sol = solve_right(lower[0].hstack(*lower[1:]), v)
+        return [-x for x in sol.data] + [v.field.one()]
+    raise ValueError("every given power is independent of the lower ones")
 
 
 def rank_factor(m):

@@ -6,9 +6,9 @@ Grothendieck ring.
 
 import json
 
-from .scalars import Scalar, parse_scalar, format_scalar
-from .linalg import Matrix, kron, solve_right, kernel_basis, rank, NoSolution
-from .etale import orthogonal_primitive_idempotents, _column_space_basis
+from .scalars import parse_scalar, format_scalar
+from .linalg import Matrix, kron, solve_right, kernel_basis, IncrementalSpan
+from .etale import orthogonal_primitive_idempotents, newton_lift_idempotent
 
 
 class ModuleObject:
@@ -117,17 +117,13 @@ def module_from_vectors(h, vectors, name, left_action=None):
     action (default: left multiplication in the regular module)."""
     if left_action is None:
         left_action = lambda i, v: h.mul_vec(h.basis_vec(i), v)
-    basis = _column_space_basis(h.field, vectors)
-    stack = basis[0]
-    for b in basis[1:]:
-        stack = stack.hstack(b)
+    span = IncrementalSpan(h.field, h.dim)
+    basis = [v for v in vectors if span.add(v)]
+    stack = basis[0].hstack(*basis[1:])
     action = []
     for i in range(h.dim):
-        img = None
-        for j in range(len(basis)):
-            col = left_action(i, basis[j])
-            img = col if img is None else img.hstack(col)
-        action.append(solve_right(stack, img))
+        img = [left_action(i, b) for b in basis]
+        action.append(solve_right(stack, img[0].hstack(*img[1:])))
     m = ModuleObject(h, len(basis), action, name)
     m.embedding = stack  # basis vectors inside the ambient coordinates
     return m
@@ -288,40 +284,29 @@ def generating_indices(h):
     cached = h._cache.get("generators")
     if cached is not None:
         return cached
-    f = h.field
     gens = []
-    span = [h.unit]
-
-    def in_span(v, basis):
-        stack = basis[0]
-        for b in basis[1:]:
-            stack = stack.hstack(b)
-        try:
-            solve_right(stack, v)
-            return True
-        except NoSolution:
-            return False
 
     def closure(idxs):
-        basis = [h.unit]
+        span = IncrementalSpan(h.field, h.dim)
+        span.add(h.unit)
         frontier = [h.unit]
         while frontier:
             new = []
             for v in frontier:
                 for i in idxs:
                     w = h.mul_vec(h.basis_vec(i), v)
-                    if not w.is_zero() and not in_span(w, basis):
-                        basis.append(w)
+                    if span.add(w):
                         new.append(w)
             frontier = new
-        return basis
+        return span
 
+    span = closure(gens)
     for i in range(h.dim):
-        if in_span(h.basis_vec(i), span):
+        if span.contains(h.basis_vec(i)):
             continue
         gens.append(i)
         span = closure(gens)
-        if len(span) == h.dim:
+        if span.rank == h.dim:
             break
     h._cache["generators"] = gens
     return gens
@@ -344,12 +329,9 @@ def hom_basis(x, y, generators=None, gen_elements=None):
     dx, dy = x.dim, y.dim
     iy = Matrix.identity(f, dy)
     ix = Matrix.identity(f, dx)
-    stack = None
-    for ax, ay in pairs:
-        c = kron(iy, ax.transpose()) - kron(ay, ix)
-        stack = c if stack is None else stack.vstack(c)
-    if stack is None:
-        stack = Matrix.zeros(f, 1, dx * dy)
+    blocks = [kron(iy, ax.transpose()) - kron(ay, ix) for ax, ay in pairs] \
+        or [Matrix.zeros(f, 1, dx * dy)]
+    stack = blocks[0].vstack(*blocks[1:])
     basis = []
     for vec in kernel_basis(stack):
         m = Matrix(f, dy, dx, vec.data)
@@ -422,42 +404,26 @@ def radical_basis(h):
 
 
 class _Quotient:
-    """A/rad with canonical representatives: coordinates reduced against the
-    RREF of the radical."""
+    """A/rad with canonical representatives: coordinates reduced modulo the
+    radical."""
 
     def __init__(self, h):
         self.h = h
-        f = h.field
-        n = h.dim
-        rad = radical_basis(h)
-        self.rad = rad
-        rows = []
-        for v in rad:
-            rows.append({i: x for i, x in enumerate(v.data) if not x.is_zero()})
-        from .linalg import _rref
-        pivots = _rref(rows, n)
-        self.rad_rows = rows
-        self.rad_pivots = pivots  # (row, col)
-        self.pivot_cols = {c: r for r, c in pivots}
-        self.free_cols = [j for j in range(n) if j not in self.pivot_cols]
-        self.dim = len(self.free_cols)
+        self.rad = radical_basis(h)
+        self.span = IncrementalSpan(h.field, h.dim)
+        for v in self.rad:
+            self.span.add(v)
 
     def reduce(self, v):
         """Canonical representative of v + rad."""
-        out = list(v.data)
-        for c, r in self.pivot_cols.items():
-            x = out[c]
-            if x.is_zero():
-                continue
-            for j, val in self.rad_rows[r].items():
-                out[j] = out[j] - x * val
-        return Matrix.column(self.h.field, out)
+        return self.span.reduce(v)
 
     def mul(self, a, b):
         return self.reduce(self.h.mul_vec(a, b))
 
     def basis(self):
-        return [self.reduce(self.h.basis_vec(j)) for j in self.free_cols]
+        return [self.reduce(self.h.basis_vec(j))
+                for j in self.span.free_indices()]
 
 
 def simples_data(h):
@@ -469,7 +435,8 @@ def simples_data(h):
         return cached
     f = h.field
     q = _Quotient(h)
-    qbasis = _column_space_basis(f, q.basis())
+    qspan = IncrementalSpan(f, h.dim)
+    qbasis = [v for v in q.basis() if qspan.add(v)]
     unit_bar = q.reduce(h.unit)
     prims = orthogonal_primitive_idempotents(
         f, q.mul, qbasis, unit_bar, require_split=True,
@@ -500,7 +467,7 @@ def simples_data(h):
         s = module_from_vectors(h, simple_vectors, "S?",
                                 left_action=lambda i, v: q.mul(h.basis_vec(i), v))
         # lift the idempotent to H and take the projective cover H e
-        e = _newton_lift_in_algebra(h, p)
+        e = newton_lift_idempotent(f, h.mul_vec, p)
         proj_vectors = [h.mul_vec(h.basis_vec(i), e) for i in range(h.dim)]
         pm = module_from_vectors(h, proj_vectors, "P?")
         entries.append((s, pm, e, len(cls)))
@@ -534,17 +501,6 @@ def simples_data(h):
     return sd
 
 
-def _newton_lift_in_algebra(h, e):
-    three = h.field.from_rational(3)
-    two = h.field.from_rational(2)
-    for _ in range(64):
-        e2 = h.mul_vec(e, e)
-        if e2 == e:
-            return e
-        e = e2.scale(three) - h.mul_vec(e2, e).scale(two)
-    raise AssertionError("idempotent lifting did not converge")
-
-
 def composition_factors(x, sd=None):
     """Multiset of simple indices with multiplicities [X : S_i], via
     dim Hom(P_i, X)."""
@@ -576,56 +532,37 @@ def radical_filtration_factors(x, sd=None):
                 v = Matrix.column(f, act.col_list(j))
                 if not v.is_zero():
                     vecs.append(v)
-        sub_basis = _column_space_basis(f, vecs) if vecs else []
-        layer = _quotient_module(cur, sub_basis)
+        span = IncrementalSpan(f, cur.dim)
+        sub_basis = [v for v in vecs if span.add(v)]
+        layer = quotient_module(cur, span)
         for i, s in enumerate(sd.simples):
             mult[i] += len(hom_basis(layer, s))
         if not sub_basis:
             break
-        cur = _sub_module(cur, sub_basis)
+        cur = sub_module(cur, sub_basis)
     return mult
 
 
-def _sub_module(x, basis):
+def sub_module(x, basis):
+    """The submodule of X spanned by the given independent vectors, in that
+    basis."""
     h = x.algebra
-    stack = basis[0]
-    for b in basis[1:]:
-        stack = stack.hstack(b)
+    stack = basis[0].hstack(*basis[1:])
     action = [solve_right(stack, x.action[i] * stack) for i in range(h.dim)]
     return ModuleObject(h, len(basis), action, "%s'" % x.name)
 
 
-def _quotient_module(x, sub_basis):
-    """X / span(sub_basis) with induced action."""
+def quotient_module(x, span):
+    """X / span with the induced action, in the basis of the free (non-pivot)
+    coordinates."""
     h = x.algebra
-    f = h.field
-    rows = [{i: v for i, v in enumerate(b.data) if not v.is_zero()}
-            for b in sub_basis]
-    from .linalg import _rref
-    pivots = _rref(rows, x.dim)
-    pivot_cols = {c: r for r, c in pivots}
-    free = [j for j in range(x.dim) if j not in pivot_cols]
-
-    def reduce_vec(data):
-        out = list(data)
-        for c, r in pivot_cols.items():
-            v = out[c]
-            if v.is_zero():
-                continue
-            for j, val in rows[r].items():
-                out[j] = out[j] - v * val
-        return [out[j] for j in free]
-
+    free = span.free_indices()
     action = []
     for i in range(h.dim):
-        cols = []
-        for j in free:
-            cols.append(reduce_vec(x.action[i].col_list(j)))
-        m = Matrix.zeros(f, len(free), len(free))
-        for cj, col in enumerate(cols):
-            for ri, v in enumerate(col):
-                m[ri, cj] = v
-        action.append(m)
+        cols = [span.reduce(Matrix.column(h.field, x.action[i].col_list(j)))
+                for j in free]
+        action.append(Matrix(h.field, len(free), len(free),
+                             [c.data[r] for r in free for c in cols]))
     return ModuleObject(h, len(free), action, "%s/." % x.name)
 
 

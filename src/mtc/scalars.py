@@ -11,16 +11,6 @@ from fractions import Fraction
 from math import gcd
 
 
-def _poly_mul(p, q):
-    r = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                if b:
-                    r[i + j] += a * b
-    return r
-
-
 def _poly_divmod(p, q):
     # q monic, integer coefficients
     p = list(p)

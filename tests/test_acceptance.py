@@ -4,9 +4,10 @@ line (run with -s to see them).
 Parts that require a ribbon structure on D(Sweedler) are mathematically
 unattainable: D(Sweedler) admits no ribbon element (Kauffman-Radford parity;
 verified here by complete enumeration plus an independent sympy solve of the
-quadratic system).  Those parts are strict xfails carrying the obstruction,
-and the same checks run green on the odd-Taft double D(Taft_3) under the
-slow marker (test_taft_slow.py)."""
+quadratic system).  Those parts are strict xfails carrying the obstruction.
+No test runs the same checks on a non-semisimple modular example yet: the
+odd-Taft double D(Taft_3) has no test file, and `pytest -m slow` selects no
+test."""
 
 import random
 

@@ -1,6 +1,9 @@
 import json
+import pathlib
 import subprocess
 import sys
+
+import pytest
 
 from mtc import hopf, repcat
 from mtc.cli import main, EXIT_OK, EXIT_CHECK_FAILED, EXIT_USAGE
@@ -57,6 +60,21 @@ def test_no_ribbon_is_check_failure(capsys):
                              capsys)
     assert code == EXIT_CHECK_FAILED
     assert "no ribbon element" in err
+
+
+def test_missing_rmatrix_is_check_failure(capsys):
+    code, out, err = run_cli(["verify", "--builtin", "taft", "--param", "n=3",
+                              "--format", "json"], capsys)
+    assert code == EXIT_CHECK_FAILED
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["ribbon element"]["status"] == "fail"
+    assert "no R-matrix" in checks["ribbon element"]["witness"]
+    assert checks["cardy certificates"]["status"] == "skip"
+    for cmd in (["modular-data"], ["cardy", "torus"]):
+        code, out, err = run_cli(cmd + ["--builtin", "taft", "--param", "n=3"],
+                                 capsys)
+        assert code == EXIT_CHECK_FAILED
+        assert "taft(3) has no R-matrix" in err
 
 
 def test_bad_file_is_usage_error(tmp_path, capsys):
@@ -191,3 +209,24 @@ def test_thread_count_does_not_change_output(capsys, monkeypatch):
         assert code == EXIT_OK
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name, args", [
+    ("simples_double_sweedler", ["simples", "--builtin", "double_sweedler"]),
+    ("cartan_double_sweedler", ["cartan", "--builtin", "double_sweedler"]),
+    ("fusion_double_sweedler", ["fusion", "--builtin", "double_sweedler"]),
+    ("verify_double_z2_ribbon3",
+     ["verify", "--builtin", "double_z2", "--ribbon", "3"]),
+    ("modular-data_double_z2_ribbon3",
+     ["modular-data", "--builtin", "double_z2", "--ribbon", "3"]),
+    ("cardy-torus_double_z2_ribbon3",
+     ["cardy", "torus", "--builtin", "double_z2", "--ribbon", "3"]),
+])
+def test_golden_json_output(name, args, capsys):
+    """The JSON bytes of cheap commands stay as recorded in tests/golden."""
+    code, out, err = run_cli(args + ["--format", "json"], capsys)
+    assert (code, err) == (EXIT_OK, "")
+    assert out == (GOLDEN / (name + ".json")).read_text()

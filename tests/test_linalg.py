@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
 from mtc.scalars import CycField
 from mtc.linalg import (Matrix, kron, solve_right, kernel_basis, rank,
-                        partial_trace_left, invert, rank_factor, NoSolution)
+                        partial_trace_left, invert, rank_factor, NoSolution,
+                        IncrementalSpan, minimal_polynomial)
 from oracles import rank_oracle_fraction, partial_trace_left_oracle
 
 F = CycField(4)
@@ -139,3 +141,90 @@ def test_partial_trace_right():
     p = rand_matrix(rng, k, k)
     q = rand_matrix(rng, d, d)
     assert partial_trace_right(kron(p, q), k, d) == p.scale(q.trace())
+
+
+def _matrix_powers(m):
+    cur = Matrix.identity(m.field, m.rows)
+    while True:
+        yield cur
+        cur = cur * m
+
+
+def _check_minimal_polynomial(m):
+    f = m.field
+    n = m.rows
+    p = minimal_polynomial(Matrix.column(f, q.data) for q in _matrix_powers(m))
+    assert p[-1].is_one()  # monic
+    d = len(p) - 1
+    assert 1 <= d <= n
+    powers = list(islice(_matrix_powers(m), d + 1))
+    value = Matrix.zeros(f, n, n)
+    for c, q in zip(p, powers):
+        value = value + q.scale(c)
+    assert value.is_zero()  # p(M) = 0
+    lower = [Matrix.column(f, q.data) for q in powers[:d]]
+    assert rank(lower[0].hstack(*lower[1:])) == d  # no lower-degree relation
+    return p
+
+
+def test_minimal_polynomial_definition():
+    rng = random.Random(11)
+    for _ in range(10):
+        _check_minimal_polynomial(rand_matrix(rng, 3, 3))
+    # scalar matrix: degree 1
+    assert _check_minimal_polynomial(Matrix.identity(F, 3).scale(
+        F.from_rational(5))) == [F.from_rational(-5), F.one()]
+    # a Jordan block at 2 next to the eigenvalue 3: (x - 2)^2 (x - 3),
+    # the repeated root that the characteristic polynomial alone hides
+    jordan = Matrix.from_rows(F, [[2, 1, 0], [0, 2, 0], [0, 0, 3]])
+    assert _check_minimal_polynomial(jordan) == \
+        [F.from_rational(c) for c in (-12, 16, -7, 1)]
+    # over a cyclotomic field: z * I has minimal polynomial x - z
+    z = F.zeta(1)
+    assert _check_minimal_polynomial(Matrix.identity(F, 2).scale(z)) == \
+        [-z, F.one()]
+
+
+def test_minimal_polynomial_needs_a_dependent_power():
+    e0 = Matrix.column(F, [1, 0])
+    e1 = Matrix.column(F, [0, 1])
+    with pytest.raises(ValueError):
+        minimal_polynomial([e0, e1])
+
+
+def test_multi_block_stacks_match_pairwise_chain():
+    rng = random.Random(12)
+    blocks = [rand_matrix(rng, 3, c) for c in (1, 2, 3, 1)]
+    chain = blocks[0]
+    for b in blocks[1:]:
+        chain = chain.hstack(b)
+    assert blocks[0].hstack(*blocks[1:]) == chain
+    assert blocks[2].hstack() == blocks[2]
+    blocks = [rand_matrix(rng, r, 2) for r in (2, 1, 3)]
+    chain = blocks[0]
+    for b in blocks[1:]:
+        chain = chain.vstack(b)
+    assert blocks[0].vstack(*blocks[1:]) == chain
+    assert chain.rows == 6 and chain.cols == 2
+
+
+def test_span_reduce_is_v_minus_pivot_projection():
+    rng = random.Random(13)
+    for _ in range(15):
+        dim = rng.randint(2, 5)
+        span = IncrementalSpan(F, dim)
+        for _ in range(rng.randint(0, dim)):
+            span.add(rand_matrix(rng, dim, 1))
+        free = span.free_indices()
+        pivots = [j for j in range(dim) if j not in free]
+        basis = span.basis_vectors()  # RREF: 1 at its pivot, 0 at the others
+        assert len(basis) == len(pivots) == span.rank
+        v = rand_matrix(rng, dim, 1)
+        proj = Matrix.zeros(F, dim, 1)
+        for p, b in zip(pivots, basis):
+            proj = proj + b.scale(v.data[p])
+        r = span.reduce(v)
+        assert r == v - proj
+        assert all(r.data[p].is_zero() for p in pivots)
+        assert span.contains(v - r)
+        assert span.reduce(r) == r
