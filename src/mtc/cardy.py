@@ -153,12 +153,9 @@ def coend_carrier_bimodule(h):
 
 def outer_module(t, x, y):
     """X (x) Y as a module over the tensor algebra T = H (x) K."""
-    f = t.field
-    nh = x.algebra.dim
-    action = []
-    for a in range(nh):
-        for b in range(y.algebra.dim):
-            action.append(kron(x.action[a], y.action[b]))
+    one = t.field.one()
+    action = [repcat.tensor_action({(a, b): one}, x, y)
+              for a in range(x.algebra.dim) for b in range(y.algebra.dim)]
     return ModuleObject(t, x.dim * y.dim, action,
                         "%s (x) %s" % (x.name, y.name))
 
@@ -239,8 +236,9 @@ def torus_partition(h, with_coend=None):
         # Cor_{T^2} as an element: the cocharacter of the coend carrier;
         # the integer certificate above is its character-basis content.
         cd = with_coend
-        lhs = coend_mod.cocharacter(cd, cd.carrier).matrix
-        rep.add("coend carrier cocharacter computed", lhs.rows == cd.h.dim)
+        chk = coend_mod.cocharacter(cd, cd.carrier)
+        rep.add("coend carrier cocharacter computed",
+                not chk.matrix.is_zero() and chk.is_intertwiner(gens))
     if not ok:
         raise CardyError("torus certificate failed:\n%s" % rep)
     return cartan, rep

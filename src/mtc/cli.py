@@ -232,9 +232,9 @@ def _structural_checks(h, sd, rep, have_ribbon, threads):
         ok = True
         for x in sd.simples:
             for y in sd.simples:
-                bxy = repcat.braiding(x, y)
-                for z in sd.simples[:2]:
-                    lhs = repcat.braiding(repcat.tensor_obj(x, y), z).matrix
+                xy = repcat.tensor_obj(x, y)
+                for z in sd.simples:
+                    lhs = repcat.braiding(xy, z).matrix
                     rhs = kron(repcat.braiding(x, z).matrix,
                                Matrix.identity(f, y.dim)) * \
                         kron(Matrix.identity(f, x.dim),

@@ -113,20 +113,7 @@ class HopfAlgebraData:
                 s = s + self.counit.data[i] * a.data[i]
         return s
 
-    def antipode_of(self, a):
-        return self.antipode * a
-
     # sparse tensor-power elements ----------------------------------------
-    def vec_to_sparse(self, a):
-        return {(i,): x for i, x in enumerate(a.data) if not x.is_zero()}
-
-    def sparse_to_vec(self, s, m=1):
-        assert m == 1
-        v = Matrix.zeros(self.field, self.dim, 1)
-        for (i,), c in s.items():
-            v.data[i] = c
-        return v
-
     def tensor_mul(self, x, y):
         """Product in H^{x m} of sparse elements (componentwise algebra)."""
         out = {}

@@ -94,10 +94,6 @@ class Morphism:
         return "Morphism(%s -> %s)" % (self.dom.name, self.cod.name)
 
 
-def identity_morphism(x):
-    return Morphism(x, x, Matrix.identity(x.algebra.field, x.dim))
-
-
 # ---------------------------------------------------------------------------
 # basic objects
 
@@ -129,18 +125,35 @@ def module_from_vectors(h, vectors, name, left_action=None):
     return m
 
 
+def tensor_action(t, x, y):
+    """The action on X (x) Y of the 2-tensor t = {(i, j): c}, an element
+    of H (x) K stored as in `comult[g]` and `rmatrix`: the matrix
+    sum c x.action[i] (x) y.action[j], accumulated in one pass over the
+    nonzero entries."""
+    f = x.algebra.field
+    dx, dy = x.dim, y.dim
+    d = dx * dy
+    out = [f.zero()] * (d * d)
+    for (i, j), c in t.items():
+        xs = [(a, v) for a, v in enumerate(x.action[i].data) if not v.is_zero()]
+        ys = [(divmod(b, dy), v) for b, v in enumerate(y.action[j].data)
+              if not v.is_zero()]
+        for a, xv in xs:
+            r1, c1 = divmod(a, dx)
+            cx = c * xv
+            base = r1 * dy * d + c1 * dy
+            for (r2, c2), yv in ys:
+                k = base + r2 * d + c2
+                out[k] = out[k] + cx * yv
+    return Matrix(f, d, d, out)
+
+
 def tensor_obj(x, y):
     """Tensor product module via the comultiplication."""
     h = x.algebra
-    f = h.field
-    dim = x.dim * y.dim
-    action = []
-    for i in range(h.dim):
-        m = Matrix.zeros(f, dim, dim)
-        for (j, k), c in h.comult[i].items():
-            m = m + kron(x.action[j], y.action[k]).scale(c)
-        action.append(m)
-    return ModuleObject(h, dim, action, "(%s x %s)" % (x.name, y.name))
+    return ModuleObject(h, x.dim * y.dim,
+                        [tensor_action(t, x, y) for t in h.comult],
+                        "(%s x %s)" % (x.name, y.name))
 
 
 def dual_obj(x):
@@ -226,12 +239,6 @@ def duality(x):
             ev_tilde_morphism(x), coev_tilde_morphism(x))
 
 
-def pivot_morphism(x):
-    """The canonical X -> X** given by the action of the pivot element."""
-    h = x.algebra
-    return Morphism(x, dual_obj(dual_obj(x)), x.act(h.pivot()))
-
-
 def flip_matrix(field, dx, dy):
     m = Matrix.zeros(field, dx * dy, dx * dy)
     one = field.one()
@@ -245,12 +252,9 @@ def braiding(x, y):
     """beta_{X,Y} = flip . (action of R): x x y -> R2 y x R1 x."""
     h = x.algebra
     assert h.rmatrix is not None, "braiding needs a quasitriangular structure"
-    f = h.field
-    rm = Matrix.zeros(f, x.dim * y.dim, x.dim * y.dim)
-    for (i, j), c in h.rmatrix.items():
-        rm = rm + kron(x.action[i], y.action[j]).scale(c)
     return Morphism(tensor_obj(x, y), tensor_obj(y, x),
-                    flip_matrix(f, x.dim, y.dim) * rm)
+                    flip_matrix(h.field, x.dim, y.dim) *
+                    tensor_action(h.rmatrix, x, y))
 
 
 def braiding_inverse(x, y):

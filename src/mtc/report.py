@@ -34,15 +34,6 @@ class Report:
     def failures(self):
         return [(n, w) for n, st, w in self.checks if st == FAIL]
 
-    def as_dict(self):
-        return {
-            "title": self.title,
-            "checks": [
-                {"name": n, "status": st, **({"witness": w} if w is not None else {})}
-                for n, st, w in self.checks
-            ],
-        }
-
     def __str__(self):
         lines = []
         for n, st, w in self.checks:

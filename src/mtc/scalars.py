@@ -366,15 +366,6 @@ class Scalar:
         """Coordinates over the Q-basis of the field, as Fractions."""
         return [Fraction(x, self.den) for x in self.num]
 
-    @staticmethod
-    def from_q_coords(field, coords):
-        den = 1
-        for c in coords:
-            c = Fraction(c)
-            den = den * c.denominator // gcd(den, c.denominator)
-        num = tuple(int(Fraction(c) * den) for c in coords)
-        return Scalar(field, num, den)
-
     # -- printing / parsing (the Scalar literal grammar) ----------------
     def __str__(self):
         return format_scalar(self)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import sympy
 
-from mtc.linalg import Matrix, kernel_basis
+from mtc.linalg import Matrix, kernel_basis, kron
 
 
 def rank_oracle_fraction(rows):
@@ -32,6 +32,17 @@ def rank_oracle_fraction(rows):
         r += 1
         rank += 1
     return rank
+
+
+def tensor_action_oracle(t, x, y):
+    """The action on X (x) Y of the 2-tensor t = {(i, j): c} in H (x) H as
+    the dense sum of c kron(x.action[i], y.action[j]), one Kronecker
+    product and one matrix addition per term."""
+    d = x.dim * y.dim
+    m = Matrix.zeros(x.algebra.field, d, d)
+    for (i, j), c in t.items():
+        m = m + kron(x.action[i], y.action[j]).scale(c)
+    return m
 
 
 def partial_trace_left_oracle(entries, d, k):

@@ -1,4 +1,9 @@
+import copy
+
+import pytest
+
 from mtc import hopf, repcat, coend
+from mtc.report import FAIL
 from mtc.linalg import Matrix, kron, rank
 from mtc.repcat import (trivial_module, regular_module, tensor_obj, dual_obj,
                         direct_sum, hom_basis, simples_data)
@@ -101,6 +106,51 @@ def test_structure_relations(dz2_coend):
     # sl2z proportionality scalars measured and nonzero
     assert cd.sl2z_scalars["st3_vs_s2"] is not None
     assert cd.sl2z_scalars["s4_vs_id"] is not None
+
+
+def _failed_after_bump(cd, attr, i, j):
+    """Names of the coend Hopf checks that fail on a copy of cd whose
+    structure morphism `attr` has 1 added at entry (i, j)."""
+    bumped = copy.copy(cd)
+    m = getattr(cd, attr).copy()
+    m[i, j] = m[i, j] + cd.field.one()
+    setattr(bumped, attr, m)
+    rep = coend.verify_hopf_on_coend(bumped)
+    return {name for name, status, _ in rep.checks if status == FAIL}
+
+
+@pytest.mark.parametrize("attr, must_fail", [
+    ("mu", {"associativity", "unit"}),
+    ("delta", {"coassociativity", "counit"}),
+    ("antipode_L", {"antipode axiom"}),
+    ("omega_bar", {"omega(S x id) = omega_bar = omega(id x S)"}),
+])
+def test_hopf_checks_catch_a_perturbed_structure(dz2_coend, attr, must_fail):
+    assert coend.verify_hopf_on_coend(dz2_coend).ok
+    assert must_fail <= _failed_after_bump(dz2_coend, attr, 0, 0)
+    assert coend.verify_hopf_on_coend(dz2_coend).ok
+
+
+@pytest.fixture(scope="module")
+def sweedler_coend(sweedler):
+    """The (non-modular) coend of the Sweedler algebra.  Its carrier is not
+    a multiple of the trivial module, unlike those of the abelian doubles,
+    on which every matrix is an intertwiner."""
+    cd = build_coend(sweedler.with_ribbon(hopf.solve_ribbon(sweedler)[0]))
+    coend.solve_structure_morphisms(cd, certify=False)
+    return cd
+
+
+@pytest.mark.parametrize("attr, must_fail", [
+    ("T_transform", "T is an intertwiner"),
+    ("mu", "mu is an intertwiner"),
+    ("omega", "omega is an intertwiner"),
+    ("omega_bar", "omega_bar is an intertwiner"),
+    ("delta", "Delta is an intertwiner"),
+])
+def test_intertwiner_checks_catch_a_nonequivariant_entry(sweedler_coend, attr,
+                                                         must_fail):
+    assert must_fail in _failed_after_bump(sweedler_coend, attr, 0, 1)
 
 
 def test_t_transform_eigenvalues(dz2_coend, dz2_simples):

@@ -10,6 +10,7 @@ from mtc.repcat import (trivial_module, regular_module, tensor_obj, dual_obj,
                         braiding, twist_morphism, composition_factors,
                         radical_filtration_factors, grothendieck_ring,
                         module_to_json_dict, module_from_json_dict)
+from oracles import tensor_action_oracle
 
 
 def all_test_objects(h):
@@ -141,6 +142,23 @@ def test_braiding_and_twist(dz2_ribbon):
     for x in sd.simples:
         assert twist_morphism(x).matrix.transpose() == \
             twist_morphism(dual_obj(x)).matrix
+
+
+@pytest.mark.parametrize("name", ["dz2", "dsw"])
+def test_tensor_action_matches_dense_sum(name, request):
+    """tensor_obj and braiding against the dense sum of Kronecker products
+    over the comultiplication and the R-matrix, on simples and projective
+    covers."""
+    h = request.getfixturevalue(name)
+    objs = all_test_objects(h)
+    for x in objs:
+        for y in objs:
+            xy = tensor_obj(x, y)
+            for g in range(h.dim):
+                assert xy.action[g] == tensor_action_oracle(h.comult[g], x, y)
+            assert braiding(x, y).matrix == \
+                repcat.flip_matrix(h.field, x.dim, y.dim) * \
+                tensor_action_oracle(h.rmatrix, x, y)
 
 
 def test_composition_factors(sweedler):
