@@ -5,9 +5,11 @@ and emit machine- and human-readable reports.
         [--ribbon IDX] [--format json|csv|text] [--out PATH]
 
 Subcommands: verify, simples, cartan, fusion, modular-data, diagram eval,
-cardy <boundary-state|annulus|torus|defect|sf>.  MTC_THREADS bounds the
-parallelism of independent leaf checks.  Exit codes: 0 all pass, 1 check
-failure, 2 usage/parse error, 3 internal inconsistency.
+cardy <boundary-state|annulus|torus|defect|sf>.  The structural checks of
+`verify` (snake, hexagon, twist of a product) are equalities of diagram
+words, and `diagram eval` runs the same evaluator as the coend.
+MTC_THREADS bounds the parallelism of independent leaf checks.  Exit codes:
+0 all pass, 1 check failure, 2 usage/parse error, 3 internal inconsistency.
 """
 
 import argparse
@@ -205,56 +207,44 @@ def run_suite(config):
     return rep
 
 
-def _structural_checks(h, sd, rep, have_ribbon, threads):
-    from .linalg import kron
-    f = h.field
-    objects = list(sd.simples) + list(sd.projectives)
+# The structural identities of the category, as diagram words: all the
+# words of an entry must evaluate to the same matrix.  The snake words
+# range over the simples and projective covers, the hexagon and the twist
+# words over the simples.
+SNAKE_WORDS = (
+    ("(coev(X) * id(X)) ; (id(X) * ev(X))", "id(X)"),
+    ("(id(X.dual) * coev(X)) ; (ev(X) * id(X.dual))", "id(X.dual)"),
+)
+RIBBON_SNAKE_WORDS = (
+    ("(id(X) * coevt(X)) ; (evt(X) * id(X))", "id(X)"),
+    ("(coevt(X) * id(X.dual)) ; (id(X.dual) * evt(X))", "id(X.dual)"),
+)
+HEXAGON_WORDS = ("br(X x Y, Z)", "(id(X) * br(Y, Z)) ; (br(X, Z) * id(Y))")
+TWIST_WORDS = ("tw(X x Y)", "(tw(X) * tw(Y)) ; br(X, Y) ; br(Y, X)")
 
-    def snake(x):
-        ev = repcat.ev_morphism(x).matrix
-        coev = repcat.coev_morphism(x).matrix
-        eye = Matrix.identity(f, x.dim)
-        s1 = kron(eye, ev) * kron(coev, eye) == eye
-        s2 = kron(ev, eye) * kron(eye, coev) == eye
-        if not have_ribbon:
-            return s1 and s2
-        evt = repcat.ev_tilde_morphism(x).matrix
-        coevt = repcat.coev_tilde_morphism(x).matrix
-        s3 = kron(evt, eye) * kron(eye, coevt) == eye
-        s4 = kron(eye, evt) * kron(coevt, eye) == eye
-        return s1 and s2 and s3 and s4
+
+def _structural_checks(h, sd, rep, have_ribbon, threads):
+    snakes = SNAKE_WORDS + (RIBBON_SNAKE_WORDS if have_ribbon else ())
+
+    def holds(entries, **objects):
+        env = diagrams.Env(h)
+        for name, x in objects.items():
+            env.bind_object(name, x)
+        return all(diagrams.words_agree(env, words) for words in entries)
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(snake, objects))
+        results = list(pool.map(lambda x: holds(snakes, X=x),
+                                list(sd.simples) + list(sd.projectives)))
     rep.add("snake identities", all(results))
 
+    simples = sd.simples
     if h.rmatrix is not None:
-        ok = True
-        for x in sd.simples:
-            for y in sd.simples:
-                xy = repcat.tensor_obj(x, y)
-                for z in sd.simples:
-                    lhs = repcat.braiding(xy, z).matrix
-                    rhs = kron(repcat.braiding(x, z).matrix,
-                               Matrix.identity(f, y.dim)) * \
-                        kron(Matrix.identity(f, x.dim),
-                             repcat.braiding(y, z).matrix)
-                    if lhs != rhs:
-                        ok = False
-        rep.add("hexagon on simples", ok)
-
+        rep.add("hexagon on simples", all(
+            holds([HEXAGON_WORDS], X=x, Y=y, Z=z)
+            for x in simples for y in simples for z in simples))
     if have_ribbon:
-        ok = True
-        for x in sd.simples:
-            for y in sd.simples:
-                lhs = repcat.twist_morphism(repcat.tensor_obj(x, y)).matrix
-                rhs = repcat.braiding(y, x).matrix * \
-                    repcat.braiding(x, y).matrix * \
-                    kron(repcat.twist_morphism(x).matrix,
-                         repcat.twist_morphism(y).matrix)
-                if lhs != rhs:
-                    ok = False
-        rep.add("twist of a product", ok)
+        rep.add("twist of a product", all(
+            holds([TWIST_WORDS], X=x, Y=y) for x in simples for y in simples))
 
 
 def _character_checks(h, sd, cd, rep):
@@ -386,15 +376,19 @@ def report_payload(rep):
 # subcommand handlers
 
 def _resolve_object(h, sd, name):
+    """The object named 1 (or one, trivial), H (or regular), Sk or Pk (the
+    k-th simple or projective cover), or a bare simple index k."""
     if name in ("1", "one", "trivial"):
         return repcat.trivial_module(h)
     if name in ("H", "regular"):
         return repcat.regular_module(h)
-    if name.startswith("S"):
-        return sd.simples[int(name[1:])]
-    if name.startswith("P"):
-        return sd.projectives[int(name[1:])]
-    return sd.simples[int(name)]
+    objs, idx = ((sd.projectives, name[1:]) if name.startswith("P") else
+                 (sd.simples, name[1:] if name.startswith("S") else name))
+    if not (idx.isdigit() and int(idx) < len(objs)):
+        raise UsageError("unknown object %r: expected 1, H, S0..S%d, P0..P%d "
+                         "or a simple index 0..%d"
+                         % ((name,) + (sd.count - 1,) * 3))
+    return objs[int(idx)]
 
 
 def cmd_verify(config):
@@ -478,13 +472,15 @@ def cmd_diagram_eval(config, binds, expr):
             raise UsageError("--bind expects NAME=module.json")
         name, path = spec.split("=", 1)
         env.bind_object(name, repcat.load_module(h, path))
-    ast = diagrams.parse(expr)
-    mor = diagrams.evaluate(ast, env)
+    dom, cod = diagrams.typecheck(diagrams.parse(expr), env)
+    dom_dim = env.dim_of(dom)
+    m = diagrams.apply_word(env, expr,
+                            diagrams.identity_columns(h.field, dom_dim))
     payload = {
         "expr": expr,
-        "dom_dim": mor.dom.dim,
-        "cod_dim": mor.cod.dim,
-        "matrix": matrix_payload(mor.matrix),
+        "dom_dim": dom_dim,
+        "cod_dim": env.dim_of(cod),
+        "matrix": matrix_payload(m),
     }
     emit(payload, config.fmt, config.out)
     return EXIT_OK

@@ -15,6 +15,7 @@ from .scalars import sqrt_adjoin
 from .linalg import Matrix, kron, solve_right, kernel_basis, rank, invert, \
     NoSolution, rank_factor
 from . import repcat, diagrams
+from .diagrams import apply_word, identity_columns
 from .repcat import (ModuleObject, Morphism, trivial_module, regular_module,
                      tensor_obj, dual_obj, hom_basis, simples_data,
                      generating_indices)
@@ -198,7 +199,7 @@ def kappa_matrix(field, dx, dy):
 
 
 def _pair_env(cd, x, y):
-    """Environment with lazy boxes for the defining words on the pair
+    """Environment with boxes for the defining words on the pair
     (X, Y) = (XX, YY)."""
     h = cd.h
     env = diagrams.Env(h)
@@ -210,41 +211,19 @@ def _pair_env(cd, x, y):
     ll = (("name", "_L"),)
     dxx = diagrams.obj_dual(xx)
     dyy = diagrams.obj_dual(yy)
-    env.bind_box_lazy("kap", diagrams._matrix_colfn(
-        kappa_matrix(h.field, x.dim, y.dim)), dyy + dxx,
-        diagrams.obj_dual(xx + yy))
-    env.bind_box_lazy("iota_t", cd.iota_pair_colfn(x, y),
-                      diagrams.obj_dual(xx + yy) + xx + yy, ll)
-    env.bind_box_lazy("iota_x", diagrams._matrix_colfn(cd.iota_matrix(x)),
-                      dxx + xx, ll)
-    env.bind_box_lazy("iota_y", diagrams._matrix_colfn(cd.iota_matrix(y)),
-                      dyy + yy, ll)
-    env.bind_box_lazy("iota_d", diagrams._matrix_colfn(
-        cd.iota_matrix(dual_obj(x))),
-        diagrams.obj_dual(dxx) + dxx, ll)
+    env.bind_box("kap", kappa_matrix(h.field, x.dim, y.dim), dyy + dxx,
+                 diagrams.obj_dual(xx + yy))
+    env.bind_box("iota_t", cd.iota_pair_colfn(x, y),
+                 diagrams.obj_dual(xx + yy) + xx + yy, ll)
+    env.bind_box("iota_x", cd.iota_matrix(x), dxx + xx, ll)
+    env.bind_box("iota_y", cd.iota_matrix(y), dyy + yy, ll)
+    env.bind_box("iota_d", cd.iota_matrix(dual_obj(x)),
+                 diagrams.obj_dual(dxx) + dxx, ll)
     # the curl in the antipode diagram: the canonical X -> X** built from
     # braiding and duality alone acts by S(u)^{-1} (u the Drinfeld element)
     curl = h.inv_vec(h.antipode * h.drinfeld_u())
-    env.bind_box_lazy("piv", diagrams._matrix_colfn(x.act(curl)),
-                      xx, diagrams.obj_dual(dxx))
+    env.bind_box("piv", x.act(curl), xx, diagrams.obj_dual(dxx))
     return env
-
-
-def apply_word(env, word, cols, field):
-    """Evaluate a diagram word on sparse columns; returns the dense result
-    matrix (cod_dim x len(cols))."""
-    ast = diagrams.parse(word)
-    out, cod_dim = diagrams.evaluate_applied(ast, env, cols)
-    m = Matrix.zeros(field, cod_dim, len(out))
-    for j, col in enumerate(out):
-        for i, v in col.items():
-            m.data[i * len(out) + j] = v
-    return m
-
-
-def identity_columns(field, dim):
-    one = field.one()
-    return [{i: one} for i in range(dim)]
 
 
 def build_coend(h):
@@ -309,7 +288,6 @@ def solve_structure_morphisms(cd, certify=True):
     which keeps the column pipelines tractable."""
     h = cd.h
     n = h.dim
-    f = h.field
     reg = regular_module(h)
     sec_cols = cd.section_columns()
 
@@ -340,14 +318,14 @@ def solve_structure_morphisms(cd, certify=True):
                 cols.append(col)
         return cols
 
-    cd.mu = apply_word(env, MU_WORD, pair_cols(), f)
-    cd.omega = apply_word(env, OMEGA_WORD, pair_cols(), f)
-    cd.omega_bar = apply_word(env, OMEGA_BAR_WORD, pair_cols(), f)
+    cd.mu = apply_word(env, MU_WORD, pair_cols())
+    cd.omega = apply_word(env, OMEGA_WORD, pair_cols())
+    cd.omega_bar = apply_word(env, OMEGA_BAR_WORD, pair_cols())
     env1 = _pair_env(cd, reg, reg) if tau is not None else env
-    cd.delta = apply_word(env1, DELTA_WORD, sec_cols, f)
-    cd.eps = apply_word(env1, EPS_WORD, sec_cols, f)
-    cd.antipode_L = apply_word(env1, S_WORD, sec_cols, f)
-    cd.T_transform = apply_word(env1, T_WORD, sec_cols, f)
+    cd.delta = apply_word(env1, DELTA_WORD, sec_cols)
+    cd.eps = apply_word(env1, EPS_WORD, sec_cols)
+    cd.antipode_L = apply_word(env1, S_WORD, sec_cols)
+    cd.T_transform = apply_word(env1, T_WORD, sec_cols)
     cd.eta = h.counit.transpose()
 
     rep = verify_hopf_on_coend(cd)
@@ -362,7 +340,7 @@ def solve_structure_morphisms(cd, certify=True):
 
 def _structure_env(cd):
     """Environment with the carrier bound as L and the solved structure
-    morphisms of the coend as lazy boxes on it."""
+    morphisms of the coend as boxes on it."""
     env = diagrams.Env(cd.h)
     env.bind_object("L", cd.carrier)
     ll = (("name", "L"),)
@@ -373,7 +351,7 @@ def _structure_env(cd):
                               ("S", cd.antipode_L, ll, ll),
                               ("omega", cd.omega, ll + ll, ()),
                               ("omega_bar", cd.omega_bar, ll + ll, ())]:
-        env.bind_box_lazy(name, diagrams._matrix_colfn(m), dom, cod)
+        env.bind_box(name, m, dom, cod)
     return env
 
 
@@ -412,7 +390,6 @@ def verify_hopf_on_coend(cd):
     equalities of diagram words, plus intertwiner checks against the
     action of L (x) L, built one generator at a time."""
     rep = Report("Hopf structure of the coend")
-    f = cd.field
     h = cd.h
     L = cd.carrier
     gens = generating_indices(h)
@@ -438,11 +415,7 @@ def verify_hopf_on_coend(cd):
 
     env = _structure_env(cd)
     for name, words in HOPF_AXIOMS:
-        dom, _ = diagrams.typecheck(diagrams.parse(words[0]), env)
-        cols = identity_columns(f, env.dim_of(dom))
-        first = apply_word(env, words[0], cols, f)
-        rep.add(name, all(apply_word(env, w, cols, f) == first
-                          for w in words[1:]))
+        rep.add(name, diagrams.words_agree(env, words))
     return rep
 
 
@@ -467,13 +440,13 @@ def dinaturality_certificate(cd, objects=None):
         ix = cd.iota_matrix(x)
         cols1 = identity_columns(f, x.dim * x.dim)
         rep.add("Delta . iota_%s" % x.name,
-                cd.delta * ix == apply_word(envx, DELTA_WORD, cols1, f))
+                cd.delta * ix == apply_word(envx, DELTA_WORD, cols1))
         rep.add("eps . iota_%s" % x.name,
-                cd.eps * ix == apply_word(envx, EPS_WORD, cols1, f))
+                cd.eps * ix == apply_word(envx, EPS_WORD, cols1))
         rep.add("S . iota_%s" % x.name,
-                cd.antipode_L * ix == apply_word(envx, S_WORD, cols1, f))
+                cd.antipode_L * ix == apply_word(envx, S_WORD, cols1))
         rep.add("T . iota_%s" % x.name,
-                cd.T_transform * ix == apply_word(envx, T_WORD, cols1, f))
+                cd.T_transform * ix == apply_word(envx, T_WORD, cols1))
 
     for x in objects:
         for y in objects:
@@ -481,9 +454,9 @@ def dinaturality_certificate(cd, objects=None):
             ixy = kron(cd.iota_matrix(x), cd.iota_matrix(y))
             cols2 = identity_columns(f, (x.dim * y.dim) ** 2)
             rep.add("mu . (iota_%s x iota_%s)" % (x.name, y.name),
-                    cd.mu * ixy == apply_word(envp, MU_WORD, cols2, f))
+                    cd.mu * ixy == apply_word(envp, MU_WORD, cols2))
             rep.add("omega . (iota_%s x iota_%s)" % (x.name, y.name),
-                    cd.omega * ixy == apply_word(envp, OMEGA_WORD, cols2, f))
+                    cd.omega * ixy == apply_word(envp, OMEGA_WORD, cols2))
 
     for x in objects:
         for y in objects:
@@ -850,7 +823,6 @@ def _half_braiding_action(cd, x, mirror_factor=None):
     """The action computed from the half-braiding diagram (monodromy with
     the regular argument), as a certificate for canonical_action."""
     h = cd.h
-    f = h.field
     n = h.dim
     reg = regular_module(h)
     env = diagrams.Env(h)
@@ -876,7 +848,7 @@ def _half_braiding_action(cd, x, mirror_factor=None):
     for i in range(d):
         for sc in sec_cols:
             cols.append({i * n * n + k: v for k, v in sc.items()})
-    return apply_word(env, word, cols, f)
+    return apply_word(env, word, cols)
 
 
 def characters(cd, x):

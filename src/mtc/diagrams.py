@@ -1,5 +1,5 @@
 """A textual string-diagram language for morphisms in the module category:
-parser, typechecker, and evaluator.
+parser, typechecker, and the one evaluator.
 
 Grammar (whitespace-insensitive):
     term   := factor {';' factor}          ';' reads bottom-to-top: f;g = g.f
@@ -12,7 +12,7 @@ Object expressions are compared structurally up to tensor flattening; duals
 of composites stay as-is (the canonical identifications are explicit boxes).
 """
 
-from .linalg import Matrix, kron
+from .linalg import Matrix
 from . import repcat
 
 
@@ -232,29 +232,25 @@ def parse(text):
 # -- environment ------------------------------------------------------------
 
 class Env:
-    """Named objects (ModuleObjects) and boxes (Morphisms, or lazy column
-    functions, with declared object expressions)."""
+    """Named objects (ModuleObjects) and boxes (column functions with
+    declared object expressions)."""
 
     def __init__(self, algebra):
         self.algebra = algebra
         self.objects = {}
         self.boxes = {}
-        self.lazy_boxes = {}
         self._module_cache = {}
 
     def bind_object(self, name, module):
         self.objects[name] = module
         return self
 
-    def bind_box(self, name, morphism, dom_expr, cod_expr):
-        self.boxes[name] = (morphism, dom_expr, cod_expr)
-        return self
-
-    def bind_box_lazy(self, name, colfn, dom_expr, cod_expr):
-        """A box given by a column function col_index -> [(row, Scalar)],
-        for morphisms too large to materialize."""
-        self.boxes[name] = (None, dom_expr, cod_expr)
-        self.lazy_boxes[name] = colfn
+    def bind_box(self, name, box, dom_expr, cod_expr):
+        """A box given by a Matrix, or by a column function
+        col_index -> [(row, Scalar)] for morphisms too large to
+        materialize."""
+        colfn = _matrix_colfn(box) if isinstance(box, Matrix) else box
+        self.boxes[name] = (colfn, dom_expr, cod_expr)
         return self
 
     def dim_of(self, expr):
@@ -321,112 +317,26 @@ def _gen_types(gen, env):
     raise AssertionError(k)
 
 
-def typecheck(ast, env):
-    """Domain and codomain object expressions; raises DiagramTypeError at
-    the offending junction or on unresolved object names."""
+def _layers(ast, env):
+    """Normalize into (layers, dom_expr, cod_expr); each layer is a list of
+    tensored (gen, dom_expr, cod_expr).  Raises DiagramTypeError on an
+    unbound name or at a ';' junction whose types do not match."""
     if isinstance(ast, Gen):
-        dom, cod = _gen_types(ast, env)
-        env.dim_of(dom)  # resolve names
-        env.dim_of(cod)
-        return dom, cod
-    if isinstance(ast, Tensor):
-        dom, cod = (), ()
-        for p in ast.parts:
-            d, c = typecheck(p, env)
-            dom += d
-            cod += c
-        return dom, cod
+        d, c = _gen_types(ast, env)
+        env.dim_of(d)  # resolve names
+        env.dim_of(c)
+        return [[(ast, d, c)]], d, c
     if isinstance(ast, Compose):
-        dom, cod = typecheck(ast.parts[0], env)
+        out, dom, cod = _layers(ast.parts[0], env)
         for p in ast.parts[1:]:
-            d, c = typecheck(p, env)
+            ls, d, c = _layers(p, env)
             if d != cod:
                 raise DiagramTypeError(
                     "composition mismatch: previous codomain %s, next domain %s"
                     % (obj_name(cod), obj_name(d)),
                     getattr(p, "pos", None) if isinstance(p, Gen) else None)
-            cod = c
-        return dom, cod
-    raise AssertionError(type(ast))
-
-
-# -- evaluation -------------------------------------------------------------
-
-def _gen_matrix(gen, env):
-    k = gen.kind
-    if k == "box":
-        mor = env.boxes[gen.args[0]][0]
-        if mor is None:
-            raise DiagramError("box %r is lazy; dense evaluation unavailable"
-                               % gen.args[0])
-        return mor.matrix
-    x = env.module_of(gen.args[0])
-    if k == "id":
-        return Matrix.identity(env.algebra.field, x.dim)
-    if k == "ev":
-        return repcat.ev_morphism(x).matrix
-    if k == "coev":
-        return repcat.coev_morphism(x).matrix
-    if k == "evt":
-        return repcat.ev_tilde_morphism(x).matrix
-    if k == "coevt":
-        return repcat.coev_tilde_morphism(x).matrix
-    if k == "tw":
-        return repcat.twist_morphism(x).matrix
-    if k == "twinv":
-        return repcat.twist_inverse_morphism(x).matrix
-    y = env.module_of(gen.args[1])
-    if k == "br":
-        return repcat.braiding(x, y).matrix
-    if k == "brinv":
-        return repcat.braiding_inverse(x, y).matrix
-    raise AssertionError(k)
-
-
-def evaluate(ast, env):
-    """Compile the diagram to a Morphism (dense matrix)."""
-    dom, cod = typecheck(ast, env)
-    m = _eval_matrix(ast, env)
-    return repcat.Morphism(env.module_of(dom), env.module_of(cod), m)
-
-
-def _eval_matrix(ast, env):
-    if isinstance(ast, Gen):
-        return _gen_matrix(ast, env)
-    if isinstance(ast, Tensor):
-        m = _eval_matrix(ast.parts[0], env)
-        for p in ast.parts[1:]:
-            m = kron(m, _eval_matrix(p, env))
-        return m
-    if isinstance(ast, Compose):
-        m = _eval_matrix(ast.parts[0], env)
-        for p in ast.parts[1:]:
-            m = _eval_matrix(p, env) * m
-        return m
-    raise AssertionError(type(ast))
-
-
-# -- sparse applied evaluation ---------------------------------------------
-#
-# The coend construction evaluates diagram words on the regular module where
-# dense composites are infeasible; instead the word is normalized into layers
-# of tensored generators and applied column-by-column to a sparse block.
-
-def _layers(ast, env):
-    """Normalize into a list of layers; each layer is a list of
-    (gen, dom_expr, cod_expr)."""
-    if isinstance(ast, Gen):
-        d, c = _gen_types(ast, env)
-        return [[(ast, d, c)]], d, c
-    if isinstance(ast, Compose):
-        out = []
-        dom = cod = None
-        for p in ast.parts:
-            ls, d, c = _layers(p, env)
-            if dom is None:
-                dom = d
-            cod = c
             out.extend(ls)
+            cod = c
         return out, dom, cod
     if isinstance(ast, Tensor):
         blocks = [_layers(p, env) for p in ast.parts]
@@ -449,25 +359,62 @@ def _layers(ast, env):
     raise AssertionError(type(ast))
 
 
+def typecheck(ast, env):
+    """Domain and codomain object expressions; raises DiagramTypeError at
+    the offending junction or on unresolved object names."""
+    _, dom, cod = _layers(ast, env)
+    return dom, cod
+
+
+# -- evaluation -------------------------------------------------------------
+#
+# The one evaluator: a word is normalized into layers of tensored
+# generators and applied column by column to sparse vectors.  Each
+# generator is a column function built factor-wise, so tensor-product
+# modules and dense composites are never materialized.
+
 def _matrix_colfn(matrix):
-    """Column function from a dense matrix."""
+    """Column function j -> [(row, Scalar)] of a dense matrix, nonzero
+    entries only."""
     cols = {}
-    for i in range(matrix.rows):
-        base = i * matrix.cols
-        for j in range(matrix.cols):
-            v = matrix.data[base + j]
-            if not v.is_zero():
-                cols.setdefault(j, []).append((i, v))
+    n = matrix.cols
+    for k, v in enumerate(matrix.data):
+        if not v.is_zero():
+            i, j = divmod(k, n)
+            cols.setdefault(j, []).append((i, v))
     return lambda j: cols.get(j, [])
 
 
-def _sparse_cols_of(matrix):
-    cols = {}
-    for j in range(matrix.cols):
-        col = [(i, matrix.data[i * matrix.cols + j]) for i in range(matrix.rows)
-               if not matrix.data[i * matrix.cols + j].is_zero()]
-        cols[j] = col
-    return cols
+def _braid_colfn(terms, x, y, inverse):
+    """Column function of beta_{X,Y}: X (x) Y -> Y (x) X, x (x) y ->
+    sum c r2.y (x) r1.x over the terms (r1, r2, c) of R; with `inverse`,
+    of Y (x) X -> X (x) Y, y (x) x -> sum c r1.x (x) r2.y over the terms
+    of R^{-1} = (S (x) id)(R)."""
+    dx, dy = x.dim, y.dim
+    xs = {r1: _matrix_colfn(x.action[r1]) for r1, _, _ in terms}
+    ys = {r2: _matrix_colfn(y.action[r2]) for _, r2, _ in terms}
+    cache = {}
+
+    def col(c):
+        got = cache.get(c)
+        if got is not None:
+            return got
+        if inverse:
+            j, i = divmod(c, dx)
+        else:
+            i, j = divmod(c, dy)
+        acc = {}
+        for r1, r2, coef in terms:
+            for ii, vx in xs[r1](i):
+                cvx = coef * vx
+                for jj, vy in ys[r2](j):
+                    key = ii * dy + jj if inverse else jj * dx + ii
+                    w = cvx * vy
+                    acc[key] = acc[key] + w if key in acc else w
+        got = [(p, v) for p, v in acc.items() if not v.is_zero()]
+        cache[c] = got
+        return got
+    return dx * dy, dx * dy, col
 
 
 def _gen_colfn(gen, env):
@@ -477,107 +424,50 @@ def _gen_colfn(gen, env):
     f = h.field
     k = gen.kind
     if k == "box":
-        name = gen.args[0]
-        mor, d_expr, c_expr = env.boxes[name]
-        din, dout = env.dim_of(d_expr), env.dim_of(c_expr)
-        if name in env.lazy_boxes:
-            return din, dout, env.lazy_boxes[name]
-        return din, dout, _matrix_colfn(mor.matrix)
+        colfn, d_expr, c_expr = env.boxes[gen.args[0]]
+        return env.dim_of(d_expr), env.dim_of(c_expr), colfn
+    d = env.dim_of(gen.args[0])
     if k == "id":
-        d = env.dim_of(gen.args[0])
         return d, d, None
-    x = env.module_of(gen.args[0])
-    if k in ("tw", "twinv"):
-        el = h.inv_vec(h.ribbon) if k == "tw" else h.ribbon
-        return x.dim, x.dim, _matrix_colfn(x.act(el))
     if k == "ev":
-        d = x.dim
-        def ev_col(j, d=d):
+        def ev_col(j):
             a, b = divmod(j, d)
             return [(0, f.one())] if a == b else []
         return d * d, 1, ev_col
+    if k == "coev":
+        def coev_col(j):
+            assert j == 0
+            return [(a * d + a, f.one()) for a in range(d)]
+        return 1, d * d, coev_col
+    x = env.module_of(gen.args[0])
+    if k in ("tw", "twinv"):
+        el = h.inv_vec(h.ribbon) if k == "tw" else h.ribbon
+        return d, d, _matrix_colfn(x.act(el))
     if k == "evt":
         g = x.act(h.pivot())
-        d = x.dim
-        def evt_col(j, d=d, g=g):
+        def evt_col(j):
             b, a = divmod(j, d)
             v = g.data[a * d + b]
             return [] if v.is_zero() else [(0, v)]
         return d * d, 1, evt_col
-    if k == "coev":
-        d = x.dim
-        def coev_col(j, d=d):
-            assert j == 0
-            return [(a * d + a, f.one()) for a in range(d)]
-        return 1, d * d, coev_col
     if k == "coevt":
         ginv = x.act(h.inv_vec(h.pivot()))
-        d = x.dim
-        def coevt_col(j, d=d, m=ginv):
+        col = [(i * d + j, ginv.data[j * d + i])
+               for i in range(d) for j in range(d)
+               if not ginv.data[j * d + i].is_zero()]
+        def coevt_col(j):
             assert j == 0
-            out = []
-            for i in range(d):
-                for jj in range(d):
-                    v = m.data[jj * d + i]
-                    if not v.is_zero():
-                        out.append((i * d + jj, v))
-            return out
+            return col
         return 1, d * d, coevt_col
-    y = env.module_of(gen.args[1])
-    if k == "br":
-        xs = [_sparse_cols_of(x.action[i]) for i in range(h.dim)]
-        ys = [_sparse_cols_of(y.action[i]) for i in range(h.dim)]
-        rterms = [(i, j, c) for (i, j), c in h.rmatrix.items()]
-        dx, dy = x.dim, y.dim
-        cache = {}
-        def br_col(col, dx=dx, dy=dy):
-            got = cache.get(col)
-            if got is not None:
-                return got
-            i, j = divmod(col, dy)
-            acc = {}
-            for r1, r2, c in rterms:
-                for ii, vx in xs[r1].get(i, []):
-                    cvx = c * vx
-                    for jj, vy in ys[r2].get(j, []):
-                        key = jj * dx + ii
-                        w = cvx * vy
-                        acc[key] = acc[key] + w if key in acc else w
-            got = [(p, v) for p, v in acc.items() if not v.is_zero()]
-            cache[col] = got
-            return got
-        return dx * dy, dx * dy, br_col
+    if h.rmatrix is None:
+        raise DiagramTypeError("%s needs an R-matrix; %s has none"
+                               % (k, h.name), gen.pos)
+    terms = [(i, j, c) for (i, j), c in h.rmatrix.items()]
     if k == "brinv":
-        # beta_{X,Y}^{-1}(y (x) x) = sum (R^{-1})_1 x (x) (R^{-1})_2 y,
-        # with R^{-1} = (S x id)(R)
-        rinv = []
-        for (i, j), c in h.rmatrix.items():
-            s = h.antipode.col_list(i)
-            for kk, sc in enumerate(s):
-                if not sc.is_zero():
-                    rinv.append((kk, j, c * sc))
-        xs = [_sparse_cols_of(x.action[i]) for i in range(h.dim)]
-        ys = [_sparse_cols_of(y.action[i]) for i in range(h.dim)]
-        dx, dy = x.dim, y.dim
-        cache = {}
-        def brinv_col(col, dx=dx, dy=dy):
-            got = cache.get(col)
-            if got is not None:
-                return got
-            j, i = divmod(col, dx)
-            acc = {}
-            for r1, r2, c in rinv:
-                for ii, vx in xs[r1].get(i, []):
-                    cvx = c * vx
-                    for jj, vy in ys[r2].get(j, []):
-                        key = ii * dy + jj
-                        w = cvx * vy
-                        acc[key] = acc[key] + w if key in acc else w
-            got = [(p, v) for p, v in acc.items() if not v.is_zero()]
-            cache[col] = got
-            return got
-        return dx * dy, dx * dy, brinv_col
-    raise AssertionError(k)
+        terms = [(kk, j, c * s) for i, j, c in terms
+                 for kk, s in enumerate(h.antipode.col_list(i))
+                 if not s.is_zero()]
+    return _braid_colfn(terms, x, env.module_of(gen.args[1]), k == "brinv")
 
 
 def evaluate_applied(ast, env, columns):
@@ -585,7 +475,7 @@ def evaluate_applied(ast, env, columns):
 
     `columns` is a list of dicts {flat domain index: Scalar}; returns the
     transformed list (flat codomain indices) plus the codomain dimension."""
-    layers, dom, cod = _layers(ast, env)
+    layers, _, cod = _layers(ast, env)
     atom_cache = {}
 
     def atom_data(gen, d_expr, c_expr):
@@ -614,7 +504,7 @@ def evaluate_applied(ast, env, columns):
                 idxs.reverse()
                 parts = []
                 ok = True
-                for (din, dout, colfn), sub in zip(atoms, idxs):
+                for (_, _, colfn), sub in zip(atoms, idxs):
                     if colfn is None:
                         parts.append([(sub, None)])
                         continue
@@ -641,3 +531,32 @@ def evaluate_applied(ast, env, columns):
             new.append({p: v for p, v in out.items() if not v.is_zero()})
         cur = new
     return cur, env.dim_of(cod)
+
+
+# -- dense view -------------------------------------------------------------
+
+def identity_columns(field, dim):
+    one = field.one()
+    return [{i: one} for i in range(dim)]
+
+
+def apply_word(env, word, cols):
+    """Evaluate a diagram word on sparse columns; returns the dense result
+    matrix (cod_dim x len(cols))."""
+    out, cod_dim = evaluate_applied(parse(word), env, cols)
+    m = Matrix.zeros(env.algebra.field, cod_dim, len(out))
+    for j, col in enumerate(out):
+        for i, v in col.items():
+            m.data[i * len(out) + j] = v
+    return m
+
+
+def words_agree(env, words):
+    """True when all the words, which must share one type, evaluate to the
+    same matrix on the basis columns of their domain."""
+    types = [typecheck(parse(w), env) for w in words]
+    if any(t != types[0] for t in types[1:]):
+        raise DiagramTypeError("the words %r do not share one type" % (words,))
+    cols = identity_columns(env.algebra.field, env.dim_of(types[0][0]))
+    first = apply_word(env, words[0], cols)
+    return all(apply_word(env, w, cols) == first for w in words[1:])

@@ -85,11 +85,6 @@ class Morphism:
     def __eq__(self, other):
         return self.matrix == other.matrix
 
-    def tensor(self, other):
-        return Morphism(tensor_obj(self.dom, other.dom),
-                        tensor_obj(self.cod, other.cod),
-                        kron(self.matrix, other.matrix))
-
     def __repr__(self):
         return "Morphism(%s -> %s)" % (self.dom.name, self.cod.name)
 
@@ -257,13 +252,6 @@ def braiding(x, y):
                     tensor_action(h.rmatrix, x, y))
 
 
-def braiding_inverse(x, y):
-    """(beta_{X,Y})^{-1}: Y x X -> X x Y."""
-    b = braiding(x, y)
-    from .linalg import invert
-    return Morphism(b.cod, b.dom, invert(b.matrix))
-
-
 def twist_morphism(x):
     """theta_X = action of v^{-1}: the categorical twist matching the
     braiding convention (see ledger: the monodromy acts by R21 R, so the
@@ -272,12 +260,6 @@ def twist_morphism(x):
     h = x.algebra
     assert h.ribbon is not None, "twist needs a ribbon element"
     return Morphism(x, x, x.act(h.inv_vec(h.ribbon)))
-
-
-def twist_inverse_morphism(x):
-    h = x.algebra
-    assert h.ribbon is not None, "twist needs a ribbon element"
-    return Morphism(x, x, x.act(h.ribbon))
 
 
 # ---------------------------------------------------------------------------
@@ -513,37 +495,6 @@ def composition_factors(x, sd=None):
     mult = [len(hom_basis(p, x)) for p in sd.projectives]
     assert sum(m * s.dim for m, s in zip(mult, sd.simples)) == x.dim, \
         "composition series does not fill the module"
-    return mult
-
-
-def radical_filtration_factors(x, sd=None):
-    """Same multiset, but computed through the radical filtration of X;
-    used as the independent strategy in the invariants."""
-    h = x.algebra
-    if sd is None:
-        sd = simples_data(h)
-    q = _Quotient(h)
-    f = h.field
-    mult = [0] * sd.count
-
-    cur = x
-    while cur.dim > 0:
-        # rad * cur spans
-        vecs = []
-        for r in q.rad:
-            act = cur.act(r)
-            for j in range(cur.dim):
-                v = Matrix.column(f, act.col_list(j))
-                if not v.is_zero():
-                    vecs.append(v)
-        span = IncrementalSpan(f, cur.dim)
-        sub_basis = [v for v in vecs if span.add(v)]
-        layer = quotient_module(cur, span)
-        for i, s in enumerate(sd.simples):
-            mult[i] += len(hom_basis(layer, s))
-        if not sub_basis:
-            break
-        cur = sub_module(cur, sub_basis)
     return mult
 
 

@@ -56,3 +56,18 @@ def dz2_coend(dz2_ribbon):
 @pytest.fixture(scope="session")
 def dz2_simples(dz2_ribbon):
     return repcat.simples_data(dz2_ribbon)
+
+
+@pytest.fixture(scope="session")
+def dz3():
+    """D(Z/3) with its unique ribbon element: twists of order 3 and simples
+    that are not self-dual, which D(Z/2) cannot show."""
+    h = hopf.drinfeld_double(hopf.group_algebra([3]))
+    vs = hopf.solve_ribbon(h)
+    assert len(vs) == 1
+    return h.with_ribbon(vs[0])
+
+
+@pytest.fixture(scope="session")
+def dz3_simples(dz3):
+    return repcat.simples_data(dz3)

@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import sympy
 
-from mtc.linalg import Matrix, kernel_basis, kron
+from mtc import repcat
+from mtc.diagrams import Compose, Tensor
+from mtc.linalg import Matrix, kernel_basis, kron, invert, IncrementalSpan
 
 
 def rank_oracle_fraction(rows):
@@ -43,6 +45,61 @@ def tensor_action_oracle(t, x, y):
     for (i, j), c in t.items():
         m = m + kron(x.action[i], y.action[j]).scale(c)
     return m
+
+
+def dense_word_oracle(ast, env, boxes=None):
+    """The matrix of a parsed diagram word composed densely from repcat's
+    morphisms on materialized modules: kron for '*', matrix products for
+    ';', brinv as the inverse of the braiding matrix and twinv as the
+    inverse of the twist.  `boxes` maps box names to their matrices."""
+    if isinstance(ast, (Tensor, Compose)):
+        ms = [dense_word_oracle(p, env, boxes) for p in ast.parts]
+        m = ms[0]
+        for nxt in ms[1:]:
+            m = kron(m, nxt) if isinstance(ast, Tensor) else nxt * m
+        return m
+    k = ast.kind
+    if k == "box":
+        return boxes[ast.args[0]]
+    x = env.module_of(ast.args[0])
+    if k == "id":
+        return Matrix.identity(x.algebra.field, x.dim)
+    if k in ("tw", "twinv"):
+        m = repcat.twist_morphism(x).matrix
+        return m if k == "tw" else invert(m)
+    if k in ("br", "brinv"):
+        m = repcat.braiding(x, env.module_of(ast.args[1])).matrix
+        return m if k == "br" else invert(m)
+    return {"ev": repcat.ev_morphism, "coev": repcat.coev_morphism,
+            "evt": repcat.ev_tilde_morphism,
+            "coevt": repcat.coev_tilde_morphism}[k](x).matrix
+
+
+def radical_filtration_factors(x, sd):
+    """[X : S_i] through the radical filtration of X: the simple
+    multiplicities of each layer rad^k X / rad^(k+1) X, independent of
+    the dim Hom(P_i, X) of repcat.composition_factors."""
+    f = x.algebra.field
+    rad = repcat.radical_basis(x.algebra)
+    mult = [0] * sd.count
+    cur = x
+    while cur.dim > 0:
+        vecs = []
+        for r in rad:
+            act = cur.act(r)
+            for j in range(cur.dim):
+                v = Matrix.column(f, act.col_list(j))
+                if not v.is_zero():
+                    vecs.append(v)
+        span = IncrementalSpan(f, cur.dim)
+        sub_basis = [v for v in vecs if span.add(v)]
+        layer = repcat.quotient_module(cur, span)
+        for i, s in enumerate(sd.simples):
+            mult[i] += len(repcat.hom_basis(layer, s))
+        if not sub_basis:
+            break
+        cur = repcat.sub_module(cur, sub_basis)
+    return mult
 
 
 def partial_trace_left_oracle(entries, d, k):

@@ -160,6 +160,25 @@ def test_diagram_eval_cli(tmp_path, capsys):
         ["diagram", "eval", "--builtin", "double_z2",
          "--bind", "X=%s" % mpath, "--expr", "ev(X) ; ev(X)"], capsys)
     assert code == EXIT_USAGE
+    # a braiding needs an R-matrix, and taft(3) has none
+    tpath = tmp_path / "one.json"
+    repcat.save_module(repcat.trivial_module(hopf.taft(3)), str(tpath))
+    code, out, err = run_cli(
+        ["diagram", "eval", "--builtin", "taft", "--param", "n=3",
+         "--bind", "X=%s" % tpath, "--expr", "br(X, X)"], capsys)
+    assert code == EXIT_USAGE and "br needs an R-matrix" in err
+
+
+def test_unknown_object_is_usage_error(capsys):
+    base = ["--builtin", "double_z2", "--ribbon", "3", "--format", "json"]
+    for name in ["S99", "Sx", "P4", "-1"]:
+        code, out, err = run_cli(["cardy", "boundary-state", "--object", name,
+                                  "--direction", "out"] + base, capsys)
+        assert code == EXIT_USAGE, name
+        assert "S0..S3, P0..P3" in err and "Traceback" not in err
+    code, out, err = run_cli(["cardy", "annulus", "--m", "S0", "--n", "S4"]
+                             + base, capsys)
+    assert code == EXIT_USAGE and "'S4'" in err
 
 
 def test_cardy_cli(capsys):
@@ -212,6 +231,12 @@ def test_thread_count_does_not_change_output(capsys, monkeypatch):
 
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+# a word with every generator but box (the CLI binds no boxes), on the sum
+# of two simples of D(Z/3) with twists zeta and zeta^2
+DIAGRAM_WORD = ("(coevt(X) * br(X, X)) ; "
+                "(id(X.dual) * tw(X) * twinv(X) * id(X)) ; "
+                "(id(X.dual) * brinv(X, X) * id(X)) ; "
+                "(ev(X) * id(X) * id(X) * coev(X)) ; (id(X) * id(X) * evt(X))")
 # D(Z/3) has twists of order 3 and simples that are not self-dual; two of
 # its checks fail (the (S T)^3 relation and the Cardy certificates)
 GOLDEN_EXIT = {"verify_double_group_algebra_orders3": EXIT_CHECK_FAILED}
@@ -229,10 +254,19 @@ GOLDEN_EXIT = {"verify_double_group_algebra_orders3": EXIT_CHECK_FAILED}
      ["cardy", "torus", "--builtin", "double_z2", "--ribbon", "3"]),
     ("verify_double_group_algebra_orders3",
      ["verify", "--builtin", "double_group_algebra", "--param", "orders=3"]),
+    ("diagram-eval_double_group_algebra_orders3",
+     ["diagram", "eval", "--builtin", "double_group_algebra", "--param",
+      "orders=3", "--bind", "X={module}", "--expr", DIAGRAM_WORD]),
 ])
-def test_golden_json_output(name, args, capsys):
+def test_golden_json_output(name, args, tmp_path, capsys):
     """The JSON bytes and exit codes of cheap commands stay as recorded in
     tests/golden."""
+    module = tmp_path / "x.json"
+    if "X={module}" in args:
+        sd = repcat.simples_data(hopf.builtin("double_group_algebra", [3]))
+        repcat.save_module(repcat.direct_sum(sd.simples[0], sd.simples[1]),
+                           str(module))
+    args = [a.replace("{module}", str(module)) for a in args]
     code, out, err = run_cli(args + ["--format", "json"], capsys)
     assert (code, err) == (GOLDEN_EXIT.get(name, EXIT_OK), "")
     assert out == (GOLDEN / (name + ".json")).read_text()

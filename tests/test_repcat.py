@@ -8,9 +8,9 @@ from mtc.linalg import Matrix, kron, rank
 from mtc.repcat import (trivial_module, regular_module, tensor_obj, dual_obj,
                         direct_sum, hom_basis, simples_data, duality,
                         braiding, twist_morphism, composition_factors,
-                        radical_filtration_factors, grothendieck_ring,
-                        module_to_json_dict, module_from_json_dict)
-from oracles import tensor_action_oracle
+                        grothendieck_ring, module_to_json_dict,
+                        module_from_json_dict)
+from oracles import tensor_action_oracle, radical_filtration_factors
 
 
 def all_test_objects(h):
