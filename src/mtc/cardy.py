@@ -95,24 +95,11 @@ def coend_carrier_bimodule(h):
     t = hopf_mod.tensor_hopf(h, hopf_mod.mirror(h))
     f = h.field
     n = h.dim
-    # left factor: xi -> xi(S(a) . ); right factor: xi -> xi( . b)
-    act1, act2 = [], []
-    for a in range(n):
-        sa = Matrix.column(f, h.antipode.col_list(a))
-        m = Matrix.zeros(f, n, n)
-        for k in range(n):
-            v = h.mul_vec(sa, h.basis_vec(k))
-            for i in range(n):
-                if not v.data[i].is_zero():
-                    m.data[k * n + i] = v.data[i]
-        act1.append(m)
-        m = Matrix.zeros(f, n, n)
-        for k in range(n):
-            v = h.mul_vec(h.basis_vec(k), h.basis_vec(a))
-            for i in range(n):
-                if not v.data[i].is_zero():
-                    m.data[k * n + i] = v.data[i]
-        act2.append(m)
+    # left factor: xi -> xi(S(a) . ); right factor: xi -> xi( . b); on the
+    # dual basis these are the transposes of the multiplication matrices
+    act1 = [h.left_mult_matrix(h.antipode * h.basis_vec(a)).transpose()
+            for a in range(n)]
+    act2 = [h.right_mult_matrix(h.basis_vec(a)).transpose() for a in range(n)]
     action = [act1[a] * act2[b] for a in range(n) for b in range(n)]
     w = ModuleObject(t, n, action, "L-carrier")
 
@@ -481,7 +468,7 @@ def _fa_mul(fa, a, b):
 def cardy_action(cd, x, xbar):
     """The canonical L-action on the bulk module X (x) Xbar, with the second
     factor carried along the mirrored braiding."""
-    return coend_mod.canonical_action(cd, x, mirror_factor=xbar, check=False)
+    return coend_mod.canonical_action(cd, x, mirror_factor=xbar)
 
 
 def delta_lambda_coaction(cd, rho):

@@ -20,7 +20,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 from .scalars import format_scalar
-from .linalg import Matrix
+from .linalg import Matrix, kron, rank
 from . import hopf as hopf_mod
 from . import repcat, coend as coend_mod, cardy as cardy_mod, diagrams
 from .hopf import AlgebraFormatError, HopfError
@@ -248,23 +248,14 @@ def _structural_checks(h, sd, rep, have_ribbon, threads):
 
 
 def _character_checks(h, sd, cd, rep):
-    f = h.field
-    n = h.dim
+    eye = Matrix.identity(h.field, h.dim)
     ok = True
     cochars = []
     for s in list(sd.simples) + list(sd.projectives):
         chi, chk = coend_mod.characters(cd, s)
-        rhs = Matrix.zeros(f, 1, n)
-        for c in range(n):
-            acc = f.zero()
-            for p in range(n):
-                acc = acc + chk.matrix.data[p] * cd.omega.data[p * n + c]
-            rhs.data[c] = acc
-        if chi.matrix != rhs:
-            ok = False
+        ok = ok and chi.matrix == cd.omega * kron(chk.matrix, eye)
         cochars.append(chk.matrix)
     rep.add("chi = omega(chk x id)", ok)
-    from .linalg import rank
     rep.add("cocharacters of simples linearly independent",
             rank(cochars[0].hstack(*cochars[1:sd.count])) == sd.count)
 
@@ -472,14 +463,11 @@ def cmd_diagram_eval(config, binds, expr):
             raise UsageError("--bind expects NAME=module.json")
         name, path = spec.split("=", 1)
         env.bind_object(name, repcat.load_module(h, path))
-    dom, cod = diagrams.typecheck(diagrams.parse(expr), env)
-    dom_dim = env.dim_of(dom)
-    m = diagrams.apply_word(env, expr,
-                            diagrams.identity_columns(h.field, dom_dim))
+    m = diagrams.word_matrix(env, expr)
     payload = {
         "expr": expr,
-        "dom_dim": dom_dim,
-        "cod_dim": env.dim_of(cod),
+        "dom_dim": m.cols,
+        "cod_dim": m.rows,
         "matrix": matrix_payload(m),
     }
     emit(payload, config.fmt, config.out)
@@ -506,24 +494,27 @@ def cmd_cardy(config, sub, args):
         emit(payload, config.fmt, config.out)
         return EXIT_OK
     sd = repcat.simples_data(h)
+    # resolve the object names before the coend build, so that a bad name
+    # is a usage error and costs nothing
+    if sub == "annulus":
+        m = _resolve_object(h, sd, args.m)
+        n_ = _resolve_object(h, sd, args.n)
+    elif sub == "boundary-state" or (sub == "defect" and not args.all_pairs):
+        x = _resolve_object(h, sd, args.object)
+    cd = coend_mod.build_full(h)
     if sub == "torus":
-        cd = coend_mod.build_full(h)
         cartan, rep = cardy_mod.torus_partition(h, with_coend=cd)
         payload = {"algebra": h.name, "cartan": cartan,
                    "certificate": report_payload(rep)["checks"]}
         emit(payload, config.fmt, config.out)
         return EXIT_OK if rep.ok else EXIT_CHECK_FAILED
-    cd = coend_mod.build_full(h)
     if sub == "boundary-state":
-        x = _resolve_object(h, sd, args.object)
         mor = cardy_mod.boundary_state(cd, x, args.direction)
         payload = {"object": x.name, "direction": args.direction,
                    "state": matrix_payload(mor.matrix)}
         emit(payload, config.fmt, config.out)
         return EXIT_OK
     if sub == "annulus":
-        m = _resolve_object(h, sd, args.m)
-        n_ = _resolve_object(h, sd, args.n)
         amp = cardy_mod.annulus_amplitude(cd, m, n_)
         closed = cardy_mod.annulus_closed_channel(cd, m, n_)
         payload = {"m": m.name, "n": n_.name,
@@ -542,7 +533,6 @@ def cmd_cardy(config, sub, args):
             }
             emit(payload, config.fmt, config.out)
             return EXIT_OK if rep.ok else EXIT_CHECK_FAILED
-        x = _resolve_object(h, sd, args.object)
         op = cardy_mod.defect_operator(cd, x)
         payload = {"object": x.name, "matrix": matrix_payload(op.matrix)}
         emit(payload, config.fmt, config.out)

@@ -9,16 +9,24 @@ xi -> xi (x) 1 of iota_H, then certified by re-checking the defining
 relations on all pairs of simples and projective covers.  Diagram words are
 evaluated column-by-column so tensor powers of the regular module are never
 materialized.
+
+The derived morphisms are diagram words in the solved structure, evaluated
+by the same evaluator: the S transformation (omega x id)(id x copairing),
+the Frobenius coproduct (mu x id)(id x copairing), the canonical coaction
+delta_X = (id x iota_X)(coev_X x id), the action rho_X =
+(id x omega)(delta_X x id), the character chi_X as the pivotal trace of
+rho_X, and the cocharacter iota_X coev~_X.
 """
 
 from .scalars import sqrt_adjoin
 from .linalg import Matrix, kron, solve_right, kernel_basis, rank, invert, \
     NoSolution, rank_factor
 from . import repcat, diagrams
-from .diagrams import apply_word, identity_columns
+from .diagrams import (apply_word, identity_columns, columns_matrix,
+                       word_matrix, obj_dual)
 from .repcat import (ModuleObject, Morphism, trivial_module, regular_module,
-                     tensor_obj, dual_obj, hom_basis, simples_data,
-                     generating_indices)
+                     tensor_obj, dual_obj, direct_sum, hom_basis,
+                     simples_data, generating_indices)
 from .report import Report
 
 
@@ -56,18 +64,12 @@ class CoendData:
         self.sl2z_scalars = None
 
     # -- dinatural family -------------------------------------------------
-    def iota_matrix(self, x):
-        """The n x dim(X)^2 matrix of iota_X: (xi (x) v) -> (h -> xi(h v))."""
-        h = self.h
-        n = h.dim
-        d = x.dim
-        m = Matrix.zeros(h.field, n, d * d)
-        for k in range(n):
-            act = x.action[k]
-            row = k * d * d
-            for a in range(d * d):
-                m.data[row + a] = act.data[a]
-        return m
+    @staticmethod
+    def iota_matrix(x):
+        """The n x dim(X)^2 matrix of iota_X: (xi (x) v) -> (h -> xi(h v));
+        row k is the action of e_k, flattened."""
+        return Matrix(x.algebra.field, len(x.action), x.dim * x.dim,
+                      [v for act in x.action for v in act.data])
 
     def iota(self, x):
         """iota_X as a Morphism (materializes the small domain module)."""
@@ -110,15 +112,8 @@ class CoendData:
 
     def section(self):
         """The right inverse of iota_H: xi -> xi (x) 1."""
-        h = self.h
-        n = h.dim
-        m = Matrix.zeros(h.field, n * n, n)
-        for a in range(n):
-            for k in range(n):
-                c = h.unit.data[k]
-                if not c.is_zero():
-                    m.data[(a * n + k) * n + a] = c
-        return m
+        return columns_matrix(self.field, self.h.dim ** 2,
+                              self.section_columns())
 
     def section_columns(self):
         h = self.h
@@ -133,20 +128,10 @@ class CoendData:
             cols.append(col)
         return cols
 
-    # -- morphism views -----------------------------------------------------
-    def mu_column(self, i, j):
-        """mu(e_i (x) e_j) as a dense vector list."""
-        n = self.h.dim
-        col = i * n + j
-        return [self.mu.data[r * n * n + col] for r in range(n)]
-
     def omega_gram(self):
+        """omega as the n x n matrix of the pairing."""
         n = self.h.dim
-        g = Matrix.zeros(self.field, n, n)
-        for a in range(n):
-            for b in range(n):
-                g.data[a * n + b] = self.omega.data[a * n + b]
-        return g
+        return Matrix(self.field, n, n, self.omega.data)
 
 
 def coadjoint_module(h):
@@ -184,8 +169,17 @@ OMEGA_BAR_WORD = ("(id(XX.dual) * brinv(YY.dual, XX) * id(YY)) ; "
                   "(id(XX.dual) * brinv(XX, YY.dual) * id(YY)) ; "
                   "(ev(XX) * ev(YY))")
 T_WORD = "(id(XX.dual) * tw(XX)) ; box(iota_x)"
-ACTION_WORD = ("(br(WW, AA.dual) * id(AA)) ; (id(AA.dual) * box(gam)) ; "
-               "(ev(AA) * id(WW))")
+
+# the derived morphisms, in the carrier L, an object X and boxes for the
+# solved structure: copair is a copairing 1 -> L (x) L, iota_x is iota_X,
+# coact the coaction delta_X and rho the action rho_X
+COPAIRING_WORD = "(id(L) * box(copair)) ; (box(%s) * id(L))"
+COACTION_WORD = "(coev(X) * id(X)) ; (id(X) * box(iota_x))"
+COCHARACTER_WORD = "coevt(X) ; box(iota_x)"
+ACTION_WORD = "(box(coact) * id(L)) ; (id(X) * box(omega))"
+CHARACTER_WORD = "(coevt(X) * id(L)) ; (id(X.dual) * box(rho)) ; ev(X)"
+_L = (("name", "L"),)
+_X = (("name", "X"),)
 
 
 def kappa_matrix(field, dx, dy):
@@ -221,8 +215,7 @@ def _pair_env(cd, x, y):
                  diagrams.obj_dual(dxx) + dxx, ll)
     # the curl in the antipode diagram: the canonical X -> X** built from
     # braiding and duality alone acts by S(u)^{-1} (u the Drinfeld element)
-    curl = h.inv_vec(h.antipode * h.drinfeld_u())
-    env.bind_box("piv", x.act(curl), xx, diagrams.obj_dual(dxx))
+    env.bind_box("piv", x.act(h.antipode_u_inv()), xx, diagrams.obj_dual(dxx))
     return env
 
 
@@ -240,40 +233,18 @@ def build_coend(h):
 def _faithful_witness(h):
     """A small faithful module Y (with iota_Y surjective) plus a right
     inverse of iota_Y: the regular module itself at desk scale, else the
-    smallest faithful direct sum of distinct projective covers."""
-    from .repcat import direct_sum
-    from itertools import combinations
+    direct sum of one copy of each projective cover.  That sum is a
+    progenerator, hence faithful, and no smaller sum is: H is Frobenius, so
+    a faithful module contains every indecomposable projective as a
+    summand."""
     n = h.dim
-    reg = regular_module(h)
     if n <= 16:
-        return reg, None
-    sd = simples_data(h)
-    cands = sorted(set(range(sd.count)),
-                   key=lambda i: sd.projectives[i].dim)
-    best = None
-    for r in range(1, sd.count + 1):
-        for combo in combinations(cands, r):
-            dims = sum(sd.projectives[i].dim for i in combo)
-            if dims * dims < n or (best is not None and dims >= best[0]):
-                continue
-            mod = sd.projectives[combo[0]]
-            for i in combo[1:]:
-                mod = direct_sum(mod, sd.projectives[i])
-            cols = [Matrix.column(h.field, mod.action[k].data)
-                    for k in range(n)]
-            if len(kernel_basis(cols[0].hstack(*cols[1:]))) == 0:
-                best = (dims, mod)
-        if best is not None:
-            break
-    if best is None:
-        return reg, None
-    mod = best[1]
-    iy = Matrix.zeros(h.field, n, mod.dim * mod.dim)
-    for k in range(n):
-        act = mod.action[k]
-        for a in range(mod.dim * mod.dim):
-            iy.data[k * mod.dim * mod.dim + a] = act.data[a]
-    tau = solve_right(iy, Matrix.identity(h.field, n))
+        return regular_module(h), None
+    covers = simples_data(h).projectives
+    mod = covers[0]
+    for p in covers[1:]:
+        mod = direct_sum(mod, p)
+    tau = solve_right(CoendData.iota_matrix(mod), Matrix.identity(h.field, n))
     return mod, tau
 
 
@@ -293,19 +264,10 @@ def solve_structure_morphisms(cd, certify=True):
 
     ymod, tau = _faithful_witness(h)
     env = _pair_env(cd, reg, ymod)
-    if tau is None:
-        y_cols = sec_cols
-        ydim2 = n * n
-    else:
-        ydim2 = ymod.dim * ymod.dim
-        y_cols = []
-        for b in range(n):
-            col = {}
-            for i in range(ydim2):
-                v = tau.data[i * n + b]
-                if not v.is_zero():
-                    col[i] = v
-            y_cols.append(col)
+    ydim2 = ymod.dim * ymod.dim
+    y_cols = sec_cols if tau is None else [
+        {i: v for i, v in enumerate(tau.col_list(b)) if not v.is_zero()}
+        for b in range(n)]
 
     def pair_cols():
         cols = []
@@ -343,14 +305,13 @@ def _structure_env(cd):
     morphisms of the coend as boxes on it."""
     env = diagrams.Env(cd.h)
     env.bind_object("L", cd.carrier)
-    ll = (("name", "L"),)
-    for name, m, dom, cod in [("mu", cd.mu, ll + ll, ll),
-                              ("eta", cd.eta, (), ll),
-                              ("delta", cd.delta, ll, ll + ll),
-                              ("eps", cd.eps, ll, ()),
-                              ("S", cd.antipode_L, ll, ll),
-                              ("omega", cd.omega, ll + ll, ()),
-                              ("omega_bar", cd.omega_bar, ll + ll, ())]:
+    for name, m, dom, cod in [("mu", cd.mu, _L + _L, _L),
+                              ("eta", cd.eta, (), _L),
+                              ("delta", cd.delta, _L, _L + _L),
+                              ("eps", cd.eps, _L, ()),
+                              ("S", cd.antipode_L, _L, _L),
+                              ("omega", cd.omega, _L + _L, ()),
+                              ("omega_bar", cd.omega_bar, _L + _L, ())]:
         env.bind_box(name, m, dom, cod)
     return env
 
@@ -483,40 +444,28 @@ def solve_integrals(cd):
     L = cd.carrier
     eye = Matrix.identity(f, n)
     gens = generating_indices(h)
+    basis = [h.basis_vec(a) for a in range(n)]
 
+    # Lambda: invariant, and mu(e_a x Lambda) = eps(e_a) Lambda =
+    # mu(Lambda x e_a)
     rows = [L.action[g] - eye.scale(h.counit.data[g]) for g in gens]
-    cond = []
-    for a in range(n):
-        block = Matrix.zeros(f, n, n)
-        block2 = Matrix.zeros(f, n, n)
-        for r in range(n):
-            for t_i in range(n):
-                block.data[r * n + t_i] = cd.mu.data[r * (n * n) + (a * n + t_i)]
-                block2.data[r * n + t_i] = cd.mu.data[r * (n * n) + (t_i * n + a)]
-        eps_a = eye.scale(cd.eps.data[a])
-        cond.append(block - eps_a)
-        cond.append(block2 - eps_a)
-    blocks = rows + cond
-    space = kernel_basis(blocks[0].vstack(*blocks[1:]))
+    for e, eps_a in zip(basis, cd.eps.data):
+        rows += [cd.mu * kron(e, eye) - eye.scale(eps_a),
+                 cd.mu * kron(eye, e) - eye.scale(eps_a)]
+    space = kernel_basis(rows[0].vstack(*rows[1:]))
     if len(space) != 1:
         raise CoendError("integral space has dimension %d (expected 1: "
                          "non-unimodularity contradicts modularity)" % len(space))
     Lam = space[0]
 
+    # lambda (as a column): invariant, with (e^a x lambda) Delta =
+    # eta_a lambda = (lambda x e^a) Delta
     rows = [L.action[g].transpose() - eye.scale(h.counit.data[g]) for g in gens]
-    cond = []
-    for a in range(n):
-        blockL = Matrix.zeros(f, n, n)
-        blockR = Matrix.zeros(f, n, n)
-        for c in range(n):
-            for s_i in range(n):
-                blockL.data[c * n + s_i] = cd.delta.data[(a * n + s_i) * n + c]
-                blockR.data[c * n + s_i] = cd.delta.data[(s_i * n + a) * n + c]
-        eta_a = eye.scale(cd.eta.data[a])
-        cond.append(blockL - eta_a)
-        cond.append(blockR - eta_a)
-    blocks = rows + cond
-    space = kernel_basis(blocks[0].vstack(*blocks[1:]))
+    for e, eta_a in zip(basis, cd.eta.data):
+        e = e.transpose()
+        rows += [(kron(e, eye) * cd.delta).transpose() - eye.scale(eta_a),
+                 (kron(eye, e) * cd.delta).transpose() - eye.scale(eta_a)]
+    space = kernel_basis(rows[0].vstack(*rows[1:]))
     if len(space) != 1:
         raise CoendError("cointegral space has dimension %d (expected 1)" % len(space))
     lam = space[0].transpose()
@@ -567,18 +516,7 @@ def integrals_and_zeta(cd):
     # measured proportionality and rescale when the root is in the field.
     from .scalars import sqrt_in_field
     from .etale import sign_normalized_first
-    eye_n = Matrix.identity(f, n)
-    copair0 = kron(cd.antipode_L, eye_n) * (cd.delta * Lam)
-    s0 = Matrix.zeros(f, n, n)
-    for r in range(n):
-        for c in range(n):
-            acc = f.zero()
-            for p in range(n):
-                v = copair0.data[p * n + r]
-                if not v.is_zero():
-                    acc = acc + cd.omega.data[c * n + p] * v
-            s0.data[r * n + c] = acc
-    eps_s = cd.eps * s0
+    eps_s = cd.eps * _through_copairing(cd, "omega", _copairing(cd, Lam))
     ratio = _proportionality(eps_s, lam)
     if ratio is None:
         raise CoendError("eps . S_transform is not proportional to lambda")
@@ -622,11 +560,9 @@ def modularity_test(cd):
 def radford_pairing(cd):
     """kappa = lambda . mu and its copairing (S x id) Delta Lambda, with the
     Frobenius snake identities verified."""
-    f = cd.field
-    n = cd.h.dim
-    eye = Matrix.identity(f, n)
+    eye = Matrix.identity(cd.field, cd.h.dim)
     cd.kappa = cd.lambda_ * cd.mu
-    cd.kappa_copair = kron(cd.antipode_L, eye) * (cd.delta * cd.Lambda)
+    cd.kappa_copair = _copairing(cd, cd.Lambda)
     snake1 = kron(cd.kappa, eye) * kron(eye, cd.kappa_copair)
     snake2 = kron(eye, cd.kappa) * kron(cd.kappa_copair, eye)
     if snake1 != eye or snake2 != eye:
@@ -634,24 +570,23 @@ def radford_pairing(cd):
     return cd.kappa, cd.kappa_copair
 
 
+def _copairing(cd, Lam):
+    """(S x id) Delta Lambda: 1 -> L (x) L."""
+    eye = Matrix.identity(cd.field, cd.h.dim)
+    return kron(cd.antipode_L, eye) * (cd.delta * Lam)
+
+
+def _through_copairing(cd, box, copair):
+    """(box x id)(id x copair): L -> L for box omega (the S transformation),
+    L -> L (x) L for box mu (the Frobenius coproduct)."""
+    env = _structure_env(cd).bind_box("copair", copair, (), _L + _L)
+    return word_matrix(env, COPAIRING_WORD % box)
+
+
 def frobenius_coproduct(cd):
     """Delta_Lambda = (mu x id)(id x copairing): the Frobenius coalgebra
     structure with counit lambda."""
-    f = cd.field
-    n = cd.h.dim
-    out = Matrix.zeros(f, n * n, n)
-    cop = cd.kappa_copair
-    for c in range(n):
-        for pq in range(n * n):
-            v = cop.data[pq]
-            if v.is_zero():
-                continue
-            p, q = divmod(pq, n)
-            mc = cd.mu_column(c, p)
-            for r, x in enumerate(mc):
-                if not x.is_zero():
-                    out.data[(r * n + q) * n + c] = out.data[(r * n + q) * n + c] + v * x
-    return out
+    return _through_copairing(cd, "mu", cd.kappa_copair)
 
 
 def s_t_transforms(cd):
@@ -663,17 +598,7 @@ def s_t_transforms(cd):
     if cd.kappa is None:
         radford_pairing(cd)
     eye = Matrix.identity(f, n)
-    s = Matrix.zeros(f, n, n)
-    cop = cd.kappa_copair
-    for r in range(n):
-        for c in range(n):
-            acc = f.zero()
-            for p in range(n):
-                v = cop.data[p * n + r]
-                if not v.is_zero():
-                    acc = acc + cd.omega.data[c * n + p] * v
-            s.data[r * n + c] = acc
-    cd.S_transform = s
+    cd.S_transform = _through_copairing(cd, "omega", cd.kappa_copair)
 
     rep = Report("S/T transforms")
     s_inv_ant = invert(cd.antipode_L)
@@ -744,79 +669,51 @@ def _proportionality(a, b):
 # ---------------------------------------------------------------------------
 # canonical action / coaction, characters
 
+def _x_env(cd, x, boxes):
+    """Environment with the carrier bound as L, x as X, and the boxes
+    {name: (matrix, dom, cod)}."""
+    env = diagrams.Env(cd.h).bind_object("L", cd.carrier).bind_object("X", x)
+    for name, (m, dom, cod) in boxes.items():
+        env.bind_box(name, m, dom, cod)
+    return env
+
+
+def _iota_env(cd, x):
+    return _x_env(cd, x, {"iota_x": (cd.iota_matrix(x), obj_dual(_X) + _X, _L)})
+
+
+def _coaction_matrix(cd, x):
+    return word_matrix(_iota_env(cd, x), COACTION_WORD)
+
+
 def canonical_coaction(cd, x):
     """delta_X = (id x iota_X)(coev_X x id): X -> X (x) L."""
-    h = cd.h
-    f = h.field
-    d = x.dim
-    ix = cd.iota_matrix(x)
-    m = Matrix.zeros(f, d * h.dim, d)
-    for j in range(d):
-        for i in range(d):
-            col = ix.col_list(i * d + j)
-            for k, v in enumerate(col):
-                if not v.is_zero():
-                    m.data[(i * h.dim + k) * d + j] = v
-    return Morphism(x, tensor_obj(x, cd.carrier), m)
+    return Morphism(x, tensor_obj(x, cd.carrier), _coaction_matrix(cd, x))
 
 
-def canonical_action(cd, x, mirror_factor=None, check=False):
+def canonical_action(cd, x, mirror_factor=None):
     """rho_X: X (x) L -> X, the module structure obtained from the canonical
     coaction through the Hopf pairing: rho_X = (id (x) omega)(delta_X (x) id).
 
     With `mirror_factor` set, the Cardy bulk module X (x) Xbar: the comodule
     structure is id_X (x) delta_Xbar, so the action is id_X (x) rho_Xbar
     (second factor carries the mirrored braiding under the equivalence).
-
-    With `check`, the half-braiding form of the action (the figure with
-    Y = H) is re-derived through the diagram evaluator and compared."""
-    h = cd.h
-    f = h.field
-    n = h.dim
+    `_half_braiding_action` derives the same action from the half-braiding
+    figure, independently."""
     if mirror_factor is None:
-        w = x
-        rho = _action_from_pairing(cd, x)
-    else:
-        w = tensor_obj(x, mirror_factor)
-        inner = _action_from_pairing(cd, mirror_factor)
-        da = x.dim
-        db = mirror_factor.dim
-        rho = Matrix.zeros(f, da * db, da * db * n)
-        for a in range(da):
-            for i in range(db):
-                for jn in range(db * n):
-                    v = inner.data[i * (db * n) + jn]
-                    if not v.is_zero():
-                        j, k = divmod(jn, n)
-                        rho.data[(a * db + i) * (da * db * n) +
-                                 ((a * db + j) * n + k)] = v
-    mor = Morphism(tensor_obj(w, cd.carrier), w, rho)
-    if check:
-        if _half_braiding_action(cd, x, mirror_factor) != rho:
-            raise CoendError("half-braiding action disagrees with the"
-                             " pairing-converted coaction for %s" % w.name)
-    return mor
+        return Morphism(tensor_obj(x, cd.carrier), x,
+                        _action_from_pairing(cd, x))
+    w = tensor_obj(x, mirror_factor)
+    rho = kron(Matrix.identity(cd.field, x.dim),
+               _action_from_pairing(cd, mirror_factor))
+    return Morphism(tensor_obj(w, cd.carrier), w, rho)
 
 
 def _action_from_pairing(cd, x):
     """(id (x) omega)(delta_X (x) id) as a dense matrix."""
-    f = cd.field
-    n = cd.h.dim
-    d = x.dim
-    dx = canonical_coaction(cd, x).matrix
-    rho = Matrix.zeros(f, d, d * n)
-    for j in range(d):
-        for r in range(d * n):
-            v = dx.data[r * d + j]
-            if v.is_zero():
-                continue
-            i, k = divmod(r, n)
-            base = i * (d * n) + j * n
-            for c in range(n):
-                om = cd.omega.data[k * n + c]
-                if not om.is_zero():
-                    rho.data[base + c] = rho.data[base + c] + v * om
-    return rho
+    env = _x_env(cd, x, {"coact": (_coaction_matrix(cd, x), _X, _X + _L),
+                         "omega": (cd.omega, _L + _L, ())})
+    return word_matrix(env, ACTION_WORD)
 
 
 def _half_braiding_action(cd, x, mirror_factor=None):
@@ -852,29 +749,18 @@ def _half_braiding_action(cd, x, mirror_factor=None):
 
 
 def characters(cd, x):
-    """(chi_X, chicheck_X): left partial traces of the canonical action and
-    coaction."""
-    h = cd.h
-    f = h.field
-    n = h.dim
-    d = x.dim
-    rho = canonical_action(cd, x, check=False).matrix
-    ginv = x.act(h.inv_vec(h.pivot()))
-    chi = Matrix.zeros(f, 1, n)
-    for c in range(n):
-        s = f.zero()
-        for i in range(d):
-            for k in range(d):
-                s = s + rho.data[i * (d * n) + (k * n + c)] * ginv.data[k * d + i]
-        chi.data[c] = s
-    chk = cd.iota_matrix(x) * repcat.coev_tilde_morphism(x).matrix
-    return (Morphism(cd.carrier, trivial_module(h), chi),
-            Morphism(trivial_module(h), cd.carrier, chk))
+    """(chi_X, chicheck_X): the pivotal trace of the canonical action
+    rho_X over X, and the cocharacter."""
+    env = _x_env(cd, x, {"rho": (_action_from_pairing(cd, x), _X + _L, _X)})
+    chi = Morphism(cd.carrier, trivial_module(cd.h),
+                   word_matrix(env, CHARACTER_WORD))
+    return chi, cocharacter(cd, x)
 
 
 def cocharacter(cd, x):
+    """chicheck_X = iota_X . coev~_X: 1 -> L."""
     return Morphism(trivial_module(cd.h), cd.carrier,
-                    cd.iota_matrix(x) * repcat.coev_tilde_morphism(x).matrix)
+                    word_matrix(_iota_env(cd, x), COCHARACTER_WORD))
 
 
 def cutting_decomposition(cd, x):
@@ -883,8 +769,7 @@ def cutting_decomposition(cd, x):
     h = cd.h
     f = h.field
     d = x.dim
-    dx = canonical_coaction(cd, x).matrix
-    e = kron(Matrix.identity(f, d), cd.lambda_) * dx
+    e = kron(Matrix.identity(f, d), cd.lambda_) * _coaction_matrix(cd, x)
 
     one = trivial_module(h)
     a_basis = hom_basis(x, one)
@@ -912,8 +797,7 @@ def cutting_decomposition(cd, x):
     a = afac * a_basis[0].matrix.vstack(*(ai.matrix for ai in a_basis[1:]))
     b = b_basis[0].matrix.hstack(*(bj.matrix for bj in b_basis[1:])) * bfac
     assert b * a == e, "cutting factorization failed"
-    rho = canonical_action(cd, x, check=False).matrix
-    lhs = rho * kron(Matrix.identity(f, d), cd.Lambda)
+    lhs = _action_from_pairing(cd, x) * kron(Matrix.identity(f, d), cd.Lambda)
     if lhs != e.scale(cd.zeta):
         raise CoendError("rho_X(id x Lambda) != zeta (id x lambda) delta_X")
     return m, a, b

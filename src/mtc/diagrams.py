@@ -441,7 +441,7 @@ def _gen_colfn(gen, env):
         return 1, d * d, coev_col
     x = env.module_of(gen.args[0])
     if k in ("tw", "twinv"):
-        el = h.inv_vec(h.ribbon) if k == "tw" else h.ribbon
+        el = h.ribbon_inv() if k == "tw" else h.ribbon
         return d, d, _matrix_colfn(x.act(el))
     if k == "evt":
         g = x.act(h.pivot())
@@ -451,7 +451,7 @@ def _gen_colfn(gen, env):
             return [] if v.is_zero() else [(0, v)]
         return d * d, 1, evt_col
     if k == "coevt":
-        ginv = x.act(h.inv_vec(h.pivot()))
+        ginv = x.act(h.pivot_inv())
         col = [(i * d + j, ginv.data[j * d + i])
                for i in range(d) for j in range(d)
                if not ginv.data[j * d + i].is_zero()]
@@ -540,15 +540,28 @@ def identity_columns(field, dim):
     return [{i: one} for i in range(dim)]
 
 
+def columns_matrix(field, rows, cols):
+    """The dense rows x len(cols) matrix of sparse columns."""
+    m = Matrix.zeros(field, rows, len(cols))
+    for j, col in enumerate(cols):
+        for i, v in col.items():
+            m.data[i * len(cols) + j] = v
+    return m
+
+
 def apply_word(env, word, cols):
     """Evaluate a diagram word on sparse columns; returns the dense result
     matrix (cod_dim x len(cols))."""
     out, cod_dim = evaluate_applied(parse(word), env, cols)
-    m = Matrix.zeros(env.algebra.field, cod_dim, len(out))
-    for j, col in enumerate(out):
-        for i, v in col.items():
-            m.data[i * len(out) + j] = v
-    return m
+    return columns_matrix(env.algebra.field, cod_dim, out)
+
+
+def word_matrix(env, word):
+    """The matrix of a word: its values on the basis columns of its
+    domain."""
+    dom, _ = typecheck(parse(word), env)
+    return apply_word(env, word,
+                      identity_columns(env.algebra.field, env.dim_of(dom)))
 
 
 def words_agree(env, words):

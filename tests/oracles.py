@@ -193,3 +193,95 @@ def group_double_table_z2():
                     if a1 == a2:
                         table[(i, j)] = a1 * 2 + ((b1 + b2) % 2)
     return table
+
+
+# -- index formulas of the coend's derived morphisms --------------------------
+# Each takes the flat matrices of the structure it is built from; L has
+# dimension n and X dimension d.
+
+def copairing_oracle(pairing, copair, n):
+    """(pairing x id)(id x copair): L -> L for a pairing L (x) L -> 1, as
+    S[r, c] = sum_p pairing(e_c, e_p) copair(e_p, e_r)."""
+    f = copair.field
+    s = Matrix.zeros(f, n, n)
+    for r in range(n):
+        for c in range(n):
+            acc = f.zero()
+            for p in range(n):
+                v = copair.data[p * n + r]
+                if not v.is_zero():
+                    acc = acc + pairing.data[c * n + p] * v
+            s.data[r * n + c] = acc
+    return s
+
+
+def frobenius_coproduct_oracle(mu, copair, n):
+    """(mu x id)(id x copair): L -> L (x) L, entry by entry."""
+    f = copair.field
+    out = Matrix.zeros(f, n * n, n)
+    for c in range(n):
+        for pq in range(n * n):
+            v = copair.data[pq]
+            if v.is_zero():
+                continue
+            p, q = divmod(pq, n)
+            for r in range(n):
+                x = mu.data[r * n * n + c * n + p]
+                if not x.is_zero():
+                    out.data[(r * n + q) * n + c] += v * x
+    return out
+
+
+def coaction_oracle(iota_x, d, n):
+    """delta_X = (id x iota_X)(coev_X x id): X -> X (x) L, as
+    delta[(i, k), j] = iota_X[k, (i, j)]."""
+    m = Matrix.zeros(iota_x.field, d * n, d)
+    for j in range(d):
+        for i in range(d):
+            for k, v in enumerate(iota_x.col_list(i * d + j)):
+                if not v.is_zero():
+                    m.data[(i * n + k) * d + j] = v
+    return m
+
+
+def action_oracle(coact, omega, d, n):
+    """rho_X = (id x omega)(delta_X x id): X (x) L -> X, as
+    rho[i, (j, c)] = sum_k delta[(i, k), j] omega(e_k, e_c)."""
+    rho = Matrix.zeros(coact.field, d, d * n)
+    for j in range(d):
+        for r in range(d * n):
+            v = coact.data[r * d + j]
+            if v.is_zero():
+                continue
+            i, k = divmod(r, n)
+            for c in range(n):
+                om = omega.data[k * n + c]
+                if not om.is_zero():
+                    rho.data[i * d * n + j * n + c] += v * om
+    return rho
+
+
+def mirror_action_oracle(inner, da, db, n):
+    """id_X (x) rho_Xbar on X (x) Xbar (x) L, entry by entry."""
+    rho = Matrix.zeros(inner.field, da * db, da * db * n)
+    for a in range(da):
+        for i in range(db):
+            for jn in range(db * n):
+                v = inner.data[i * (db * n) + jn]
+                if not v.is_zero():
+                    j, k = divmod(jn, n)
+                    rho.data[(a * db + i) * (da * db * n) +
+                             ((a * db + j) * n + k)] = v
+    return rho
+
+
+def character_oracle(rho, ginv, d, n):
+    """chi_X[c] = sum_{i,k} rho[i, (k, c)] g^{-1}[k, i]: the trace over X
+    of rho_X(- x e_c) twisted by the inverse pivot."""
+    f = rho.field
+    chi = Matrix.zeros(f, 1, n)
+    for c in range(n):
+        for i in range(d):
+            for k in range(d):
+                chi.data[c] += rho.data[i * d * n + k * n + c] * ginv.data[k * d + i]
+    return chi

@@ -181,6 +181,22 @@ def test_unknown_object_is_usage_error(capsys):
     assert code == EXIT_USAGE and "'S4'" in err
 
 
+def test_unknown_object_is_rejected_before_the_coend(capsys, monkeypatch):
+    """On D(Z/3) the coend build raises on the known (S T)^3 defect (exit
+    3), so exit 2 shows that the name is resolved first."""
+    def no_build(h):
+        raise AssertionError("the coend was built")
+    monkeypatch.setattr("mtc.coend.build_full", no_build)
+    base = ["--builtin", "double_group_algebra", "--param", "orders=3",
+            "--format", "json"]
+    for sub in [["boundary-state", "--object", "S99", "--direction", "out"],
+                ["defect", "--object", "S99"],
+                ["annulus", "--m", "S0", "--n", "S99"]]:
+        code, out, err = run_cli(["cardy"] + sub + base, capsys)
+        assert (code, out) == (EXIT_USAGE, ""), sub
+        assert "'S99'" in err and "S0..S8" in err
+
+
 def test_cardy_cli(capsys):
     base = ["--builtin", "double_z2", "--ribbon", "3", "--format", "json"]
     code, out, err = run_cli(["cardy", "boundary-state", "--object", "S0",
@@ -257,6 +273,18 @@ GOLDEN_EXIT = {"verify_double_group_algebra_orders3": EXIT_CHECK_FAILED}
     ("diagram-eval_double_group_algebra_orders3",
      ["diagram", "eval", "--builtin", "double_group_algebra", "--param",
       "orders=3", "--bind", "X={module}", "--expr", DIAGRAM_WORD]),
+    ("cardy-boundary-state-in_double_z2_ribbon3",
+     ["cardy", "boundary-state", "--builtin", "double_z2", "--ribbon", "3",
+      "--object", "S1", "--direction", "in"]),
+    ("cardy-boundary-state-out_double_z2_ribbon3",
+     ["cardy", "boundary-state", "--builtin", "double_z2", "--ribbon", "3",
+      "--object", "S1", "--direction", "out"]),
+    ("cardy-annulus_double_z2_ribbon3",
+     ["cardy", "annulus", "--builtin", "double_z2", "--ribbon", "3",
+      "--m", "S1", "--n", "S2"]),
+    ("cardy-defect-all-pairs_double_z2_ribbon3",
+     ["cardy", "defect", "--builtin", "double_z2", "--ribbon", "3",
+      "--all-pairs"]),
 ])
 def test_golden_json_output(name, args, tmp_path, capsys):
     """The JSON bytes and exit codes of cheap commands stay as recorded in

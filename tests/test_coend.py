@@ -2,6 +2,7 @@ import copy
 
 import pytest
 
+import oracles
 from mtc import hopf, repcat, coend
 from mtc.report import FAIL
 from mtc.linalg import Matrix, kron, rank
@@ -51,11 +52,11 @@ def test_symmetric_group_algebra_coend():
     # mu is commutative
     for i in range(n):
         for j in range(n):
-            assert cd.mu_column(i, j) == cd.mu_column(j, i)
+            assert cd.mu.col_list(i * n + j) == cd.mu.col_list(j * n + i)
     # the function algebra on Z/2: e^a e^b = delta_ab e^a in the dual basis
     for a in range(n):
         for b in range(n):
-            col = cd.mu_column(a, b)
+            col = cd.mu.col_list(a * n + b)
             expect = [f.zero()] * n
             if a == b:
                 expect[a] = f.one()
@@ -153,6 +154,93 @@ def test_intertwiner_checks_catch_a_nonequivariant_entry(sweedler_coend, attr,
     assert must_fail in _failed_after_bump(sweedler_coend, attr, 0, 1)
 
 
+@pytest.fixture(scope="module",
+                params=["dz2_coend", "dz3_coend", "sweedler_coend"])
+def any_coend(request):
+    """The coends of D(Z/2), D(Z/3) (twists of order 3, simples that are
+    not self-dual) and the Sweedler algebra (non-semisimple)."""
+    return request.getfixturevalue(request.param)
+
+
+def _objects(cd):
+    sd = simples_data(cd.h)
+    return list(sd.simples) + list(sd.projectives) + [cd.carrier]
+
+
+def test_copairing_words_match_index_formulas(any_coend):
+    cd = any_coend
+    n = cd.h.dim
+    if cd.kappa_copair is None:
+        # the Sweedler coend has no integral; any copairing will do
+        ones = Matrix.column(cd.field, [cd.field.one()] * n)
+        cop = kron(cd.antipode_L, Matrix.identity(cd.field, n)) * \
+            (cd.delta * ones)
+    else:
+        cop = cd.kappa_copair
+        assert cd.S_transform == oracles.copairing_oracle(cd.omega, cop, n)
+        assert coend.frobenius_coproduct(cd) == \
+            oracles.frobenius_coproduct_oracle(cd.mu, cop, n)
+    assert not cop.is_zero()
+    assert coend._through_copairing(cd, "omega", cop) == \
+        oracles.copairing_oracle(cd.omega, cop, n)
+    assert coend._through_copairing(cd, "mu", cop) == \
+        oracles.frobenius_coproduct_oracle(cd.mu, cop, n)
+
+
+def test_action_words_match_index_formulas(any_coend):
+    cd = any_coend
+    h = cd.h
+    n = h.dim
+    objs = _objects(cd)
+    for x in objs:
+        d = x.dim
+        dlt = canonical_coaction(cd, x).matrix
+        assert dlt == oracles.coaction_oracle(cd.iota_matrix(x), d, n)
+        rho = canonical_action(cd, x).matrix
+        assert rho == oracles.action_oracle(dlt, cd.omega, d, n)
+        ginv = x.act(h.inv_vec(h.pivot()))
+        assert characters(cd, x)[0].matrix == \
+            oracles.character_oracle(rho, ginv, d, n)
+        assert cocharacter(cd, x).matrix == \
+            cd.iota_matrix(x) * repcat.coev_tilde_morphism(x).matrix
+        xbar = objs[1]
+        assert canonical_action(cd, x, mirror_factor=xbar).matrix == \
+            oracles.mirror_action_oracle(
+                canonical_action(cd, xbar).matrix, d, xbar.dim, n)
+
+
+def test_half_braiding_certificate(any_coend):
+    """The action through the Hopf pairing equals the one read off the
+    half-braiding figure, also for the mixed (Cardy) action."""
+    cd = any_coend
+    objs = _objects(cd)
+    for x in objs:
+        assert canonical_action(cd, x).matrix == \
+            coend._half_braiding_action(cd, x)
+        for xbar in objs[:2]:
+            assert canonical_action(cd, x, mirror_factor=xbar).matrix == \
+                coend._half_braiding_action(cd, x, xbar)
+
+
+def test_faithful_witness_above_desk_scale():
+    """Above dim 16 the second argument of the two-argument structure
+    diagrams is the sum of the projective covers, with a right inverse
+    of its iota; no cover can be left out (H is Frobenius)."""
+    h = hopf.tensor_hopf(hopf.drinfeld_double(hopf.sweedler()),
+                         hopf.group_algebra([2]))
+    assert h.dim > 16
+    y, tau = coend._faithful_witness(h)
+    covers = simples_data(h).projectives
+    assert y.dim == sum(p.dim for p in covers) < h.dim
+    iy = coend.CoendData.iota_matrix(y)
+    assert rank(iy) == h.dim  # faithful
+    assert iy * tau == Matrix.identity(h.field, h.dim)
+    iotas = [coend.CoendData.iota_matrix(p) for p in covers]
+    for i in range(len(covers)):
+        rest = iotas[:i] + iotas[i + 1:]
+        assert rank(rest[0].hstack(*rest[1:])) < h.dim
+
+
 def test_t_transform_eigenvalues(dz2_coend, dz2_simples):
     # oracle: iota_X (id x theta_X) over the 4 simples
     cd = dz2_coend
@@ -173,7 +261,8 @@ def test_canonical_action_relations(dz2_coend, dz2_simples):
     assert rho1 == cd.eps
     assert canonical_coaction(cd, one).matrix == cd.eta
     for x in dz2_simples.simples + dz2_simples.projectives:
-        rho = canonical_action(cd, x, check=True)  # half-braiding certificate
+        rho = canonical_action(cd, x)
+        assert rho.matrix == coend._half_braiding_action(cd, x)
         assert rho.is_intertwiner()
         # module axioms
         d = x.dim
@@ -184,7 +273,9 @@ def test_canonical_action_relations(dz2_coend, dz2_simples):
         dlt = canonical_coaction(cd, x)
         assert dlt.is_intertwiner()
         # mixed (Cardy) action certificate
-        canonical_action(cd, x, mirror_factor=dz2_simples.simples[1], check=True)
+        xbar = dz2_simples.simples[1]
+        assert canonical_action(cd, x, mirror_factor=xbar).matrix == \
+            coend._half_braiding_action(cd, x, xbar)
 
 
 def test_characters(dz2_coend, dz2_simples):
