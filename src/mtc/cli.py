@@ -55,20 +55,28 @@ class RunConfig:
         self.out = out
 
 
-def load_algebra(config):
-    """Load and verify the algebra named by the config."""
+def _read_algebra(config):
+    """The algebra named by the config, not yet verified."""
     if config.builtin is not None:
         params = config.params.get("orders")
         if params is None and "n" in config.params:
             params = [config.params["n"]]
-        h = hopf_mod.builtin(config.builtin, params)
-    else:
-        h = hopf_mod.load_algebra(config.algebra)
-    rep = hopf_mod.verify_hopf_axioms(h)
+        return hopf_mod.builtin(config.builtin, params)
+    return hopf_mod.load_algebra(config.algebra)
+
+
+def _require_axioms(rep):
+    """Raise AlgebraFormatError naming the failed Hopf axioms of rep."""
     if not rep.ok:
         raise AlgebraFormatError(
             "algebra failed verification: %s" % "; ".join(
                 "%s [%s]" % (n, w) for n, w in rep.failures()))
+
+
+def load_algebra(config):
+    """Load and verify the algebra named by the config."""
+    h = _read_algebra(config)
+    _require_axioms(hopf_mod.verify_hopf_axioms(h))
     return h
 
 
@@ -99,16 +107,18 @@ def run_suite(config):
     """Dependency-ordered pipeline with skip-propagation."""
     rep = Report("verification suite")
     threads = max(1, int(os.environ.get("MTC_THREADS", "1")))
+    # the Hopf axioms are checked once: a failure fails the load
     try:
-        h = load_algebra(config)
+        h = _read_algebra(config)
+        with rep.timed("axioms"):
+            axioms = hopf_mod.verify_hopf_axioms(h)
+            _require_axioms(axioms)
+            if h.rmatrix is not None:
+                axioms.merge(hopf_mod.verify_quasitriangular(h))
     except (AlgebraFormatError, HopfError) as e:
         rep.add("load algebra", False, str(e))
         return rep
-
-    with rep.timed("axioms"):
-        rep.merge(hopf_mod.verify_hopf_axioms(h))
-        if h.rmatrix is not None:
-            rep.merge(hopf_mod.verify_quasitriangular(h))
+    rep.merge(axioms)
     if not rep.ok:
         rep.skip("remaining stages", "axiom failure")
         return rep

@@ -22,6 +22,7 @@ from .scalars import sqrt_adjoin
 from .linalg import Matrix, kron, solve_right, kernel_basis, rank, invert, \
     NoSolution, rank_factor
 from . import repcat, diagrams
+from .hopf import hopf_axiom_words, check_words
 from .diagrams import (apply_word, identity_columns, columns_matrix,
                        word_matrix, obj_dual)
 from .repcat import (ModuleObject, Morphism, trivial_module, regular_module,
@@ -316,39 +317,19 @@ def _structure_env(cd):
     return env
 
 
-# The Hopf-algebra identities of the coend in the braided category, one
-# (check name, words) entry per check: all the words of an entry must
-# evaluate to the same matrix.
-HOPF_AXIOMS = (
-    ("associativity", ("(box(mu) * id(L)) ; box(mu)",
-                       "(id(L) * box(mu)) ; box(mu)")),
-    ("unit", ("id(L)",
-              "(box(eta) * id(L)) ; box(mu)",
-              "(id(L) * box(eta)) ; box(mu)")),
-    ("coassociativity", ("box(delta) ; (box(delta) * id(L))",
-                         "box(delta) ; (id(L) * box(delta))")),
-    ("counit", ("id(L)",
-                "box(delta) ; (box(eps) * id(L))",
-                "box(delta) ; (id(L) * box(eps))")),
-    ("Delta multiplicative (braided)", (
-        "box(mu) ; box(delta)",
-        "(box(delta) * box(delta)) ; (id(L) * br(L, L) * id(L)) ; "
-        "(box(mu) * box(mu))")),
-    ("eps multiplicative", ("box(mu) ; box(eps)",
-                            "box(eps) * box(eps)")),
-    ("antipode axiom", ("box(eps) ; box(eta)",
-                        "box(delta) ; (box(S) * id(L)) ; box(mu)",
-                        "box(delta) ; (id(L) * box(S)) ; box(mu)")),
+# The Hopf-algebra identities of the coend in the braided category: H's
+# axiom table with br(L, L) as the braiding, plus the omega_bar entry
+HOPF_AXIOMS = hopf_axiom_words("L", "br(L, L)") + (
     ("omega(S x id) = omega_bar = omega(id x S)", (
         "box(omega_bar)",
         "(box(S) * id(L)) ; box(omega)",
-        "(id(L) * box(S)) ; box(omega)")),
+        "(id(L) * box(S)) ; box(omega)"), None),
 )
 
 
 def verify_hopf_on_coend(cd):
     """Exact Hopf-axiom identities for (mu, eta, Delta, eps, S) on L, as
-    equalities of diagram words, plus intertwiner checks against the
+    the word table HOPF_AXIOMS, plus intertwiner checks against the
     action of L (x) L, built one generator at a time."""
     rep = Report("Hopf structure of the coend")
     h = cd.h
@@ -374,10 +355,7 @@ def verify_hopf_on_coend(cd):
         rep.add("%s is an intertwiner" % name, mor.is_intertwiner(gens))
     rep.add("Delta is an intertwiner", ok_delta)
 
-    env = _structure_env(cd)
-    for name, words in HOPF_AXIOMS:
-        rep.add(name, diagrams.words_agree(env, words))
-    return rep
+    return check_words(rep, _structure_env(cd), HOPF_AXIOMS)
 
 
 def dinaturality_certificate(cd, objects=None):

@@ -564,12 +564,41 @@ def word_matrix(env, word):
                       identity_columns(env.algebra.field, env.dim_of(dom)))
 
 
+# the domain columns that first_disagreement evaluates at once: this bounds
+# the memory of a check on a large domain, and a failure ends it early
+BLOCK = 256
+
+
+def first_disagreement(env, words):
+    """The first basis column of the common domain on which the words,
+    which must share one type, do not all evaluate to the same sparse
+    column, as the tuple of its indices in the domain's tensor factors;
+    None when the words agree."""
+    asts = [parse(w) for w in words]
+    types = [typecheck(a, env) for a in asts]
+    if any(t != types[0] for t in types[1:]):
+        raise DiagramTypeError("the words %r do not share one type" % (words,))
+    dom = types[0][0]
+    dim = env.dim_of(dom)
+    one = env.algebra.field.one()
+    for start in range(0, dim, BLOCK):
+        cols = [{j: one} for j in range(start, min(start + BLOCK, dim))]
+        first, _ = evaluate_applied(asts[0], env, cols)
+        bad = len(cols)
+        for a in asts[1:]:
+            got, _ = evaluate_applied(a, env, cols)
+            bad = next((j for j in range(bad) if got[j] != first[j]), bad)
+        if bad < len(cols):
+            bad += start
+            at = []
+            for atom in reversed(dom):
+                bad, k = divmod(bad, env.dim_of((atom,)))
+                at.append(k)
+            return tuple(reversed(at))
+    return None
+
+
 def words_agree(env, words):
     """True when all the words, which must share one type, evaluate to the
     same matrix on the basis columns of their domain."""
-    types = [typecheck(parse(w), env) for w in words]
-    if any(t != types[0] for t in types[1:]):
-        raise DiagramTypeError("the words %r do not share one type" % (words,))
-    cols = identity_columns(env.algebra.field, env.dim_of(types[0][0]))
-    first = apply_word(env, words[0], cols)
-    return all(apply_word(env, w, cols) == first for w in words[1:])
+    return first_disagreement(env, words) is None

@@ -2,6 +2,12 @@
 constants: verifiers for the axioms, Drinfeld doubles, mirrors, tensor
 products, ribbon element enumeration, and a library of built-in presets.
 
+The Hopf axioms are one table of diagram words, `hopf_axiom_words(x, br)`,
+shared with the coend: H checks it with its structure constants bound as
+sparse boxes on its regular module and the flip as the braiding, the coend
+with its solved structure and br(L, L).  The quasitriangular identities
+are a second table with R as a box 1 -> H (x) H.
+
 Elements of H are column Matrices over the scalar field; elements of tensor
 powers H^{x m} are sparse dicts {index tuple: Scalar}.
 """
@@ -12,6 +18,7 @@ from .scalars import CycField, parse_scalar, format_scalar
 from .linalg import Matrix, kron, solve_right, kernel_basis, NoSolution, invert
 from .etale import (Subalgebra, orthogonal_primitive_idempotents,
                     poly_squarefree_k)
+from . import diagrams, repcat
 from .report import Report
 
 
@@ -165,25 +172,6 @@ class HopfAlgebraData:
                 out[key] = out[key] + vw if key in out else vw
         return {t: v for t, v in out.items() if not v.is_zero()}
 
-    def rmatrix_sparse(self):
-        return dict(self.rmatrix)
-
-    def unit_sparse(self, m=1):
-        out = {}
-        idxs = [()]
-        vals = [self.field.one()]
-        for _ in range(m):
-            nidx, nval = [], []
-            for base, v in zip(idxs, vals):
-                for i, c in enumerate(self.unit.data):
-                    if not c.is_zero():
-                        nidx.append(base + (i,))
-                        nval.append(v * c)
-            idxs, vals = nidx, nval
-        for t, v in zip(idxs, vals):
-            out[t] = v
-        return out
-
     # -- derived elements ---------------------------------------------------
     # computed once per algebra and kept in _cache: callers must not
     # mutate the returned vectors
@@ -241,222 +229,137 @@ class HopfAlgebraData:
 # ---------------------------------------------------------------------------
 # verifiers
 
-def verify_hopf_axioms(h):
-    """Unital associative / counital coassociative / bialgebra / antipode
-    axioms, checked by exact tensor contraction.  The report carries the
-    first violating basis index tuple per failed axiom."""
-    rep = Report("hopf axioms of %s" % h.name)
-    f = h.field
-    n = h.dim
+def hopf_axiom_words(x, br):
+    """The Hopf-algebra axioms of the object `x` with boxes mu, eta, delta,
+    eps and S, where `br` is the word of the braiding of x (x) x: the flip
+    for H in vector spaces, br(L, L) for the coend L in H-mod.
 
-    bad = None
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                # (e_i e_j) e_k vs e_i (e_j e_k), sparse
-                left = {}
-                for m, c in h.mult[i][j].items():
-                    for l, d in h.mult[m][k].items():
-                        left[l] = left.get(l, f.zero()) + c * d
-                right = {}
-                for m, c in h.mult[j][k].items():
-                    for l, d in h.mult[i][m].items():
-                        right[l] = right.get(l, f.zero()) + c * d
-                keys = set(left) | set(right)
-                if any(left.get(t, f.zero()) != right.get(t, f.zero()) for t in keys):
-                    bad = (i, j, k)
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    rep.add("associativity", bad is None, None if bad is None else "basis triple %s" % (bad,))
+    One (check name, words, at_one) entry per check; all the words of an
+    entry must evaluate to the same matrix.  `at_one` is None or a (label,
+    words) pair: the check's equality at the unit 1, named by the label in
+    a witness."""
+    i = "id(%s)" % x
+    return (
+        ("associativity", ("(box(mu) * %s) ; box(mu)" % i,
+                           "(%s * box(mu)) ; box(mu)" % i), None),
+        ("unit", (i, "(box(eta) * %s) ; box(mu)" % i,
+                  "(%s * box(eta)) ; box(mu)" % i), None),
+        ("coassociativity", ("box(delta) ; (box(delta) * %s)" % i,
+                             "box(delta) ; (%s * box(delta))" % i), None),
+        ("counit", (i, "box(delta) ; (box(eps) * %s)" % i,
+                    "box(delta) ; (%s * box(eps))" % i), None),
+        ("comultiplication is an algebra map", (
+            "box(mu) ; box(delta)",
+            "(box(delta) * box(delta)) ; (%s * %s * %s) ; (box(mu) * box(mu))"
+            % (i, br, i)),
+         ("Delta(1)", ("box(eta) ; box(delta)", "box(eta) * box(eta)"))),
+        ("counit is an algebra map", ("box(mu) ; box(eps)",
+                                      "box(eps) * box(eps)"),
+         ("eps(1)", ("(box(eta) ; box(eps)) * %s" % i, i))),
+        ("antipode", ("box(eps) ; box(eta)",
+                      "box(delta) ; (box(S) * %s) ; box(mu)" % i,
+                      "box(delta) ; (%s * box(S)) ; box(mu)" % i), None),
+    )
 
-    bad = None
-    for i in range(n):
-        if h.mul_vec(h.unit, h.basis_vec(i)) != h.basis_vec(i) or \
-           h.mul_vec(h.basis_vec(i), h.unit) != h.basis_vec(i):
-            bad = (i,)
-            break
-    rep.add("unit", bad is None, None if bad is None else "basis index %s" % (bad,))
 
-    bad = None
-    for i in range(n):
-        lhs = {}
-        for (j, k), v in h.comult[i].items():
-            for (p, q), w in h.comult[j].items():
-                key = (p, q, k)
-                lhs[key] = lhs.get(key, f.zero()) + v * w
-        rhs = {}
-        for (j, k), v in h.comult[i].items():
-            for (p, q), w in h.comult[k].items():
-                key = (j, p, q)
-                rhs[key] = rhs.get(key, f.zero()) + v * w
-        keys = set(lhs) | set(rhs)
-        if any(lhs.get(t, f.zero()) != rhs.get(t, f.zero()) for t in keys):
-            bad = (i,)
-            break
-    rep.add("coassociativity", bad is None, None if bad is None else "basis index %s" % (bad,))
+# H's axioms, with the flip as the braiding
+HOPF_AXIOMS = hopf_axiom_words("H", "box(flip)")
 
-    bad = None
-    for i in range(n):
-        le = Matrix.zeros(f, n, 1)
-        ri = Matrix.zeros(f, n, 1)
-        for (j, k), v in h.comult[i].items():
-            le.data[k] = le.data[k] + h.counit.data[j] * v
-            ri.data[j] = ri.data[j] + h.counit.data[k] * v
-        if le != h.basis_vec(i) or ri != h.basis_vec(i):
-            bad = (i,)
-            break
-    rep.add("counit", bad is None, None if bad is None else "basis index %s" % (bad,))
+# The quasitriangular structure of H, with R a box 1 -> H (x) H; the words
+# leave out the unit factors of R13, R23 and R12, so they presuppose the
+# unit axiom.
+QUASITRIANGULAR_AXIOMS = (
+    ("hexagon (Delta x id)R = R13 R23", (
+        "box(R) ; (box(delta) * id(H))",
+        "(box(R) * box(R)) ; (id(H) * box(flip) * id(H)) ; "
+        "(id(H) * id(H) * box(mu))"), None),
+    ("hexagon (id x Delta)R = R13 R12", (
+        "box(R) ; (id(H) * box(delta))",
+        "(box(R) * box(R)) ; (id(H) * box(flip) * id(H)) ; "
+        "(id(H) * id(H) * box(flip)) ; (box(mu) * id(H) * id(H))"), None),
+    ("Delta^op(a) R = R Delta(a)", (
+        "(box(delta) * box(R)) ; (box(flip) * id(H) * id(H)) ; "
+        "(id(H) * box(flip) * id(H)) ; (box(mu) * box(mu))",
+        "(box(R) * box(delta)) ; (id(H) * box(flip) * id(H)) ; "
+        "(box(mu) * box(mu))"), None),
+    ("(eps x id)R = 1 = (id x eps)R", (
+        "box(eta)", "box(R) ; (box(eps) * id(H))",
+        "box(R) ; (id(H) * box(eps))"), None),
+)
 
-    bad = None
-    for i in range(n):
-        for j in range(n):
-            dprod = {}
-            for k, c in h.mult[i][j].items():
-                for t, v in h.comult[k].items():
-                    dprod[t] = dprod.get(t, f.zero()) + c * v
-            dd = h.tensor_mul(dict(h.comult[i]), dict(h.comult[j]))
-            keys = set(dprod) | set(dd)
-            if any(dprod.get(t, f.zero()) != dd.get(t, f.zero()) for t in keys):
-                bad = (i, j)
-                break
-        if bad:
-            break
-    d_unit = h.comult_sparse(h.unit)
-    if bad is None and not h.sparse_eq(d_unit, h.unit_sparse(2)):
-        bad = ("Delta(1)",)
-    rep.add("comultiplication is an algebra map", bad is None,
-            None if bad is None else "basis pair %s" % (bad,))
+_BASIS_TUPLE = {1: "basis index", 2: "basis pair", 3: "basis triple"}
 
-    bad = None
-    for i in range(n):
-        for j in range(n):
-            lhs = f.zero()
-            for k, c in h.mult[i][j].items():
-                lhs = lhs + c * h.counit.data[k]
-            if lhs != h.counit.data[i] * h.counit.data[j]:
-                bad = (i, j)
-                break
-        if bad:
-            break
-    if bad is None and h.counit_of(h.unit) != f.one():
-        bad = ("eps(1)",)
-    rep.add("counit is an algebra map", bad is None,
-            None if bad is None else "basis pair %s" % (bad,))
 
-    bad = None
-    for i in range(n):
-        left = Matrix.zeros(f, n, 1)
-        right = Matrix.zeros(f, n, 1)
-        for (j, k), v in h.comult[i].items():
-            left = left + h.mul_vec(h.antipode * h.basis_vec(j), h.basis_vec(k)).scale(v)
-            right = right + h.mul_vec(h.basis_vec(j), h.antipode * h.basis_vec(k)).scale(v)
-        expect = h.unit.scale(h.counit.data[i])
-        if left != expect or right != expect:
-            bad = (i,)
-            break
-    rep.add("antipode", bad is None, None if bad is None else "basis index %s" % (bad,))
+def check_words(rep, env, table):
+    """Add one check per (name, words, at_one) entry of a word table to
+    rep.  A failure is witnessed by the first basis tuple of the domain on
+    which the words disagree, or by the label of a failing equality at 1;
+    a check whose domain is the unit object has no witness."""
+    for name, words, at_one in table:
+        at = diagrams.first_disagreement(env, words)
+        if at is None and at_one is not None \
+                and diagrams.first_disagreement(env, at_one[1]) is not None:
+            at = (at_one[0],)
+        witness = None
+        if at:
+            dom, _ = diagrams.typecheck(diagrams.parse(words[0]), env)
+            witness = "%s %s" % (_BASIS_TUPLE[len(dom)], at)
+        rep.add(name, at is None, witness)
     return rep
 
 
-def verify_quasitriangular(h):
-    """R invertibility, both hexagon identities, and the almost-
-    cocommutativity intertwining Delta^op = R Delta R^{-1}."""
-    rep = Report("quasitriangular structure of %s" % h.name)
-    f = h.field
+def _structure_env(h):
+    """H's regular module bound as H, and its structure constants as
+    sparse column-function boxes: mu, eta, delta, eps, S, the flip of
+    H (x) H, and R when H has one."""
     n = h.dim
+    one = h.field.one()
+    hh = (("name", "H"),)
+    env = diagrams.Env(h).bind_object("H", repcat.regular_module(h))
+    eta = [(i, c) for i, c in enumerate(h.unit.data) if not c.is_zero()]
+    delta = [[(j * n + k, v) for (j, k), v in d.items()] for d in h.comult]
+    eps = [[] if c.is_zero() else [(0, c)] for c in h.counit.data]
+    env.bind_box("mu", lambda c: h.mult[c // n][c % n].items(), hh + hh, hh)
+    env.bind_box("eta", lambda c: eta, (), hh)
+    env.bind_box("delta", delta.__getitem__, hh, hh + hh)
+    env.bind_box("eps", eps.__getitem__, hh, ())
+    env.bind_box("S", h.antipode, hh, hh)
+    env.bind_box("flip", lambda c: [((c % n) * n + c // n, one)],
+                 hh + hh, hh + hh)
+    if h.rmatrix is not None:
+        r = [(i * n + j, c) for (i, j), c in h.rmatrix.items()]
+        env.bind_box("R", lambda c: r, (), hh + hh)
+    return env
+
+
+def verify_hopf_axioms(h):
+    """The Hopf-algebra axioms of H, as the word table HOPF_AXIOMS on its
+    structure constants.  The report carries the first violating basis
+    tuple per failed axiom."""
+    return check_words(Report("hopf axioms of %s" % h.name),
+                       _structure_env(h), HOPF_AXIOMS)
+
+
+def verify_quasitriangular(h):
+    """R invertibility, both hexagon identities, the almost-
+    cocommutativity intertwining Delta^op = R Delta R^{-1}, and the counit
+    on R.  R is invertible when R x = 1 (x) 1 has a solution in H (x) H;
+    the other checks are the word table QUASITRIANGULAR_AXIOMS."""
+    rep = Report("quasitriangular structure of %s" % h.name)
     if h.rmatrix is None:
         rep.add("rmatrix present", False, "no R-matrix")
         return rep
     rep.add("rmatrix present", True)
-    r = h.rmatrix_sparse()
-
-    rinv = _invert_tensor2(h, r)
-    rep.add("R invertible", rinv is not None)
-    if rinv is None:
-        return rep
-
-    # (Delta x id) R = R13 R23
-    lhs = {}
-    for (i, j), c in r.items():
-        for (p, q), v in h.comult[i].items():
-            key = (p, q, j)
-            lhs[key] = lhs.get(key, f.zero()) + c * v
-    r13 = {(i, u, j): c * w for (i, j), c in r.items()
-           for u, w in enumerate(h.unit.data) if not w.is_zero()}
-    r23 = {(u, i, j): c * w for (i, j), c in r.items()
-           for u, w in enumerate(h.unit.data) if not w.is_zero()}
-    rhs = h.tensor_mul(r13, r23)
-    rep.add("hexagon (Delta x id)R = R13 R23",
-            h.sparse_eq({k: v for k, v in lhs.items() if not v.is_zero()}, rhs))
-
-    # (id x Delta) R = R13 R12
-    lhs = {}
-    for (i, j), c in r.items():
-        for (p, q), v in h.comult[j].items():
-            key = (i, p, q)
-            lhs[key] = lhs.get(key, f.zero()) + c * v
-    r12 = {(i, j, u): c * w for (i, j), c in r.items()
-           for u, w in enumerate(h.unit.data) if not w.is_zero()}
-    rhs = h.tensor_mul(r13, r12)
-    rep.add("hexagon (id x Delta)R = R13 R12",
-            h.sparse_eq({k: v for k, v in lhs.items() if not v.is_zero()}, rhs))
-
-    bad = None
-    for i in range(n):
-        dop = {(k, j): v for (j, k), v in h.comult[i].items()}
-        lhs = h.tensor_mul(dop, r)
-        rhs = h.tensor_mul(r, dict(h.comult[i]))
-        if not h.sparse_eq(lhs, rhs):
-            bad = (i,)
-            break
-    rep.add("Delta^op(a) R = R Delta(a)", bad is None,
-            None if bad is None else "basis index %s" % (bad,))
-
-    ce1 = Matrix.zeros(f, n, 1)
-    ce2 = Matrix.zeros(f, n, 1)
-    for (i, j), c in r.items():
-        ce1.data[j] = ce1.data[j] + c * h.counit.data[i]
-        ce2.data[i] = ce2.data[i] + c * h.counit.data[j]
-    rep.add("(eps x id)R = 1 = (id x eps)R", ce1 == h.unit and ce2 == h.unit)
-    return rep
-
-
-def _invert_tensor2(h, r):
-    """Inverse of a sparse element of H x H, or None."""
-    n = h.dim
-    lm = Matrix.zeros(h.field, n * n, n * n)
-    for (i, j), c in r.items():
-        li, lj = h.left_regular(i), h.left_regular(j)
-        for a in range(n):
-            for b in range(n):
-                x = li.data[a * n + b]
-                if x.is_zero():
-                    continue
-                for p in range(n):
-                    for q in range(n):
-                        y = lj.data[p * n + q]
-                        if not y.is_zero():
-                            idx = (a * n + p) * n * n + (b * n + q)
-                            lm.data[idx] = lm.data[idx] + c * x * y
-    one2 = Matrix.zeros(h.field, n * n, 1)
-    for t, v in h.unit_sparse(2).items():
-        one2.data[t[0] * n + t[1]] = v
+    env = _structure_env(h)
+    reg = env.objects["H"]
     try:
-        inv = solve_right(lm, one2)
+        solve_right(repcat.tensor_action(h.rmatrix, reg, reg),
+                    kron(h.unit, h.unit))
     except NoSolution:
-        return None
-    inv_sparse = {}
-    for a in range(n):
-        for b in range(n):
-            v = inv.data[a * n + b]
-            if not v.is_zero():
-                inv_sparse[(a, b)] = v
-    if not h.sparse_eq(h.tensor_mul(r, inv_sparse), h.unit_sparse(2)):
-        return None
-    return inv_sparse
+        rep.add("R invertible", False)
+        return rep
+    rep.add("R invertible", True)
+    return check_words(rep, env, QUASITRIANGULAR_AXIOMS)
 
 
 def verify_ribbon(h, rep=None):
@@ -512,11 +415,21 @@ def verify_all(h):
 # constructors
 
 def mirror(h):
-    """Same underlying Hopf algebra with R -> flip(R)^{-1} and v -> v^{-1}."""
-    assert h.rmatrix is not None
+    """Same underlying Hopf algebra with R -> flip(R)^{-1} and v -> v^{-1}.
+    flip(R)^{-1} is ((S x id)R)_21, since R^{-1} = (S x id)(R) in any
+    quasitriangular Hopf algebra (Drinfeld)."""
+    if h.rmatrix is None:
+        raise HopfError("%s has no R-matrix to mirror" % h.name)
+    rinv = {}
+    for (i, j), c in h.rmatrix.items():
+        for k, s in enumerate(h.antipode.col_list(i)):
+            if not s.is_zero():
+                rinv[(j, k)] = rinv.get((j, k), h.field.zero()) + c * s
+    rinv = {t: v for t, v in sorted(rinv.items()) if not v.is_zero()}
     rflip = {(j, i): c for (i, j), c in h.rmatrix.items()}
-    rinv = _invert_tensor2(h, rflip)
-    assert rinv is not None, "R-matrix is not invertible"
+    if not h.sparse_eq(h.tensor_mul(rflip, rinv),
+                       _outer_sparse(h, h.unit, h.unit)):
+        raise HopfError("(S x id)(R) is not the inverse of R in %s" % h.name)
     ribbon = h.ribbon_inv() if h.ribbon is not None else None
     return HopfAlgebraData(h.field, h.dim, h.basis_labels, h.mult, h.unit,
                            h.comult, h.counit, h.antipode, rinv, ribbon,

@@ -7,7 +7,8 @@ import sympy
 
 from mtc import repcat
 from mtc.diagrams import Compose, Tensor
-from mtc.linalg import Matrix, kernel_basis, kron, invert, IncrementalSpan
+from mtc.linalg import (Matrix, kernel_basis, kron, invert, IncrementalSpan,
+                        solve_right, NoSolution)
 
 
 def rank_oracle_fraction(rows):
@@ -285,3 +286,193 @@ def character_oracle(rho, ginv, d, n):
             for k in range(d):
                 chi.data[c] += rho.data[i * d * n + k * n + c] * ginv.data[k * d + i]
     return chi
+
+
+# -- the Hopf and quasitriangular axioms as index loops -----------------------
+# Each oracle returns the (name, status, witness) checks of the matching
+# Report, with the first violating basis tuple as witness.
+
+def _check(out, name, bad, noun):
+    out.append((name, "pass" if bad is None else "fail",
+                None if bad is None or noun is None
+                else "basis %s %s" % (noun, bad)))
+
+
+def _unit2(h):
+    """1 (x) 1 as a sparse element of H (x) H."""
+    return {(i, j): a * b for i, a in enumerate(h.unit.data)
+            for j, b in enumerate(h.unit.data)
+            if not a.is_zero() and not b.is_zero()}
+
+
+def hopf_axioms_oracle(h):
+    f = h.field
+    n = h.dim
+    z = f.zero()
+    out = []
+
+    def differ(x, y):
+        return any(x.get(t, z) != y.get(t, z) for t in set(x) | set(y))
+
+    bad = None
+    for i, j, k in ((i, j, k) for i in range(n) for j in range(n)
+                    for k in range(n)):
+        left, right = {}, {}
+        for m, c in h.mult[i][j].items():
+            for l, d in h.mult[m][k].items():
+                left[l] = left.get(l, z) + c * d
+        for m, c in h.mult[j][k].items():
+            for l, d in h.mult[i][m].items():
+                right[l] = right.get(l, z) + c * d
+        if differ(left, right):
+            bad = (i, j, k)
+            break
+    _check(out, "associativity", bad, "triple")
+
+    bad = next(((i,) for i in range(n)
+                if h.mul_vec(h.unit, h.basis_vec(i)) != h.basis_vec(i)
+                or h.mul_vec(h.basis_vec(i), h.unit) != h.basis_vec(i)), None)
+    _check(out, "unit", bad, "index")
+
+    bad = None
+    for i in range(n):
+        lhs, rhs = {}, {}
+        for (j, k), v in h.comult[i].items():
+            for (p, q), w in h.comult[j].items():
+                lhs[(p, q, k)] = lhs.get((p, q, k), z) + v * w
+            for (p, q), w in h.comult[k].items():
+                rhs[(j, p, q)] = rhs.get((j, p, q), z) + v * w
+        if differ(lhs, rhs):
+            bad = (i,)
+            break
+    _check(out, "coassociativity", bad, "index")
+
+    bad = None
+    for i in range(n):
+        le = Matrix.zeros(f, n, 1)
+        ri = Matrix.zeros(f, n, 1)
+        for (j, k), v in h.comult[i].items():
+            le.data[k] = le.data[k] + h.counit.data[j] * v
+            ri.data[j] = ri.data[j] + h.counit.data[k] * v
+        if le != h.basis_vec(i) or ri != h.basis_vec(i):
+            bad = (i,)
+            break
+    _check(out, "counit", bad, "index")
+
+    bad = None
+    for i, j in ((i, j) for i in range(n) for j in range(n)):
+        dprod = {}
+        for k, c in h.mult[i][j].items():
+            for t, v in h.comult[k].items():
+                dprod[t] = dprod.get(t, z) + c * v
+        if differ(dprod, h.tensor_mul(dict(h.comult[i]), dict(h.comult[j]))):
+            bad = (i, j)
+            break
+    if bad is None and not h.sparse_eq(h.comult_sparse(h.unit), _unit2(h)):
+        bad = ("Delta(1)",)
+    _check(out, "comultiplication is an algebra map", bad, "pair")
+
+    bad = None
+    for i, j in ((i, j) for i in range(n) for j in range(n)):
+        lhs = z
+        for k, c in h.mult[i][j].items():
+            lhs = lhs + c * h.counit.data[k]
+        if lhs != h.counit.data[i] * h.counit.data[j]:
+            bad = (i, j)
+            break
+    if bad is None and h.counit_of(h.unit) != f.one():
+        bad = ("eps(1)",)
+    _check(out, "counit is an algebra map", bad, "pair")
+
+    bad = None
+    for i in range(n):
+        left = Matrix.zeros(f, n, 1)
+        right = Matrix.zeros(f, n, 1)
+        for (j, k), v in h.comult[i].items():
+            left = left + h.mul_vec(h.antipode * h.basis_vec(j),
+                                    h.basis_vec(k)).scale(v)
+            right = right + h.mul_vec(h.basis_vec(j),
+                                      h.antipode * h.basis_vec(k)).scale(v)
+        expect = h.unit.scale(h.counit.data[i])
+        if left != expect or right != expect:
+            bad = (i,)
+            break
+    _check(out, "antipode", bad, "index")
+    return out
+
+
+def invert_tensor2_oracle(h, r):
+    """The inverse of a sparse element r of H (x) H, by a solve against the
+    n^2 x n^2 matrix of left multiplication by r; None if there is none."""
+    n = h.dim
+    lm = Matrix.zeros(h.field, n * n, n * n)
+    for (i, j), c in r.items():
+        li, lj = h.left_regular(i), h.left_regular(j)
+        for a, b, p, q in ((a, b, p, q) for a in range(n) for b in range(n)
+                           for p in range(n) for q in range(n)):
+            x, y = li.data[a * n + b], lj.data[p * n + q]
+            if not x.is_zero() and not y.is_zero():
+                idx = (a * n + p) * n * n + (b * n + q)
+                lm.data[idx] = lm.data[idx] + c * x * y
+    one2 = Matrix.zeros(h.field, n * n, 1)
+    for (i, j), v in _unit2(h).items():
+        one2.data[i * n + j] = v
+    try:
+        inv = solve_right(lm, one2)
+    except NoSolution:
+        return None
+    inv = {divmod(k, n): v for k, v in enumerate(inv.data) if not v.is_zero()}
+    if not h.sparse_eq(h.tensor_mul(r, inv), _unit2(h)):
+        return None
+    return inv
+
+
+def quasitriangular_oracle(h):
+    f = h.field
+    n = h.dim
+    z = f.zero()
+    if h.rmatrix is None:
+        return [("rmatrix present", "fail", "no R-matrix")]
+    out = [("rmatrix present", "pass", None)]
+    r = dict(h.rmatrix)
+    if invert_tensor2_oracle(h, r) is None:
+        return out + [("R invertible", "fail", None)]
+    out.append(("R invertible", "pass", None))
+    units = [(u, w) for u, w in enumerate(h.unit.data) if not w.is_zero()]
+    r13 = {(i, u, j): c * w for (i, j), c in r.items() for u, w in units}
+    r23 = {(u, i, j): c * w for (i, j), c in r.items() for u, w in units}
+    r12 = {(i, j, u): c * w for (i, j), c in r.items() for u, w in units}
+
+    lhs = {}
+    for (i, j), c in r.items():
+        for (p, q), v in h.comult[i].items():
+            lhs[(p, q, j)] = lhs.get((p, q, j), z) + c * v
+    lhs = {k: v for k, v in lhs.items() if not v.is_zero()}
+    ok = h.sparse_eq(lhs, h.tensor_mul(r13, r23))
+    _check(out, "hexagon (Delta x id)R = R13 R23", None if ok else (), None)
+
+    lhs = {}
+    for (i, j), c in r.items():
+        for (p, q), v in h.comult[j].items():
+            lhs[(i, p, q)] = lhs.get((i, p, q), z) + c * v
+    lhs = {k: v for k, v in lhs.items() if not v.is_zero()}
+    ok = h.sparse_eq(lhs, h.tensor_mul(r13, r12))
+    _check(out, "hexagon (id x Delta)R = R13 R12", None if ok else (), None)
+
+    bad = None
+    for i in range(n):
+        dop = {(k, j): v for (j, k), v in h.comult[i].items()}
+        if not h.sparse_eq(h.tensor_mul(dop, r),
+                           h.tensor_mul(r, dict(h.comult[i]))):
+            bad = (i,)
+            break
+    _check(out, "Delta^op(a) R = R Delta(a)", bad, "index")
+
+    ce1 = Matrix.zeros(f, n, 1)
+    ce2 = Matrix.zeros(f, n, 1)
+    for (i, j), c in r.items():
+        ce1.data[j] = ce1.data[j] + c * h.counit.data[i]
+        ce2.data[i] = ce2.data[i] + c * h.counit.data[j]
+    ok = ce1 == h.unit and ce2 == h.unit
+    _check(out, "(eps x id)R = 1 = (id x eps)R", None if ok else (), None)
+    return out

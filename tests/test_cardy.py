@@ -107,6 +107,22 @@ def test_torus_double_sweedler(dsw):
     assert total == dsw.dim
 
 
+def test_torus_fails_fast_on_a_carrier_that_is_no_module():
+    """With the right factor untransposed, the carrier is not a module over
+    H (x) H, whose radical filtration need not terminate: the certificate
+    is skipped and the factor check fails."""
+    h = hopf.sweedler()
+    right = h.right_mult_matrix
+    h.right_mult_matrix = lambda a: right(a).transpose()
+    cartan, rep = torus_partition(h)
+    assert cartan == [[1, 1], [1, 1]]
+    checks = {name: (status, w) for name, status, w in rep.checks}
+    assert checks["carrier bimodule is a T-module"] == ("fail", None)
+    assert checks["composition multiplicities equal the Cartan matrix"] == \
+        ("skip", "carrier is not a T-module")
+    assert not rep.ok
+
+
 def test_carrier_bimodule(dz2):
     t, w, factor_check = coend_carrier_bimodule(dz2)
     assert factor_check()

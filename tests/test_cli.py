@@ -40,6 +40,20 @@ def test_verify_trivial_algebra(capsys):
     assert code == EXIT_OK
 
 
+def test_verify_checks_the_hopf_axioms_once(capsys, monkeypatch):
+    calls = []
+    verify = hopf.verify_hopf_axioms
+    monkeypatch.setattr(hopf, "verify_hopf_axioms",
+                        lambda h: calls.append(h) or verify(h))
+    code, out, err = run_cli(["verify", "--builtin", "double_sweedler",
+                              "--format", "json"], capsys)
+    assert code == EXIT_CHECK_FAILED  # D(Sweedler) has no ribbon element
+    assert len(calls) == 1
+    names = [c["name"] for c in json.loads(out)["checks"]]
+    assert names[:8] == [name for name, _, _ in hopf.HOPF_AXIOMS] + \
+        ["rmatrix present"]
+
+
 def test_usage_errors(capsys):
     code, out, err = run_cli(["verify"], capsys)
     assert code == EXIT_USAGE
@@ -298,3 +312,38 @@ def test_golden_json_output(name, args, tmp_path, capsys):
     code, out, err = run_cli(args + ["--format", "json"], capsys)
     assert (code, err) == (GOLDEN_EXIT.get(name, EXIT_OK), "")
     assert out == (GOLDEN / (name + ".json")).read_text()
+
+
+# D(Z/3) spec files with the coefficient of one structure-constant entry
+# changed: (golden name, spec section, entry index, new coefficient,
+# command).  The golden holds the exit code, stdout and stderr.
+MALFORMED = [
+    ("malformed-mult_verify", "mult", 5, "2", "verify"),
+    ("malformed-mult_cartan", "mult", 5, "2", "cartan"),
+    ("malformed-unit_verify", "unit", 1, "2", "verify"),
+    ("malformed-comult_verify", "comult", 4, "2", "verify"),
+    ("malformed-counit_verify", "counit", 1, "2", "verify"),
+    ("malformed-antipode_verify", "antipode", 3, "2", "verify"),
+    ("malformed-rmatrix_verify", "rmatrix", 1, "2", "verify"),
+    ("malformed-rmatrix-singular_verify", "rmatrix", 1, "0", "verify"),
+]
+
+
+def bumped_dz3_spec(section, entry, value):
+    d = hopf.to_json_dict(hopf.builtin("double_group_algebra", [3]))
+    d[section][entry][-1] = value
+    return d
+
+
+@pytest.mark.parametrize("name, section, entry, value, command", MALFORMED)
+def test_golden_malformed_input(name, section, entry, value, command,
+                                tmp_path, capsys):
+    """A spec file that breaks one axiom gives the recorded exit code,
+    witnesses and error text."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bumped_dz3_spec(section, entry, value)))
+    code, out, err = run_cli([command, "--algebra", str(path),
+                              "--format", "json"], capsys)
+    got = {"exit": code, "stdout": out, "stderr": err}
+    want = json.loads((GOLDEN / (name + ".json")).read_text())
+    assert got == want

@@ -123,7 +123,7 @@ def _failed_after_bump(cd, attr, i, j):
 @pytest.mark.parametrize("attr, must_fail", [
     ("mu", {"associativity", "unit"}),
     ("delta", {"coassociativity", "counit"}),
-    ("antipode_L", {"antipode axiom"}),
+    ("antipode_L", {"antipode"}),
     ("omega_bar", {"omega(S x id) = omega_bar = omega(id x S)"}),
 ])
 def test_hopf_checks_catch_a_perturbed_structure(dz2_coend, attr, must_fail):

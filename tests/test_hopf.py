@@ -4,10 +4,13 @@ import pytest
 
 from mtc import hopf
 from mtc.linalg import Matrix
+from mtc.scalars import format_scalar, parse_scalar
 from mtc.hopf import (verify_hopf_axioms, verify_ribbon, verify_all,
                       drinfeld_double, mirror, tensor_hopf, solve_ribbon,
                       builtin, AlgebraFormatError)
-from oracles import brute_ribbon_elements, group_double_table_z2
+from oracles import (brute_ribbon_elements, group_double_table_z2,
+                     hopf_axioms_oracle, quasitriangular_oracle,
+                     invert_tensor2_oracle)
 
 
 def test_z2_axioms_by_hand(z2):
@@ -193,3 +196,79 @@ def test_truncated_file_errors(tmp_path, z2):
     path.write_text("{ not json")
     with pytest.raises(AlgebraFormatError):
         hopf.load_algebra(str(path))
+
+
+# every builtin but double_taft (dim 81), whose "R invertible" solve is
+# on a dense 6561 x 6561 matrix in the library and in the oracle alike
+BUILTINS = [("trivial", None), ("group_algebra", [2, 2]), ("sweedler", None),
+            ("double_group_algebra", [3]), ("double_z2", None),
+            ("double_sweedler", None), ("taft", [3])]
+SECTIONS = ["mult", "unit", "comult", "counit", "antipode", "rmatrix"]
+
+
+def bumped(h, section, entry):
+    """A copy of h with 1 added to one coefficient of its spec file."""
+    d = hopf.to_json_dict(h)
+    row = d[section][entry]
+    row[-1] = format_scalar(parse_scalar(h.field, row[-1]) + h.field.one())
+    return hopf.from_json_dict(d)
+
+
+def assert_reports_match_index_loops(h):
+    rep = verify_hopf_axioms(h)
+    assert rep.checks == hopf_axioms_oracle(h)
+    # the quasitriangular words leave out the unit factors of R13, R23
+    # and R12, so they are compared only where the unit axiom holds
+    if ("unit", "pass", None) in rep.checks:
+        assert hopf.verify_quasitriangular(h).checks == \
+            quasitriangular_oracle(h)
+
+
+@pytest.mark.parametrize("name, params", BUILTINS)
+def test_axiom_reports_match_index_loops_on_builtins(name, params):
+    assert_reports_match_index_loops(builtin(name, params))
+
+
+@pytest.mark.parametrize("name, params, entries", [
+    ("sweedler", None, "first middle last"),
+    ("double_group_algebra", [3], "first middle last"),
+    ("double_sweedler", None, "middle"),
+])
+@pytest.mark.parametrize("section", SECTIONS)
+def test_axiom_reports_match_index_loops_on_perturbed_copies(
+        name, params, entries, section):
+    """One coefficient of one structure map changed, at the first, middle
+    or last entry of its section in the spec file."""
+    h = builtin(name, params)
+    size = len(hopf.to_json_dict(h)[section])
+    where = {"first": 0, "middle": size // 2, "last": size - 1}
+    for entry in entries.split():
+        assert_reports_match_index_loops(bumped(h, section, where[entry]))
+
+
+@pytest.mark.parametrize("name, params", [
+    ("double_group_algebra", [3]), ("double_sweedler", None),
+    ("double_group_algebra", [4]), ("sweedler", None)])
+def test_mirror_closed_form_is_the_solved_inverse(name, params):
+    """flip(R)^{-1} = ((S x id)R)_21 in closed form, against a solve."""
+    h = builtin(name, params)
+    rflip = {(j, i): c for (i, j), c in h.rmatrix.items()}
+    assert mirror(h).rmatrix == invert_tensor2_oracle(h, rflip)
+
+
+def test_mirror_rejects_bad_rmatrix(z2):
+    with pytest.raises(hopf.HopfError, match="no R-matrix"):
+        mirror(hopf.taft(3))
+    bad = z2.with_ribbon(None)
+    bad.rmatrix = {(0, 0): z2.field.from_rational(2)}
+    with pytest.raises(hopf.HopfError, match="not the inverse of R"):
+        mirror(bad)
+
+
+def test_witnesses_across_column_blocks(monkeypatch):
+    """The words are compared a block of domain columns at a time; the
+    witness is the same with blocks of 7 columns."""
+    monkeypatch.setattr("mtc.diagrams.BLOCK", 7)
+    h = builtin("double_group_algebra", [3])
+    for section in SECTIONS:
+        assert_reports_match_index_loops(bumped(h, section, -1))
