@@ -6,8 +6,8 @@ and the free-module adjunction maps.
 
 from itertools import accumulate, repeat
 
-from .linalg import Matrix, kron, rank, IncrementalSpan, minimal_polynomial
-from . import repcat, hopf as hopf_mod, coend as coend_mod
+from .linalg import Matrix, kron, rank, minimal_polynomial
+from . import repcat, coend as coend_mod
 from .repcat import (ModuleObject, Morphism, trivial_module, tensor_obj,
                      dual_obj, hom_basis, simples_data, grothendieck_ring)
 from .etale import poly_squarefree_k
@@ -89,97 +89,49 @@ def annulus_closed_channel(cd, m, n):
 # torus partition function
 
 def coend_carrier_bimodule(h):
-    """The coadjoint carrier as a module over H (x) mirror(H): the coregular
-    bimodule (a (x) b) . xi = xi(S(a) . b), realizing the coend as an object
-    of C x Cbar.  Returns (T, W, factor check)."""
-    t = hopf_mod.tensor_hopf(h, hopf_mod.mirror(h))
+    """The coadjoint carrier as the coregular bimodule (a (x) b) . xi =
+    xi(S(a) . b), realizing the coend as an object of C x Cbar.  A module
+    over T = H (x) mirror(H) is a pair of commuting H-module structures, so
+    the carrier is given by its two factors.  Returns (left, right, factor
+    check)."""
     n = h.dim
     # left factor: xi -> xi(S(a) . ); right factor: xi -> xi( . b); on the
     # dual basis these are the transposes of the multiplication matrices
-    act1 = [h.left_mult_matrix(h.antipode * h.basis_vec(a)).transpose()
-            for a in range(n)]
-    act2 = [h.right_mult_matrix(h.basis_vec(a)).transpose() for a in range(n)]
-    action = [act1[a] * act2[b] for a in range(n) for b in range(n)]
-    w = ModuleObject(t, n, action, "L-carrier")
-    factors = [ModuleObject(h, n, act1, "L-carrier left"),
-               ModuleObject(h, n, act2, "L-carrier right")]
+    left = ModuleObject(
+        h, n, [h.left_mult_matrix(h.antipode * h.basis_vec(a)).transpose()
+               for a in range(n)], "L-carrier left")
+    right = ModuleObject(
+        h, n, [h.right_mult_matrix(h.basis_vec(a)).transpose()
+               for a in range(n)], "L-carrier right")
 
     def factor_check():
-        # both factors are H-modules with commuting actions, which implies
-        # the outer-product module axioms on T = H (x) H
-        return all(m.validate() for m in factors) and all(
-            a1 * a2 == a2 * a1 for a1 in act1 for a2 in act2)
+        # both factors are H-modules with commuting actions: the module
+        # axioms on T
+        return left.validate() and right.validate() and all(
+            a1 * a2 == a2 * a1 for a1 in left.action for a2 in right.action)
 
-    return t, w, factor_check
-
-
-def outer_module(t, x, y):
-    """X (x) Y as a module over the tensor algebra T = H (x) K."""
-    one = t.field.one()
-    action = [repcat.tensor_action({(a, b): one}, x, y)
-              for a in range(x.algebra.dim) for b in range(y.algebra.dim)]
-    return ModuleObject(t, x.dim * y.dim, action,
-                        "%s (x) %s" % (x.name, y.name))
-
-
-def product_composition_multiplicities(h, t, w, sd, gen_elements):
-    """Composition multiplicities [W : S_U x S_V] over T = H (x) H via the
-    radical filtration, using rad(T) = rad(H) (x) H + H (x) rad(H)."""
-    f = h.field
-    n = h.dim
-    rad = repcat.radical_basis(h)
-    cur = w
-    mults = [[0] * sd.count for _ in range(sd.count)]
-    sdt_simples = [[outer_module(t, su, sv) for sv in sd.simples]
-                   for su in sd.simples]
-    while cur.dim > 0:
-        # span of rad(T) . cur: images of rad x 1 and 1 x rad, closed under
-        # the generator actions
-        span = IncrementalSpan(f, cur.dim)
-        frontier = []
-        for r in rad:
-            for el in [kron(r, h.unit), kron(h.unit, r)]:
-                act = cur.act(el)
-                for j in range(cur.dim):
-                    v = Matrix.column(f, act.col_list(j))
-                    if not v.is_zero() and span.add(v):
-                        frontier.append(v)
-        gen_acts = [cur.act(el) for el in gen_elements]
-        while frontier:
-            new = []
-            for v in frontier:
-                for act in gen_acts:
-                    w2 = act * v
-                    if not w2.is_zero() and span.add(w2):
-                        new.append(w2)
-            frontier = new
-        layer = repcat.quotient_module(cur, span)
-        for u in range(sd.count):
-            for v in range(sd.count):
-                mults[u][v] += len(hom_basis(layer, sdt_simples[u][v],
-                                             gen_elements=gen_elements))
-        if not span.rank:
-            break
-        cur = repcat.sub_module(cur, span.basis_vectors())
-    return mults
+    return left, right, factor_check
 
 
 def torus_partition(h, with_coend=None):
     """The Cartan matrix as the torus partition function in the character
     basis, with the composition-multiplicity certificate in the product
-    category.  Returns (cartan, report)."""
+    category: [L : S_{U*} x S_V] = C_{UV}.  Over a split algebra
+    [W : S] = dim eW for a primitive idempotent e with eS != 0, and e_U x e_V
+    is one for S_U x S_V, so each multiplicity is the rank of e_U acting on
+    the left factor of the carrier times e_V acting on the right one.
+    Returns (cartan, report)."""
     rep = Report("torus partition function")
     sd = simples_data(h)
     cartan = [row[:] for row in sd.cartan]
 
-    t, w, factor_check = coend_carrier_bimodule(h)
-    gens = repcat.generating_indices(h)
+    left, right, factor_check = coend_carrier_bimodule(h)
     ok = True
     if rep.add("carrier bimodule is a T-module", factor_check()):
         dual_perm = sd.dual_permutation()
-        gen_elements = [kron(h.basis_vec(g), h.unit) for g in gens] + \
-                       [kron(h.unit, h.basis_vec(g)) for g in gens]
-        mults = product_composition_multiplicities(h, t, w, sd, gen_elements)
+        lefts = [left.act(e) for e in sd.idempotents]
+        rights = [right.act(e) for e in sd.idempotents]
+        mults = [[rank(a * b) for b in rights] for a in lefts]
         for u in range(sd.count):
             for v in range(sd.count):
                 expect = cartan[u][v]
@@ -194,7 +146,7 @@ def torus_partition(h, with_coend=None):
                     for u in range(sd.count) for v in range(sd.count))
         rep.add("dimension bookkeeping", total == h.dim)
     else:
-        # the radical filtration of a non-module need not terminate
+        # without a module structure the multiplicities mean nothing
         for name in ("composition multiplicities equal the Cartan matrix",
                      "dimension bookkeeping"):
             rep.skip(name, "carrier is not a T-module")
@@ -204,7 +156,8 @@ def torus_partition(h, with_coend=None):
         cd = with_coend
         chk = coend_mod.cocharacter(cd, cd.carrier)
         rep.add("coend carrier cocharacter computed",
-                not chk.matrix.is_zero() and chk.is_intertwiner(gens))
+                not chk.matrix.is_zero() and
+                chk.is_intertwiner(repcat.generating_indices(h)))
     if not ok:
         raise CardyError("torus certificate failed:\n%s" % rep)
     return cartan, rep

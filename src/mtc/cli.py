@@ -61,7 +61,10 @@ def _read_algebra(config):
         params = config.params.get("orders")
         if params is None and "n" in config.params:
             params = [config.params["n"]]
-        return hopf_mod.builtin(config.builtin, params)
+        try:
+            return hopf_mod.builtin(config.builtin, params)
+        except ValueError as e:
+            raise UsageError("bad --param for %s: %s" % (config.builtin, e))
     return hopf_mod.load_algebra(config.algebra)
 
 
@@ -572,16 +575,18 @@ def _parse_params(items):
         if "=" not in item:
             raise UsageError("--param expects K=V, got %r" % item)
         k, v = item.split("=", 1)
-        if "," in v:
-            params[k] = [int(x) for x in v.split(",")]
-        else:
-            try:
-                params[k] = int(v)
-            except ValueError:
-                params[k] = v
-    if "orders" in params and isinstance(params["orders"], int):
-        params["orders"] = [params["orders"]]
+        vals = [_int_or_str(x) for x in v.split(",")]
+        params[k] = vals if k == "orders" or len(vals) > 1 else vals[0]
     return params
+
+
+def _int_or_str(text):
+    """An integer, or the text itself for the builtin to reject with its
+    valid range."""
+    try:
+        return int(text)
+    except ValueError:
+        return text
 
 
 def build_parser():

@@ -763,11 +763,11 @@ BUILTIN_NAMES = ["trivial", "group_algebra", "sweedler", "double_group_algebra",
 def group_algebra(orders):
     """k[Z/n1 x ... x Z/nk] with the trivial R-matrix and ribbon v = 1."""
     from math import lcm
-    order = 1
-    for m in orders:
-        assert m >= 1
-        order = lcm(order, m)
-    f = CycField(max(order, 1))
+    if not all(isinstance(m, int) and m >= 1 for m in orders):
+        raise ValueError("group orders must be integers >= 1, got %s"
+                         % ",".join(map(str, orders)))
+    order = lcm(1, *orders)
+    f = CycField(order)
     elems = [()]
     for m in orders:
         elems = [t + (i,) for t in elems for i in range(m)]
@@ -839,7 +839,8 @@ def taft(n):
     g x g^{-1} = q x with q a primitive n-th root of unity, Delta(x) =
     x (x) 1 + g (x) x.  Not quasitriangular for n > 2; its Drinfeld double
     is, and is ribbon exactly for odd n."""
-    assert n >= 2
+    if not isinstance(n, int) or n < 2:
+        raise ValueError("the Taft algebra needs an integer n >= 2, got %s" % n)
     f = CycField(n)
     q = f.zeta(1)
     dim = n * n

@@ -298,20 +298,15 @@ def generating_indices(h):
     return gens
 
 
-def hom_basis(x, y, generators=None, gen_elements=None):
+def hom_basis(x, y):
     """Basis of Hom_H(X, Y), deterministic ordering.
 
-    Intertwining is imposed against a generating set of the algebra
-    (indices or explicit element vectors), which is equivalent to the full
-    set of basis constraints."""
+    Intertwining is imposed only against the basis elements that
+    `generating_indices` picks, which is equivalent to the full set of
+    basis constraints."""
     h = x.algebra
     f = h.field
-    if gen_elements is not None:
-        pairs = [(x.act(v), y.act(v)) for v in gen_elements]
-    else:
-        if generators is None:
-            generators = generating_indices(h)
-        pairs = [(x.action[g], y.action[g]) for g in generators]
+    pairs = [(x.action[g], y.action[g]) for g in generating_indices(h)]
     dx, dy = x.dim, y.dim
     iy = Matrix.identity(f, dy)
     ix = Matrix.identity(f, dx)
@@ -496,29 +491,6 @@ def composition_factors(x, sd=None):
     assert sum(m * s.dim for m, s in zip(mult, sd.simples)) == x.dim, \
         "composition series does not fill the module"
     return mult
-
-
-def sub_module(x, basis):
-    """The submodule of X spanned by the given independent vectors, in that
-    basis."""
-    h = x.algebra
-    stack = basis[0].hstack(*basis[1:])
-    action = [solve_right(stack, x.action[i] * stack) for i in range(h.dim)]
-    return ModuleObject(h, len(basis), action, "%s'" % x.name)
-
-
-def quotient_module(x, span):
-    """X / span with the induced action, in the basis of the free (non-pivot)
-    coordinates."""
-    h = x.algebra
-    free = span.free_indices()
-    action = []
-    for i in range(h.dim):
-        cols = [span.reduce(Matrix.column(h.field, x.action[i].col_list(j)))
-                for j in free]
-        action.append(Matrix(h.field, len(free), len(free),
-                             [c.data[r] for r in free for c in cols]))
-    return ModuleObject(h, len(free), action, "%s/." % x.name)
 
 
 def grothendieck_ring(h):

@@ -76,6 +76,29 @@ def dense_word_oracle(ast, env, boxes=None):
             "coevt": repcat.coev_tilde_morphism}[k](x).matrix
 
 
+def sub_module(x, basis):
+    """The submodule of X spanned by the given independent vectors, in that
+    basis."""
+    h = x.algebra
+    stack = basis[0].hstack(*basis[1:])
+    action = [solve_right(stack, x.action[i] * stack) for i in range(h.dim)]
+    return repcat.ModuleObject(h, len(basis), action, "%s'" % x.name)
+
+
+def quotient_module(x, span):
+    """X / span with the induced action, in the basis of the free (non-pivot)
+    coordinates."""
+    h = x.algebra
+    free = span.free_indices()
+    action = []
+    for i in range(h.dim):
+        cols = [span.reduce(Matrix.column(h.field, x.action[i].col_list(j)))
+                for j in free]
+        action.append(Matrix(h.field, len(free), len(free),
+                             [c.data[r] for r in free for c in cols]))
+    return repcat.ModuleObject(h, len(free), action, "%s/." % x.name)
+
+
 def radical_filtration_factors(x, sd):
     """[X : S_i] through the radical filtration of X: the simple
     multiplicities of each layer rad^k X / rad^(k+1) X, independent of
@@ -94,12 +117,12 @@ def radical_filtration_factors(x, sd):
                     vecs.append(v)
         span = IncrementalSpan(f, cur.dim)
         sub_basis = [v for v in vecs if span.add(v)]
-        layer = repcat.quotient_module(cur, span)
+        layer = quotient_module(cur, span)
         for i, s in enumerate(sd.simples):
             mult[i] += len(repcat.hom_basis(layer, s))
         if not sub_basis:
             break
-        cur = repcat.sub_module(cur, sub_basis)
+        cur = sub_module(cur, sub_basis)
     return mult
 
 

@@ -1,11 +1,13 @@
 import random
 
+import pytest
+
 from mtc import hopf, repcat, coend, cardy
 from mtc.linalg import Matrix, kron
 from mtc.repcat import (trivial_module, regular_module, tensor_obj, dual_obj,
                         direct_sum, hom_basis, simples_data,
                         composition_factors, grothendieck_ring)
-from mtc.cardy import (boundary_state, annulus_amplitude,
+from mtc.cardy import (CardyError, boundary_state, annulus_amplitude,
                        annulus_closed_channel, torus_partition,
                        defect_operator, defect_algebra, sf_fusion_algebra,
                        bulk_two_point, adjunction_maps, cardy_action,
@@ -107,10 +109,40 @@ def test_torus_double_sweedler(dsw):
     assert total == dsw.dim
 
 
+def test_torus_double_z4():
+    """D(Z/4) needs no ribbon for the certificate and has simples that are
+    not self-dual, so the dual permutation in [L : S_{U*} x S_V] matters."""
+    h = hopf.builtin("double_group_algebra", [4])
+    cartan, rep = torus_partition(h)
+    assert rep.ok, str(rep)
+    assert cartan == [[int(i == j) for j in range(16)] for i in range(16)]
+    assert simples_data(h).dual_permutation() != list(range(16))
+
+
+def test_torus_certificate_fails_on_a_bimodule_with_the_wrong_duals(
+        dz3, dz3_simples, monkeypatch):
+    """Without S in the left factor the carrier is still a bimodule, since
+    D(Z/3) is commutative, but it holds S_U x S_U where the certificate
+    wants S_{U*} x S_U.  Eight of the nine simples are not self-dual, so
+    16 of the 81 pairs fail while the factor check passes."""
+    left = dz3.left_mult_matrix
+    # S^2 = 1 on D(Z/3), so this cancels the antipode of the left factor
+    monkeypatch.setattr(dz3, "left_mult_matrix",
+                        lambda a: left(dz3.antipode * a))
+    with pytest.raises(CardyError) as exc:
+        torus_partition(dz3)
+    report = str(exc.value).splitlines()
+    assert "PASS carrier bimodule is a T-module" in report
+    assert "FAIL certificate (U=0,V=0)  [multiplicity of S_{U*} x S_V = 0, " \
+        "Cartan = 1]" in report
+    assert sum(line.startswith("FAIL certificate (U=") for line in report) \
+        == 16
+
+
 def test_torus_fails_fast_on_a_carrier_that_is_no_module():
     """With the right factor untransposed, the carrier is not a module over
-    H (x) H, whose radical filtration need not terminate: the certificate
-    is skipped and the factor check fails."""
+    H (x) H and its multiplicities mean nothing: the certificate is
+    skipped and the factor check fails."""
     h = hopf.sweedler()
     right = h.right_mult_matrix
     h.right_mult_matrix = lambda a: right(a).transpose()
@@ -124,10 +156,10 @@ def test_torus_fails_fast_on_a_carrier_that_is_no_module():
 
 
 def test_carrier_bimodule(dz2):
-    t, w, factor_check = coend_carrier_bimodule(dz2)
+    left, right, factor_check = coend_carrier_bimodule(dz2)
     assert factor_check()
-    assert w.validate()  # full module axioms, affordable at dim 4
-    assert t.dim == dz2.dim ** 2
+    assert left.validate() and right.validate()
+    assert all(a * b == b * a for a in left.action for b in right.action)
 
 
 def test_defect_operators(dz2_coend, dz2_simples):

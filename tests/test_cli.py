@@ -69,6 +69,22 @@ def test_usage_errors(capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("builtin, param, valid_range", [
+    ("taft", "n=abc", "integer n >= 2"),
+    ("taft", "n=1", "integer n >= 2"),
+    ("taft", "n=0", "integer n >= 2"),
+    ("double_group_algebra", "orders=0", "integers >= 1"),
+    ("group_algebra", "orders=-2", "integers >= 1"),
+    ("group_algebra", "orders=2,abc", "integers >= 1"),
+])
+def test_bad_param_is_usage_error(builtin, param, valid_range, capsys):
+    code, out, err = run_cli(["verify", "--builtin", builtin,
+                              "--param", param, "--format", "json"], capsys)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: bad --param for %s: " % builtin)
+    assert valid_range in err
+
+
 def test_no_ribbon_is_check_failure(capsys):
     code, out, err = run_cli(["modular-data", "--builtin", "double_sweedler"],
                              capsys)
