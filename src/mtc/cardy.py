@@ -6,11 +6,11 @@ and the free-module adjunction maps.
 
 from itertools import accumulate, repeat
 
+from .scalars import CycField, poly_squarefree
 from .linalg import Matrix, kron, rank, minimal_polynomial
 from . import repcat, coend as coend_mod
 from .repcat import (ModuleObject, Morphism, trivial_module, tensor_obj,
                      dual_obj, hom_basis, simples_data, grothendieck_ring)
-from .etale import poly_squarefree_k
 from .report import Report
 
 
@@ -327,7 +327,7 @@ def nondiagonalizable_defect(cd):
         powers = accumulate(repeat(op.matrix), Matrix.__mul__,
                             initial=Matrix.identity(f, h.dim))
         q = minimal_polynomial(Matrix.column(f, p.data) for p in powers)
-        qs = poly_squarefree_k(q, cd.field)
+        qs = poly_squarefree(q)
         if len(qs) < len(q):
             return op, q
     return None
@@ -342,11 +342,10 @@ SF_LABELS = ["1", "P1", "T", "PT"]
 def sf_fusion_algebra(npairs, field=None):
     """The 4-dimensional fusion algebra of N pairs of symplectic fermions:
     [P1]^2 = [1], [P1][T] = [PT], [T][T] = [T][PT] = 2^{2N-1}([1] + [P1])."""
-    assert npairs >= 1
-    if field is None:
-        from .scalars import CycField
-        field = CycField(4)
-    f = field
+    if npairs < 1:
+        raise ValueError("symplectic fermions need N >= 1 pairs, got %d"
+                         % npairs)
+    f = field if field is not None else CycField(4)
     one = f.one()
     zero = f.zero()
     c = f.from_rational(2 ** (2 * npairs - 1))

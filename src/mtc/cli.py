@@ -57,15 +57,25 @@ class RunConfig:
 
 def _read_algebra(config):
     """The algebra named by the config, not yet verified."""
-    if config.builtin is not None:
-        params = config.params.get("orders")
-        if params is None and "n" in config.params:
-            params = [config.params["n"]]
-        try:
-            return hopf_mod.builtin(config.builtin, params)
-        except ValueError as e:
-            raise UsageError("bad --param for %s: %s" % (config.builtin, e))
-    return hopf_mod.load_algebra(config.algebra)
+    name = config.builtin
+    if name is None:
+        return hopf_mod.load_algebra(config.algebra)
+    if name not in hopf_mod.BUILTIN_PARAMS:
+        raise UsageError("unknown builtin %r: expected one of %s"
+                         % (name, ", ".join(hopf_mod.BUILTIN_NAMES)))
+    key = hopf_mod.BUILTIN_PARAMS[name]
+    unread = sorted(set(config.params) - {key})
+    if unread:
+        raise UsageError("bad --param for %s: unread key %s (%s takes %s)"
+                         % (name, ", ".join(unread), name,
+                            "only " + key if key else "no parameter"))
+    params = config.params.get(key)
+    if key == "n" and params is not None:
+        params = [params]
+    try:
+        return hopf_mod.builtin(name, params)
+    except ValueError as e:
+        raise UsageError("bad --param for %s: %s" % (name, e))
 
 
 def _require_axioms(rep):
@@ -492,6 +502,8 @@ def _needs_ribbon(expr):
 
 
 def cmd_cardy(config, sub, args):
+    if sub == "sf" and args.N < 1:
+        raise UsageError("--N must be >= 1, got %d" % args.N)
     h = choose_ribbon(load_algebra(config), config.ribbon)
     if sub == "sf":
         fa = cardy_mod.sf_fusion_algebra(args.N)

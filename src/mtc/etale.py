@@ -3,7 +3,9 @@ polynomials over the cyclotomic scalar field without implementing polynomial
 factorization over number fields.
 
 The one external primitive is factorization of rational polynomials, which is
-delegated to sympy.  Everything else is exact linear algebra:
+delegated to sympy.  Polynomial arithmetic is the layer at the bottom of
+`scalars`, over Fraction on the Q side and over Scalar on the k side.
+Everything else is exact linear algebra:
 
   * k[t]/(q) for squarefree q over k = Q(z_N)(D) is etale over Q, so its
     primitive idempotents over Q coincide with those over k;
@@ -17,87 +19,13 @@ from itertools import accumulate, repeat
 
 import sympy
 
-from .scalars import CycField
+from .scalars import (CycField, poly_trim, poly_mul, poly_divmod, poly_egcd,
+                      poly_squarefree)
 from .linalg import Matrix, IncrementalSpan, minimal_polynomial
 
 
 # ---------------------------------------------------------------------------
-# polynomial arithmetic over the scalar field (coefficient lists, low first)
-
-def poly_trim(p):
-    while len(p) > 1 and p[-1].is_zero():
-        p = p[:-1]
-    return p
-
-
-def poly_mul_k(p, q, field):
-    out = [field.zero()] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a.is_zero():
-            continue
-        for j, b in enumerate(q):
-            if not b.is_zero():
-                out[i + j] = out[i + j] + a * b
-    return poly_trim(out)
-
-
-def poly_mod_k(p, q, field):
-    """p mod q, q need not be monic."""
-    _, rem = _poly_divmod_k(p, q, field)
-    return rem
-
-
-def poly_gcd_k(p, q, field):
-    a = poly_trim([x for x in p])
-    b = poly_trim([x for x in q])
-    while not (len(b) == 1 and b[0].is_zero()):
-        a, b = b, poly_mod_k(a, b, field)
-        b = poly_trim(b)
-    # monic normalization
-    if a[-1].is_zero():
-        return [field.one()]
-    inv = a[-1].inv()
-    return [x * inv for x in a]
-
-
-def poly_deriv_k(p, field):
-    if len(p) == 1:
-        return [field.zero()]
-    return poly_trim([p[i] * field.from_rational(i) for i in range(1, len(p))])
-
-
-def poly_squarefree_k(p, field):
-    g = poly_gcd_k(p, poly_deriv_k(p, field), field)
-    if len(g) == 1:
-        return poly_trim(list(p))
-    # exact division p / g
-    quo, rem = _poly_divmod_k(p, g, field)
-    assert len(poly_trim(rem)) == 1 and rem[0].is_zero()
-    return poly_trim(quo)
-
-
-def _poly_divmod_k(p, q, field):
-    p = poly_trim(list(p))
-    q = poly_trim(list(q))
-    dq = len(q) - 1
-    assert dq > 0 or not q[0].is_zero(), "division by zero polynomial"
-    lead_inv = q[-1].inv()
-    quo = [field.zero()] * max(1, len(p) - dq)
-    while True:
-        p = poly_trim(p)
-        k = len(p) - 1
-        if k < dq or (k == 0 and p[0].is_zero()):
-            break
-        c = p[k] * lead_inv
-        quo[k - dq] = c
-        for j in range(dq + 1):
-            p[k - dq + j] = p[k - dq + j] - c * q[j]
-        p[k] = field.zero()
-    return poly_trim(quo), poly_trim(p)
-
-
-# ---------------------------------------------------------------------------
-# rational polynomial helpers (coefficients are Fractions, low first)
+# factorization over Q: the one sympy boundary (Fraction coefficients)
 
 def _qpoly_factor(coeffs):
     """Irreducible monic factors over Q (multiplicity dropped) via sympy."""
@@ -114,81 +42,14 @@ def _qpoly_factor(coeffs):
     return out
 
 
-def _qpoly_mul(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                if b:
-                    out[i + j] += a * b
-    return out
-
-
-def _qpoly_divmod(p, q):
-    p = list(p)
-    dq = len(q) - 1
-    quo = [Fraction(0)] * max(1, len(p) - dq)
-    while len(p) - 1 >= dq and any(p):
-        k = len(p) - 1
-        if p[k] == 0:
-            p.pop()
-            continue
-        c = p[k] / q[-1]
-        quo[k - dq] = c
-        for j in range(dq + 1):
-            p[k - dq + j] -= c * q[j]
-        p.pop()
-    while len(p) > 1 and p[-1] == 0:
-        p.pop()
-    return quo, p
-
-
-def _qpoly_egcd(a, b):
-    """(g, s, t) with s*a + t*b = g, g monic."""
-    r0, r1 = list(a), list(b)
-    s0, s1 = [Fraction(1)], [Fraction(0)]
-    t0, t1 = [Fraction(0)], [Fraction(1)]
-    def trim(p):
-        while len(p) > 1 and p[-1] == 0:
-            p.pop()
-        return p
-    def sub(p, q):
-        n = max(len(p), len(q))
-        return trim([ (p[i] if i < len(p) else 0) - (q[i] if i < len(q) else 0)
-                      for i in range(n)])
-    while any(trim(list(r1))) or (len(trim(list(r1))) > 1):
-        r1 = trim(r1)
-        if len(r1) == 1 and r1[0] == 0:
-            break
-        quo, rem = _qpoly_divmod(r0, r1)
-        r0, r1 = r1, trim(rem)
-        s0, s1 = s1, sub(s0, _qpoly_mul(quo, s1))
-        t0, t1 = t1, sub(t0, _qpoly_mul(quo, t1))
-    lead = r0[-1]
-    return ([c / lead for c in r0], [c / lead for c in s0], [c / lead for c in t0])
-
-
 # ---------------------------------------------------------------------------
 # the etale splitting of k[t]/(q) over Q
-
-def _cyclic_powers(theta, q, field, count):
-    """Powers theta^0..theta^(count-1) in k[t]/(q), as Scalar vectors."""
-    deg = len(q) - 1
-    one = [field.one()] + [field.zero()] * (deg - 1)
-    pows = [one]
-    cur = one
-    for _ in range(count - 1):
-        cur = poly_mod_k(poly_mul_k(cur, theta, field), q, field)
-        cur = list(cur) + [field.zero()] * (deg - len(cur))
-        pows.append(cur)
-    return pows
-
 
 def split_etale_cyclic(field, q):
     """Primitive idempotents of k[t]/(q) for squarefree q over the scalar
     field k.  Returns a list of Scalar coefficient vectors (t-basis, degree
     deg(q)), one per simple factor, in deterministic order."""
-    q = poly_trim(list(q))
+    q = poly_trim(q)
     deg = len(q) - 1
     assert deg >= 1
     if deg == 1:
@@ -199,7 +60,11 @@ def split_etale_cyclic(field, q):
     zgen = field.zeta(1) if field.phi > 1 else field.one()
     for c in _int_stream(deg * deg * field.dim * field.dim + 2):
         theta = [field.from_rational(c) * zgen, field.one()]  # c*z + t
-        pows = _cyclic_powers(theta, q, field, dimQ + 1)
+        # theta^0 .. theta^dimQ in k[t]/(q), as vectors of length deg
+        pows = [[field.one()] + [field.zero()] * (deg - 1)]
+        for _ in range(dimQ):
+            cur = poly_divmod(poly_mul(pows[-1], theta), q)[1]
+            pows.append(cur + [field.zero()] * (deg - len(cur)))
         qvecs = (Matrix.column(rationals, [rationals.scalar((x,), s.den)
                                            for s in p for x in s.num])
                  for p in pows)
@@ -212,13 +77,12 @@ def split_etale_cyclic(field, q):
     factors.sort(key=lambda f: (len(f), [str(c) for c in f]))
     idems = []
     for fac in factors:
-        rest, rem = _qpoly_divmod(mp, fac)
+        rest, rem = poly_divmod(mp, fac)
         assert not any(rem)
-        g, s, t = _qpoly_egcd(rest, fac)
-        assert len(g) == 1 and g[0] == 1, "factors not coprime"
+        g, s, _ = poly_egcd(rest, fac)
+        assert g == [1], "factors not coprime"
         # e = rest * s  mod mp  (1 mod fac, 0 mod others)
-        h = _qpoly_mul(rest, s)
-        _, h = _qpoly_divmod(h, mp)
+        h = poly_divmod(poly_mul(rest, s), mp)[1]
         # evaluate at theta inside k[t]/(q)
         e = [field.zero()] * deg
         for i, coeff in enumerate(h):
@@ -240,14 +104,15 @@ def _int_stream(limit):
         k += 1
 
 
-def poly_roots_in_field(field, coeffs):
-    """All roots in the field of a nonzero polynomial with Scalar
-    coefficients, in deterministic order."""
-    p = poly_trim(list(coeffs))
-    assert len(p) > 1 or not p[0].is_zero(), "zero polynomial"
+def poly_roots_in_field(coeffs):
+    """All roots in the coefficient field of a nonzero polynomial with
+    Scalar coefficients, in deterministic order."""
+    p = poly_trim(coeffs)
+    assert p[-1], "zero polynomial"
     if len(p) == 1:
         return []
-    p = poly_squarefree_k(p, field)
+    field = p[-1].field
+    p = poly_squarefree(p)
     deg = len(p) - 1
     if deg == 1:
         return [-(p[0] * p[1].inv())]
@@ -255,8 +120,8 @@ def poly_roots_in_field(field, coeffs):
     roots = []
     for e in idems:
         # t * e = lambda * e exactly when the factor is one-dimensional over k
-        te = poly_mod_k(poly_mul_k([field.zero(), field.one()], e, field), p, field)
-        te = list(te) + [field.zero()] * (deg - len(te))
+        te = poly_divmod([field.zero()] + e, p)[1]
+        te = te + [field.zero()] * (deg - len(te))
         lam = None
         ok = True
         for ec, tc in zip(e, te):
@@ -367,7 +232,7 @@ def split_corner_once(sub):
     field = sub.field
     for w in _candidate_stream(sub):
         q = sub.min_poly(w)
-        q_sf = poly_squarefree_k(q, field)
+        q_sf = poly_squarefree(q)
         if len(q_sf) - 1 < 2:
             continue
         idems = split_etale_cyclic(field, q_sf)

@@ -14,10 +14,9 @@ powers H^{x m} are sparse dicts {index tuple: Scalar}.
 
 import json
 
-from .scalars import CycField, parse_scalar, format_scalar
+from .scalars import CycField, parse_scalar, format_scalar, poly_squarefree
 from .linalg import Matrix, kron, solve_right, kernel_basis, NoSolution, invert
-from .etale import (Subalgebra, orthogonal_primitive_idempotents,
-                    poly_squarefree_k)
+from .etale import Subalgebra, orthogonal_primitive_idempotents
 from . import diagrams, repcat
 from .report import Report
 
@@ -676,7 +675,7 @@ def solve_ribbon(h):
         corner = Subalgebra(f, h.mul_vec, zbasis, e)
         ce = h.mul_vec(c, e)
         q = corner.min_poly(ce)
-        q_sf = poly_squarefree_k(q, f)
+        q_sf = poly_squarefree(q)
         if len(q_sf) - 1 != 1:
             # residue field strictly larger than the scalar field
             return []
@@ -756,8 +755,11 @@ def builtin(name, params=None):
     raise HopfError("unknown builtin algebra %r" % name)
 
 
-BUILTIN_NAMES = ["trivial", "group_algebra", "sweedler", "double_group_algebra",
-                 "double_z2", "double_sweedler", "taft", "double_taft"]
+# the one --param key each builtin reads, None for a builtin that reads none
+BUILTIN_PARAMS = {"trivial": None, "group_algebra": "orders", "sweedler": None,
+                  "double_group_algebra": "orders", "double_z2": None,
+                  "double_sweedler": None, "taft": "n", "double_taft": "n"}
+BUILTIN_NAMES = list(BUILTIN_PARAMS)
 
 
 def group_algebra(orders):

@@ -5,43 +5,28 @@ created).
 Elements are stored as integer coordinate vectors over the Q-basis
 {z^a} (a < phi(N)), or {z^a, z^a*D} when the extension is active, together
 with a single positive denominator.  All arithmetic is exact.
+
+The bottom of the module is the one polynomial layer of the package:
+coefficient lists over any exact field (Fraction for Q, Scalar for
+Q(z_N)(D)), used for the cyclotomic polynomials here and for the etale
+splitting, the ribbon solve and the defect minimal polynomials elsewhere.
 """
 
 from fractions import Fraction
 from math import gcd
 
 
-def _poly_divmod(p, q):
-    # q monic, integer coefficients
-    p = list(p)
-    dq = len(q) - 1
-    quo = [0] * max(1, len(p) - dq)
-    while len(p) - 1 >= dq and any(p):
-        k = len(p) - 1
-        if p[k] == 0:
-            p.pop()
-            continue
-        c = p[k]
-        quo[k - dq] = c
-        for j in range(dq + 1):
-            p[k - dq + j] -= c * q[j]
-        p.pop()
-    while len(p) > 1 and p[-1] == 0:
-        p.pop()
-    return quo, p
-
-
 def cyclotomic_poly(n):
     """Integer coefficient list (low degree first) of the n-th cyclotomic
     polynomial, computed by dividing x^n - 1 by the proper divisors."""
     assert n >= 1
-    p = [-1] + [0] * (n - 1) + [1]  # x^n - 1
+    p = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]  # x^n - 1
     for d in range(1, n):
         if n % d == 0:
-            q = cyclotomic_poly(d)
-            p, rem = _poly_divmod(p, q)
+            q = [Fraction(c) for c in cyclotomic_poly(d)]
+            p, rem = poly_divmod(p, q)
             assert not any(rem)
-    return p
+    return [int(c) for c in p]
 
 
 class CycField:
@@ -60,17 +45,14 @@ class CycField:
         self = object.__new__(cls)
         self.order = order
         self.dsquare = dsquare  # ((int coeffs over phi basis), den) or None
-        phi_poly = cyclotomic_poly(order)
+        phi_poly = [Fraction(c) for c in cyclotomic_poly(order)]
         self.phi = len(phi_poly) - 1
         self.dim = self.phi * (2 if dsquare is not None else 1)
         # reduction of z^k for k up to 2*(phi-1): integer vectors of length phi
         red = []
         for k in range(2 * self.phi - 1):
-            vec = [0] * max(k + 1, self.phi)
-            vec[k] = 1
-            _, rem = _poly_divmod(vec, phi_poly)
-            rem = rem + [0] * (self.phi - len(rem))
-            red.append(tuple(rem[: self.phi]))
+            _, rem = poly_divmod([Fraction(0)] * k + [Fraction(1)], phi_poly)
+            red.append(tuple(int(c) for c in rem) + (0,) * (self.phi - len(rem)))
         self._zred = red
         cls._cache[key] = self
         return self
@@ -203,6 +185,9 @@ class Scalar:
     # -- predicates ----------------------------------------------------
     def is_zero(self):
         return not any(self.num)
+
+    def __bool__(self):
+        return any(self.num)
 
     def is_one(self):
         return self.den == 1 and self.num[0] == 1 and not any(self.num[1:])
@@ -530,7 +515,7 @@ def sqrt_in_field(value):
     if value.is_zero():
         return [value.field.zero()]
     f = value.field
-    return poly_roots_in_field(f, [-value, f.zero(), f.one()])
+    return poly_roots_in_field([-value, f.zero(), f.one()])
 
 
 def sqrt_adjoin(value):
@@ -546,3 +531,87 @@ def sqrt_adjoin(value):
     assert not value.field.extended, "cannot stack a second square root extension"
     ext = value.field.extend_sqrt(value)
     return ext.dgen(), ext
+
+
+# ---------------------------------------------------------------------------
+# polynomials: coefficient lists, low degree first.  Coefficients are exact
+# field elements (Fraction, Scalar) that support + - * / and are false
+# exactly when zero.  Trimmed results have a nonzero leading coefficient,
+# except the zero polynomial, which is [0].
+
+def poly_trim(p):
+    p = list(p)
+    while len(p) > 1 and not p[-1]:
+        p.pop()
+    return p
+
+
+def poly_mul(p, q):
+    zero = p[0] - p[0]
+    out = [zero] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q):
+                if b:
+                    out[i + j] = out[i + j] + a * b
+    return poly_trim(out)
+
+
+def _poly_sub(p, q):
+    zero = q[0] - q[0]
+    n = max(len(p), len(q))
+    p, q = p + [zero] * (n - len(p)), q + [zero] * (n - len(q))
+    return poly_trim([a - b for a, b in zip(p, q)])
+
+
+def poly_divmod(p, q):
+    """(quo, rem) with p = q*quo + rem and deg rem < deg q, for q != 0."""
+    p, q = poly_trim(p), poly_trim(q)
+    if not q[-1]:
+        raise ZeroDivisionError("polynomial division by zero")
+    dq = len(q) - 1
+    lead_inv = 1 / q[-1]
+    zero = q[-1] - q[-1]
+    quo = [zero] * max(1, len(p) - dq)
+    for k in range(len(p) - 1, dq - 1, -1):
+        if p[k]:
+            c = p[k] * lead_inv
+            quo[k - dq] = c
+            for j in range(dq):
+                p[k - dq + j] = p[k - dq + j] - c * q[j]
+    return poly_trim(quo), poly_trim(p[:dq] or [zero])
+
+
+def poly_gcd(a, b):
+    """The monic gcd of a and b, not both zero."""
+    a, b = poly_trim(a), poly_trim(b)
+    while b[-1]:
+        a, b = b, poly_divmod(a, b)[1]
+    lead_inv = 1 / a[-1]
+    return [c * lead_inv for c in a]
+
+
+def poly_egcd(a, b):
+    """(g, s, t) with s*a + t*b = g, g the monic gcd of a and b, not both
+    zero."""
+    r0, r1 = poly_trim(a), poly_trim(b)
+    lead = r0[-1] or r1[-1]
+    one, zero = lead / lead, lead - lead
+    s0, s1, t0, t1 = [one], [zero], [zero], [one]
+    while r1[-1]:
+        quo, rem = poly_divmod(r0, r1)
+        r0, r1 = r1, rem
+        s0, s1 = s1, _poly_sub(s0, poly_mul(quo, s1))
+        t0, t1 = t1, _poly_sub(t0, poly_mul(quo, t1))
+    lead_inv = 1 / r0[-1]
+    return tuple([c * lead_inv for c in x] for x in (r0, s0, t0))
+
+
+def poly_squarefree(p):
+    """p / gcd(p, p'): the product of the distinct irreducible factors of p
+    (characteristic 0), with the leading coefficient of p."""
+    p = poly_trim(p)
+    if len(p) == 1:
+        return p
+    g = poly_gcd(p, [p[i] * i for i in range(1, len(p))])
+    return p if len(g) == 1 else poly_divmod(p, g)[0]

@@ -217,6 +217,8 @@ def test_sf_fusion_algebra():
     # N = 1: [T][T] = 2([1]+[P1])
     fa = sf_fusion_algebra(1)
     assert fa.constants[2][2][0] == fa.field.from_rational(2)
+    with pytest.raises(ValueError, match="N >= 1"):
+        sf_fusion_algebra(0)
 
 
 def test_adjunction_maps(dz2_coend, dz2_simples):

@@ -76,6 +76,11 @@ def test_usage_errors(capsys):
     ("double_group_algebra", "orders=0", "integers >= 1"),
     ("group_algebra", "orders=-2", "integers >= 1"),
     ("group_algebra", "orders=2,abc", "integers >= 1"),
+    # a key the builtin does not read
+    ("taft", "m=5", "unread key m (taft takes only n)"),
+    ("taft", "orders=5", "unread key orders (taft takes only n)"),
+    ("double_group_algebra", "n=3", "double_group_algebra takes only orders"),
+    ("sweedler", "n=7", "unread key n (sweedler takes no parameter)"),
 ])
 def test_bad_param_is_usage_error(builtin, param, valid_range, capsys):
     code, out, err = run_cli(["verify", "--builtin", builtin,
@@ -83,6 +88,24 @@ def test_bad_param_is_usage_error(builtin, param, valid_range, capsys):
     assert (code, out) == (EXIT_USAGE, "")
     assert err.startswith("error: bad --param for %s: " % builtin)
     assert valid_range in err
+
+
+@pytest.mark.parametrize("command", ["cartan", "verify"])
+def test_unknown_builtin_is_usage_error(command, capsys):
+    code, out, err = run_cli([command, "--builtin", "nope", "--format",
+                              "json"], capsys)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: unknown builtin 'nope': expected one of ")
+    assert all(name in err for name in hopf.BUILTIN_NAMES)
+
+
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_cardy_sf_needs_a_pair_before_loading(n, capsys, monkeypatch):
+    monkeypatch.setattr(hopf, "builtin", lambda *a: pytest.fail("loaded"))
+    code, out, err = run_cli(["cardy", "sf", "--N", n, "--builtin",
+                              "double_z2", "--ribbon", "3"], capsys)
+    assert (code, out, err) == (EXIT_USAGE, "",
+                                "error: --N must be >= 1, got %s\n" % n)
 
 
 def test_no_ribbon_is_check_failure(capsys):

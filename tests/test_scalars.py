@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mtc.scalars import (CycField, Scalar, parse_scalar, format_scalar,
                          sqrt_in_field, sqrt_adjoin, cyclotomic_poly,
-                         ScalarParseError)
+                         ScalarParseError, poly_trim, poly_mul, poly_divmod,
+                         poly_egcd, poly_squarefree)
 
 
 def test_cyclotomic_polys():
@@ -111,3 +114,120 @@ def test_cross_field_promotion():
     a = f.from_rational(5)
     assert (root + a) - a == root
     assert a * root == root * a
+
+
+# ---------------------------------------------------------------------------
+# the polynomial layer, over Q (Fraction) and over Q(zeta_N) (Scalar)
+
+EXACT = settings(derandomize=True, database=None, deadline=None,
+                 max_examples=30)
+COEFF_FIELDS = [None, CycField(3), CycField(4), CycField(8)]  # None: Q
+
+
+def coeffs(field, bound=3):
+    den = st.integers(1, 3)
+    if field is None:
+        return st.builds(Fraction, st.integers(-bound, bound), den)
+    num = st.tuples(*[st.integers(-bound, bound)] * field.dim)
+    return st.builds(lambda n, d: Scalar(field, n, d), num, den)
+
+
+def polys(field, max_len=4):
+    return st.lists(coeffs(field), min_size=1, max_size=max_len)
+
+
+def nonzero_polys(field, max_len=4):
+    return polys(field, max_len).filter(lambda p: any(p))
+
+
+def poly_add(p, q):
+    zero = p[0] - p[0]
+    n = max(len(p), len(q))
+    p, q = p + [zero] * (n - len(p)), q + [zero] * (n - len(q))
+    return poly_trim([a + b for a, b in zip(p, q)])
+
+
+def monic(p):
+    return [c / p[-1] for c in poly_trim(p)]
+
+
+@pytest.mark.parametrize("field", COEFF_FIELDS)
+@EXACT
+@given(data=st.data())
+def test_poly_divmod_is_division_with_remainder(field, data):
+    p = data.draw(polys(field))
+    q = data.draw(nonzero_polys(field))
+    quo, rem = poly_divmod(p, q)
+    assert poly_add(poly_mul(q, quo), rem) == poly_trim(p)
+    assert not rem[-1] or len(rem) < len(poly_trim(q))
+
+
+@pytest.mark.parametrize("field", COEFF_FIELDS)
+@EXACT
+@given(data=st.data())
+def test_poly_egcd_bezout_with_monic_gcd(field, data):
+    a = data.draw(polys(field))
+    b = data.draw(nonzero_polys(field) if not any(a) else polys(field))
+    g, s, t = poly_egcd(a, b)
+    assert poly_add(poly_mul(s, a), poly_mul(t, b)) == g
+    assert g[-1] == 1
+    for x in (a, b):
+        assert not poly_divmod(x, g)[1][-1]
+
+
+@pytest.mark.parametrize("field", COEFF_FIELDS)
+@EXACT
+@given(data=st.data())
+def test_poly_squarefree_drops_repeated_factors(field, data):
+    # p and q are coprime and squarefree: products of x - r over distinct r
+    roots = data.draw(st.lists(coeffs(field), min_size=2, max_size=4,
+                               unique=True))
+    cut = data.draw(st.integers(1, len(roots) - 1))
+    lead = data.draw(coeffs(field).filter(bool))
+    one = lead / lead
+    p, q = [lead], [one]
+    for r in roots[:cut]:
+        p = poly_mul(p, [-r, one])
+    for r in roots[cut:]:
+        q = poly_mul(q, [-r, one])
+    pqq = poly_mul(p, poly_mul(q, q))
+    sf = poly_squarefree(pqq)
+    assert monic(sf) == monic(poly_mul(p, q))
+    assert sf[-1] == pqq[-1]
+
+
+@pytest.mark.parametrize("field", COEFF_FIELDS)
+@EXACT
+@given(data=st.data())
+def test_poly_mul_matches_the_naive_product(field, data):
+    p, q = data.draw(polys(field)), data.draw(polys(field))
+    naive = [p[0] - p[0]] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            naive[i + j] = naive[i + j] + a * b
+    assert poly_mul(p, q) == poly_trim(naive)
+
+
+def test_cyclotomic_polys_multiply_to_x_n_minus_1():
+    for n in range(1, 13):
+        phi = cyclotomic_poly(n)
+        assert all(isinstance(c, int) for c in phi) and phi[-1] == 1
+        assert len(phi) - 1 == sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
+        prod = [Fraction(1)]
+        for d in range(1, n + 1):
+            if n % d == 0:
+                prod = poly_mul(prod, [Fraction(c) for c in cyclotomic_poly(d)])
+        assert prod == [-1] + [0] * (n - 1) + [1]
+
+
+EXTENDED = sqrt_adjoin(CycField(4).from_rational(3))[1]
+
+
+@pytest.mark.parametrize("field", COEFF_FIELDS[1:] + [EXTENDED])
+@EXACT
+@given(data=st.data())
+def test_scalar_is_false_exactly_when_zero(field, data):
+    s = data.draw(coeffs(field, bound=1))
+    assert bool(s) == (not s.is_zero())
+    assert not field.zero() and field.one()
+    assert EXTENDED.extended
