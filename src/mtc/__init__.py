@@ -6,7 +6,7 @@ from .scalars import CycField, Scalar, parse_scalar, format_scalar, \
     sqrt_in_field, sqrt_adjoin
 from .linalg import Matrix, kron, solve_right, kernel_basis, rank, \
     partial_trace_left, partial_trace_right, NoSolution
-from .hopf import (HopfAlgebraData, HopfError, verify_hopf_axioms,
+from .hopf import (Algebra, HopfAlgebraData, HopfError, verify_hopf_axioms,
                    verify_quasitriangular, verify_ribbon, verify_all,
                    drinfeld_double, mirror, tensor_hopf, solve_ribbon,
                    builtin, group_algebra, sweedler, taft,
@@ -16,8 +16,8 @@ from .repcat import (ModuleObject, Morphism, trivial_module, regular_module,
                      simples_data, composition_factors, grothendieck_ring,
                      braiding, twist_morphism, duality, SimplesData)
 from .etale import NonSplitError
-from .coend import (CoendData, CoendError, build_coend, build_full,
-                    solve_structure_morphisms, integrals_and_zeta,
+from .coend import (CoendData, CoendError, NotModularError, build_coend,
+                    build_full, solve_structure_morphisms, integrals_and_zeta,
                     modularity_test, s_t_transforms, radford_pairing,
                     canonical_action, canonical_coaction, characters,
                     cocharacter, cutting_decomposition)

@@ -2,12 +2,18 @@
 amplitudes, the torus partition function with its Cartan-matrix certificate,
 topological defect operators and their fusion algebra, two-point pairings,
 and the free-module adjunction maps.
+
+A defect operator is left multiplication by a cocharacter in the coend's
+algebra L, and the defect fusion algebras are `hopf.Algebra` instances, so
+`repcat.regular_module(a).validate()` and `repcat.radical_basis(a)` check
+them.
 """
 
 from itertools import accumulate, repeat
 
 from .scalars import CycField, poly_squarefree
 from .linalg import Matrix, kron, rank, minimal_polynomial
+from .hopf import Algebra
 from . import repcat, coend as coend_mod
 from .repcat import (ModuleObject, Morphism, trivial_module, tensor_obj,
                      dual_obj, hom_basis, simples_data, grothendieck_ring)
@@ -176,92 +182,31 @@ class DefectOperator:
 
 
 def defect_operator(cd, d_obj, check=True):
-    """O_D = mu (chk_D x id); cross-checked against the Frobenius-side
-    formula ((chi_D . S) x id) Delta_Lambda."""
-    f = cd.field
-    n = cd.h.dim
-    chk = coend_mod.cocharacter(cd, d_obj).matrix
-    eye = Matrix.identity(f, n)
-    o = cd.mu * kron(chk, eye)
+    """O_D = mu (chk_D x id), left multiplication by the cocharacter in L;
+    cross-checked against the Frobenius-side formula
+    ((chi_D . S) x id) Delta_Lambda."""
+    a = cd.algebra
+    o = a.left_mult_matrix(coend_mod.cocharacter(cd, d_obj).matrix)
     if check:
         chi, _ = coend_mod.characters(cd, d_obj)
         delta_lambda = coend_mod.frobenius_coproduct(cd)
-        alt = kron(chi.matrix * cd.S_transform, eye) * delta_lambda
+        alt = kron(chi.matrix * cd.S_transform,
+                   Matrix.identity(cd.field, a.dim)) * delta_lambda
         if o != alt:
             raise CardyError("the two defect-operator formulas disagree for %s"
                              % d_obj.name)
-        # O_D commutes with left multiplication: O mu = mu (id x O)
-        if o * cd.mu != cd.mu * kron(eye, o):
+        # O_D commutes with left multiplication, O mu = mu (id x O): on
+        # e_i (x) e_j this is O L_i = L_i O
+        if not all(o * a.left_regular(i) == a.left_regular(i) * o
+                   for i in range(a.dim)):
             raise CardyError("defect operator is not an L-module endomorphism")
     return DefectOperator(d_obj, o)
-
-
-class FusionAlgebra:
-    """A based algebra with integer-ish structure constants and its
-    trace-form radical dimension."""
-
-    def __init__(self, labels, constants, field):
-        self.labels = labels
-        self.constants = constants  # constants[i][j][k]
-        self.field = field
-
-    @property
-    def dim(self):
-        return len(self.labels)
-
-    def verify_associative(self):
-        m = self.dim
-        f = self.field
-        for i in range(m):
-            for j in range(m):
-                for k in range(m):
-                    lhs = [f.zero()] * m
-                    rhs = [f.zero()] * m
-                    for p in range(m):
-                        cij = self.constants[i][j][p]
-                        if not cij.is_zero():
-                            for q in range(m):
-                                lhs[q] = lhs[q] + cij * self.constants[p][k][q]
-                        cjk = self.constants[j][k][p]
-                        if not cjk.is_zero():
-                            for q in range(m):
-                                rhs[q] = rhs[q] + cjk * self.constants[i][p][q]
-                    if lhs != rhs:
-                        return False
-        return True
-
-    def left_mult(self, coeffs):
-        m = self.dim
-        out = Matrix.zeros(self.field, m, m)
-        for i, c in enumerate(coeffs):
-            if c.is_zero():
-                continue
-            for j in range(m):
-                for k in range(m):
-                    out.data[k * m + j] = out.data[k * m + j] + \
-                        c * self.constants[i][j][k]
-        return out
-
-    def trace_form_radical_dim(self):
-        m = self.dim
-        f = self.field
-        lm = [self.left_mult([f.one() if t == i else f.zero() for t in range(m)])
-              for i in range(m)]
-        gram = Matrix.zeros(f, m, m)
-        for i in range(m):
-            for j in range(m):
-                s = f.zero()
-                prod = lm[i] * lm[j]
-                for a in range(m):
-                    s = s + prod.data[a * m + a]
-                gram.data[i * m + j] = s
-        return m - rank(gram)
 
 
 def defect_algebra(cd):
     """span{O_S : S simple}: dimension, structure constants compared with
     the Grothendieck ring, and the semisimplicity correspondence.  Returns
-    (FusionAlgebra, report, operators)."""
+    (the fusion algebra as an Algebra, report, operators)."""
     h = cd.h
     f = cd.field
     rep = Report("defect operator algebra")
@@ -303,11 +248,17 @@ def defect_algebra(cd):
     if not ok:
         raise CardyError("defect algebra does not match the Grothendieck ring")
 
-    constants = [[[f.from_rational(gr[i][j][k]) for k in range(m)]
-                  for j in range(m)] for i in range(m)]
-    fa = FusionAlgebra([s.name for s in sd.simples], constants, f)
-    rep.add("associative", fa.verify_associative())
-    rad_dim = fa.trace_form_radical_dim()
+    # the Grothendieck ring as an algebra, with the trivial class as unit;
+    # the regular-module check L_i L_j = sum_k N_ij^k L_k is associativity
+    # on basis triples
+    mult = [[{k: f.from_rational(c) for k, c in enumerate(gr[i][j]) if c}
+             for j in range(m)] for i in range(m)]
+    unit = Matrix.column(f, [f.one() if k == one_idx else f.zero()
+                             for k in range(m)])
+    fa = Algebra(f, m, [s.name for s in sd.simples], mult, unit,
+                 "defect algebra of %s" % h.name)
+    rep.add("associative", repcat.regular_module(fa).validate())
+    rad_dim = len(repcat.radical_basis(fa))
     h_rad_dim = len(repcat.radical_basis(h))
     rep.add("semisimple iff the category is semisimple",
             (rad_dim == 0) == (h_rad_dim == 0),
@@ -315,21 +266,24 @@ def defect_algebra(cd):
     return fa, rep, ops
 
 
+def defect_minimal_polynomial(cd, d_obj):
+    """The minimal polynomial of O_D, low degree first.  L is unital, so it
+    is that of the cocharacter chk_D in L, from its powers as vectors."""
+    a = cd.algebra
+    chk = coend_mod.cocharacter(cd, d_obj).matrix
+    return minimal_polynomial(accumulate(repeat(chk), a.mul_vec,
+                                         initial=a.unit))
+
+
 def nondiagonalizable_defect(cd):
     """A defect operator whose minimal polynomial has a repeated root, or
     None when all are semisimple operators."""
-    h = cd.h
-    sd = simples_data(h)
+    sd = simples_data(cd.h)
     # projective covers can also act non-diagonalizably
     for d_obj in list(sd.simples) + list(sd.projectives):
-        op = defect_operator(cd, d_obj, check=False)
-        f = op.matrix.field
-        powers = accumulate(repeat(op.matrix), Matrix.__mul__,
-                            initial=Matrix.identity(f, h.dim))
-        q = minimal_polynomial(Matrix.column(f, p.data) for p in powers)
-        qs = poly_squarefree(q)
-        if len(qs) < len(q):
-            return op, q
+        q = defect_minimal_polynomial(cd, d_obj)
+        if len(poly_squarefree(q)) < len(q):
+            return defect_operator(cd, d_obj, check=False), q
     return None
 
 
@@ -346,51 +300,22 @@ def sf_fusion_algebra(npairs, field=None):
         raise ValueError("symplectic fermions need N >= 1 pairs, got %d"
                          % npairs)
     f = field if field is not None else CycField(4)
-    one = f.one()
-    zero = f.zero()
+    one, zero = f.one(), f.zero()
     c = f.from_rational(2 ** (2 * npairs - 1))
     I1, P1, T, PT = range(4)
-    constants = [[[zero] * 4 for _ in range(4)] for _ in range(4)]
-
-    def setc(i, j, terms):
-        for k, v in terms:
-            constants[i][j][k] = v
-
-    for j in range(4):
-        setc(I1, j, [(j, one)])
-        if j != I1:
-            setc(j, I1, [(j, one)])
-    setc(P1, P1, [(I1, one)])
-    setc(P1, T, [(PT, one)]); setc(T, P1, [(PT, one)])
-    setc(P1, PT, [(T, one)]); setc(PT, P1, [(T, one)])
-    setc(T, T, [(I1, c), (P1, c)])
-    setc(T, PT, [(I1, c), (P1, c)]); setc(PT, T, [(I1, c), (P1, c)])
-    setc(PT, PT, [(I1, c), (P1, c)])
-    fa = FusionAlgebra(list(SF_LABELS), constants, f)
-    assert fa.verify_associative(), "symplectic fermion algebra is not associative"
+    # 1 and P1 are group-like classes, and on these indices a product with
+    # one of them is the index XOR: P1 T = PT, P1 PT = T
+    mult = [[{i ^ j: one} if min(i, j) < T else {I1: c, P1: c}
+             for j in range(4)] for i in range(4)]
+    fa = Algebra(f, 4, SF_LABELS, mult, Matrix.column(f, [one, zero, zero, zero]),
+                 "SF(%d)" % npairs)
+    assert repcat.regular_module(fa).validate(), \
+        "symplectic fermion algebra is not associative"
     # nilpotent: n = [T] - [PT], n^2 = 0
-    nvec = [zero, zero, one, -one]
-    sq = _fa_mul(fa, nvec, nvec)
-    assert all(x.is_zero() for x in sq), "([T]-[PT])^2 != 0"
-    assert fa.trace_form_radical_dim() > 0, "symplectic fermion algebra is semisimple?"
+    nvec = fa.basis_vec(T) - fa.basis_vec(PT)
+    assert fa.mul_vec(nvec, nvec).is_zero(), "([T]-[PT])^2 != 0"
+    assert repcat.radical_basis(fa), "symplectic fermion algebra is semisimple?"
     return fa
-
-
-def _fa_mul(fa, a, b):
-    m = fa.dim
-    out = [fa.field.zero()] * m
-    for i in range(m):
-        if a[i].is_zero():
-            continue
-        for j in range(m):
-            if b[j].is_zero():
-                continue
-            c = a[i] * b[j]
-            for k in range(m):
-                s = fa.constants[i][j][k]
-                if not s.is_zero():
-                    out[k] = out[k] + c * s
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from .linalg import Matrix, kron, rank
 from . import hopf as hopf_mod
 from . import repcat, coend as coend_mod, cardy as cardy_mod, diagrams
 from .hopf import AlgebraFormatError, HopfError
-from .coend import CoendError
+from .coend import CoendError, NotModularError
 from .cardy import CardyError
 from .etale import NonSplitError
 from .report import Report
@@ -78,12 +78,17 @@ def _read_algebra(config):
         raise UsageError("bad --param for %s: %s" % (name, e))
 
 
+def _failures(rep):
+    """The failed checks of rep with their witnesses, on one line."""
+    return "; ".join(n if w is None else "%s [%s]" % (n, w)
+                     for n, w in rep.failures())
+
+
 def _require_axioms(rep):
     """Raise AlgebraFormatError naming the failed Hopf axioms of rep."""
     if not rep.ok:
         raise AlgebraFormatError(
-            "algebra failed verification: %s" % "; ".join(
-                "%s [%s]" % (n, w) for n, w in rep.failures()))
+            "algebra failed verification: %s" % _failures(rep))
 
 
 def load_algebra(config):
@@ -95,8 +100,14 @@ def load_algebra(config):
 
 def choose_ribbon(h, index):
     """The algebra with a ribbon element selected: the declared one, the
-    unique solution, or the --ribbon index into the solve_ribbon list."""
+    unique solution, or the --ribbon index into the solve_ribbon list.  A
+    declared element that fails the ribbon identities raises HopfError
+    naming them."""
     if h.ribbon is not None and index is None:
+        rep = hopf_mod.verify_ribbon(h)
+        if not rep.ok:
+            raise HopfError("declared ribbon element fails: %s"
+                            % _failures(rep))
         return h
     vs = hopf_mod.solve_ribbon(h)
     if not vs:
@@ -453,8 +464,9 @@ def cmd_fusion(config):
 
 def cmd_modular_data(config):
     h = choose_ribbon(load_algebra(config), config.ribbon)
-    cd = coend_mod.build_full(h)
-    if not coend_mod.modularity_test(cd):
+    try:
+        cd = coend_mod.build_full(h)
+    except NotModularError:
         emit({"algebra": h.name, "modular": False}, config.fmt, config.out)
         return EXIT_CHECK_FAILED
     payload = {
@@ -509,12 +521,11 @@ def cmd_cardy(config, sub, args):
         fa = cardy_mod.sf_fusion_algebra(args.N)
         payload = {
             "N": args.N,
-            "basis": fa.labels,
+            "basis": fa.basis_labels,
             "structure_constants": sorted(
-                [i, j, k, format_scalar(fa.constants[i][j][k])]
-                for i in range(4) for j in range(4) for k in range(4)
-                if not fa.constants[i][j][k].is_zero()),
-            "trace_form_radical_dim": fa.trace_form_radical_dim(),
+                [i, j, k, format_scalar(c)] for i in range(fa.dim)
+                for j in range(fa.dim) for k, c in fa.mult[i][j].items()),
+            "trace_form_radical_dim": len(repcat.radical_basis(fa)),
         }
         emit(payload, config.fmt, config.out)
         return EXIT_OK
@@ -667,10 +678,11 @@ def main(argv=None):
                 raise UsageError("cardy defect needs --object or --all-pairs")
             return cmd_cardy(config, args.cardy_command, args)
         raise UsageError("unknown command %r" % args.command)
-    except (UsageError, AlgebraFormatError, diagrams.DiagramError) as e:
+    except (UsageError, AlgebraFormatError, repcat.ModuleFormatError,
+            diagrams.DiagramError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_USAGE
-    except (HopfError, ValueError) as e:
+    except (HopfError, NotModularError, ValueError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_CHECK_FAILED
     except (CoendError, CardyError, NonSplitError, AssertionError) as e:

@@ -22,7 +22,7 @@ from .scalars import sqrt_adjoin
 from .linalg import Matrix, kron, solve_right, kernel_basis, rank, invert, \
     NoSolution, rank_factor
 from . import repcat, diagrams
-from .hopf import hopf_axiom_words, check_words
+from .hopf import Algebra, hopf_axiom_words, check_words
 from .diagrams import (apply_word, identity_columns, columns_matrix,
                        word_matrix, obj_dual)
 from .repcat import (ModuleObject, Morphism, trivial_module, regular_module,
@@ -35,9 +35,15 @@ class CoendError(Exception):
     pass
 
 
+class NotModularError(Exception):
+    """The Hopf pairing of the coend is degenerate: the input is not a
+    modular category, which is a check failure, not an inconsistency."""
+
+
 class CoendData:
     """Carrier, dinatural family, and (once solved) the full Hopf, Frobenius
-    and modular structure of the canonical coend."""
+    and modular structure of the canonical coend.  `algebra` is (L, mu, eta)
+    as an `Algebra` on the carrier's basis, built once from the solved mu."""
 
     def __init__(self, h):
         assert h.ribbon is not None, "coend construction needs a ribbon element"
@@ -46,6 +52,7 @@ class CoendData:
         self.carrier = coadjoint_module(h)
         self.mu = None
         self.eta = None
+        self.algebra = None
         self.delta = None
         self.eps = None
         self.antipode_L = None
@@ -249,10 +256,10 @@ def _faithful_witness(h):
     return mod, tau
 
 
-def solve_structure_morphisms(cd, certify=True):
+def solve_structure_morphisms(cd):
     """Solve mu, eta, Delta, eps, S, omega (and T) from the defining
-    diagrams with the regular module as the dinatural argument, then verify
-    the Hopf axioms and run the dinaturality certificate.
+    diagrams with the regular module as the dinatural argument, verify the
+    Hopf axioms, run the dinaturality certificate, and build cd.algebra.
 
     The two-argument diagrams (mu, omega) only need iota_X (x) iota_Y
     jointly surjective; above desk scale the second argument is a small
@@ -294,10 +301,14 @@ def solve_structure_morphisms(cd, certify=True):
     rep = verify_hopf_on_coend(cd)
     if not rep.ok:
         raise CoendError("coend Hopf structure failed verification:\n%s" % rep)
-    if certify:
-        rep = dinaturality_certificate(cd)
-        if not rep.ok:
-            raise CoendError("dinaturality certificate failed:\n%s" % rep)
+    rep = dinaturality_certificate(cd)
+    if not rep.ok:
+        raise CoendError("dinaturality certificate failed:\n%s" % rep)
+    # column i*n + j of mu is e_i e_j
+    mult = [[{k: c for k, c in enumerate(cd.mu.col_list(i * n + j))
+              if not c.is_zero()} for j in range(n)] for i in range(n)]
+    cd.algebra = Algebra(h.field, n, ["%s*" % x for x in h.basis_labels],
+                         mult, cd.eta, "L")
     return cd
 
 
@@ -420,16 +431,17 @@ def solve_integrals(cd):
     f = cd.field
     n = h.dim
     L = cd.carrier
+    a = cd.algebra
     eye = Matrix.identity(f, n)
     gens = generating_indices(h)
-    basis = [h.basis_vec(a) for a in range(n)]
+    basis = [a.basis_vec(i) for i in range(n)]
 
     # Lambda: invariant, and mu(e_a x Lambda) = eps(e_a) Lambda =
     # mu(Lambda x e_a)
     rows = [L.action[g] - eye.scale(h.counit.data[g]) for g in gens]
-    for e, eps_a in zip(basis, cd.eps.data):
-        rows += [cd.mu * kron(e, eye) - eye.scale(eps_a),
-                 cd.mu * kron(eye, e) - eye.scale(eps_a)]
+    for i, eps_a in enumerate(cd.eps.data):
+        rows += [a.left_regular(i) - eye.scale(eps_a),
+                 a.right_mult_matrix(basis[i]) - eye.scale(eps_a)]
     space = kernel_basis(rows[0].vstack(*rows[1:]))
     if len(space) != 1:
         raise CoendError("integral space has dimension %d (expected 1: "
@@ -781,11 +793,17 @@ def cutting_decomposition(cd, x):
     return m, a, b
 
 
-def build_full(h, certify=True):
-    """The whole pipeline: carrier, structure, integrals, Radford pairing,
-    S/T transforms."""
+def build_full(h):
+    """The whole pipeline: carrier, structure, modularity, integrals,
+    Radford pairing, S/T transforms.  A degenerate Hopf pairing raises
+    NotModularError before the integrals, which presuppose modularity."""
     cd = build_coend(h)
-    solve_structure_morphisms(cd, certify=certify)
+    solve_structure_morphisms(cd)
+    if not modularity_test(cd):
+        raise NotModularError(
+            "the Hopf pairing omega of the coend of %s is degenerate "
+            "(rank %d < dim L = %d): not a modular category"
+            % (h.name, rank(cd.omega_gram()), h.dim))
     integrals_and_zeta(cd)
     radford_pairing(cd)
     rep, scalars = s_t_transforms(cd)

@@ -2,6 +2,11 @@
 constants: verifiers for the axioms, Drinfeld doubles, mirrors, tensor
 products, ribbon element enumeration, and a library of built-in presets.
 
+`Algebra` is the one algebra given by structure constants, with its element
+calculus; `HopfAlgebraData` extends it by the coalgebra, R and the ribbon
+element.  The coend's (L, mu, eta) and the defect fusion algebras are
+plain `Algebra` instances.
+
 The Hopf axioms are one table of diagram words, `hopf_axiom_words(x, br)`,
 shared with the coend: H checks it with its structure constants bound as
 sparse boxes on its regular module and the flip as the braiding, the coend
@@ -25,34 +30,24 @@ class HopfError(Exception):
     pass
 
 
-class HopfAlgebraData:
-    """Structure constants of a finite-dimensional (quasitriangular, ribbon)
-    Hopf algebra.
+class Algebra:
+    """A finite-dimensional unital algebra given by structure constants:
+    mult[i][j] is the sparse product e_i e_j as {k: coeff} and unit the
+    dense column of 1.  H, the coend's (L, mu, eta) and the defect fusion
+    algebras are instances; `repcat.regular_module(a).validate()` checks
+    associativity and unit, and `repcat.radical_basis(a)` gives the
+    radical."""
 
-    mult[i][j] is the sparse product e_i e_j as {k: coeff}; comult[i] is the
-    sparse Delta(e_i) as {(j, k): coeff}; rmatrix is sparse {(i, j): coeff};
-    unit, counit, antipode, ribbon are dense matrices."""
-
-    def __init__(self, field, dim, basis_labels, mult, unit, comult, counit,
-                 antipode, rmatrix=None, ribbon=None, name="H"):
+    def __init__(self, field, dim, basis_labels, mult, unit, name="A"):
         self.field = field
         self.dim = dim
         self.basis_labels = list(basis_labels)
         self.mult = mult
         self.unit = unit
-        self.comult = comult
-        self.counit = counit
-        self.antipode = antipode
-        self.rmatrix = rmatrix
-        self.ribbon = ribbon
         self.name = name
         assert len(basis_labels) == dim
         assert len(mult) == dim and all(len(row) == dim for row in mult)
-        assert len(comult) == dim
         assert unit.rows == dim and unit.cols == 1
-        assert counit.rows == 1 and counit.cols == dim
-        assert antipode.rows == dim and antipode.cols == dim
-        self._lmul_cache = {}
         self._cache = {}
 
     # -- element calculus -------------------------------------------------
@@ -100,11 +95,8 @@ class HopfAlgebraData:
 
     def left_regular(self, i):
         """Matrix of left multiplication by e_i (the regular action)."""
-        m = self._lmul_cache.get(i)
-        if m is None:
-            m = self.left_mult_matrix(self.basis_vec(i))
-            self._lmul_cache[i] = m
-        return m
+        return self._derived(("lmul", i),
+                             lambda: self.left_mult_matrix(self.basis_vec(i)))
 
     def inv_vec(self, a):
         try:
@@ -112,24 +104,15 @@ class HopfAlgebraData:
         except NoSolution:
             raise HopfError("element is not invertible")
 
-    def counit_of(self, a):
-        s = self.field.zero()
-        for i in range(self.dim):
-            if not a.data[i].is_zero():
-                s = s + self.counit.data[i] * a.data[i]
-        return s
-
     # sparse tensor-power elements ----------------------------------------
     def tensor_mul(self, x, y):
-        """Product in H^{x m} of sparse elements (componentwise algebra)."""
+        """Product in A^{x m} of sparse elements (componentwise algebra)."""
         out = {}
         for ix, cx in x.items():
             for iy, cy in y.items():
-                coeff = cx * cy
-                terms = [{(): coeff}]
                 parts = [self.mult[a][b] for a, b in zip(ix, iy)]
                 idxs = [()]
-                vals = [coeff]
+                vals = [cx * cy]
                 for p in parts:
                     nidx, nval = [], []
                     for base, v in zip(idxs, vals):
@@ -148,6 +131,44 @@ class HopfAlgebraData:
         keys = set(x) | set(y)
         z = self.field.zero()
         return all(x.get(k, z) == y.get(k, z) for k in keys)
+
+    # -- derived data -------------------------------------------------------
+    # computed once per algebra and kept in _cache: callers must not
+    # mutate what is returned
+    def _derived(self, key, compute):
+        got = self._cache.get(key)
+        if got is None:
+            got = self._cache[key] = compute()
+        return got
+
+    def __repr__(self):
+        return "%s(%s, dim=%d)" % (type(self).__name__, self.name, self.dim)
+
+
+class HopfAlgebraData(Algebra):
+    """Structure constants of a finite-dimensional (quasitriangular, ribbon)
+    Hopf algebra: the algebra part as in `Algebra`, plus comult[i], the
+    sparse Delta(e_i) as {(j, k): coeff}, the sparse rmatrix {(i, j):
+    coeff}, and dense counit, antipode and ribbon matrices."""
+
+    def __init__(self, field, dim, basis_labels, mult, unit, comult, counit,
+                 antipode, rmatrix=None, ribbon=None, name="H"):
+        super().__init__(field, dim, basis_labels, mult, unit, name)
+        self.comult = comult
+        self.counit = counit
+        self.antipode = antipode
+        self.rmatrix = rmatrix
+        self.ribbon = ribbon
+        assert len(comult) == dim
+        assert counit.rows == 1 and counit.cols == dim
+        assert antipode.rows == dim and antipode.cols == dim
+
+    def counit_of(self, a):
+        s = self.field.zero()
+        for i in range(self.dim):
+            if not a.data[i].is_zero():
+                s = s + self.counit.data[i] * a.data[i]
+        return s
 
     def comult_sparse(self, a):
         out = {}
@@ -171,15 +192,7 @@ class HopfAlgebraData:
                 out[key] = out[key] + vw if key in out else vw
         return {t: v for t, v in out.items() if not v.is_zero()}
 
-    # -- derived elements ---------------------------------------------------
-    # computed once per algebra and kept in _cache: callers must not
-    # mutate the returned vectors
-    def _derived(self, key, compute):
-        got = self._cache.get(key)
-        if got is None:
-            got = self._cache[key] = compute()
-        return got
-
+    # -- derived elements (cached by Algebra._derived) ----------------------
     def drinfeld_u(self):
         """u = m (S x id) flip(R)."""
         def compute():
@@ -220,9 +233,6 @@ class HopfAlgebraData:
                             self.unit, self.comult, self.counit, self.antipode,
                             self.rmatrix, v, self.name)
         return h
-
-    def __repr__(self):
-        return "HopfAlgebraData(%s, dim=%d)" % (self.name, self.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +396,9 @@ def verify_ribbon(h, rep=None):
         return rep
     rep.add("S(v) = v", h.antipode * v == v)
     rep.add("eps(v) = 1", h.counit_of(v) == f.one())
+    if h.rmatrix is None:
+        rep.add("(R21 R) Delta(v) = v x v", False, "no R-matrix")
+        return rep
     lhs = h.tensor_mul(h.monodromy_sparse(), h.comult_sparse(v))
     rep.add("(R21 R) Delta(v) = v x v", h.sparse_eq(lhs, _outer_sparse(h, v, v)))
     return rep
@@ -594,11 +607,8 @@ def drinfeld_double(h):
             counit_entries.append(h.unit.data[a] * h.counit.data[i])
     counit = Matrix.row(f, counit_entries)
 
-    dd = HopfAlgebraData(f, dim, labels, mult, unit, comult, counit,
-                         Matrix.identity(f, dim), None, None,
-                         "D(%s)" % h.name)
-
     # antipode: S_D(f_c x e_i) = (eps x S(e_i)) *D (f_c S^{-1} x 1)
+    alg = Algebra(f, dim, labels, mult, unit)
     antipode = Matrix.zeros(f, dim, dim)
     eta = h.unit
     eps_row = h.counit
@@ -620,10 +630,9 @@ def drinfeld_double(h):
                     val = w * eta.data[ii]
                     if not val.is_zero():
                         right.data[did(b, ii)] = right.data[did(b, ii)] + val
-            col = dd.mul_vec(left, right)
+            col = alg.mul_vec(left, right)
             for t in range(dim):
                 antipode.data[t * dim + did(c, i)] = col.data[t]
-    dd.antipode = antipode
 
     rmat = {}
     for a in range(n):
@@ -635,8 +644,9 @@ def drinfeld_double(h):
                     continue
                 key = (did(bb, a), did(a, cc))
                 rmat[key] = rmat.get(key, f.zero()) + cb * cu
-    dd.rmatrix = {k: v for k, v in rmat.items() if not v.is_zero()}
-    return dd
+    rmat = {k: v for k, v in rmat.items() if not v.is_zero()}
+    return HopfAlgebraData(f, dim, labels, mult, unit, comult, counit,
+                           antipode, rmat, None, "D(%s)" % h.name)
 
 
 # ---------------------------------------------------------------------------
@@ -867,51 +877,30 @@ def taft(n):
     for a in range(n):
         counit.data[idx(a, 0)] = f.one()
 
-    def pair_mul(u, v):
-        out = {}
-        for (p1, p2), cu in u.items():
-            for (r1, r2), cv in v.items():
-                c = cu * cv
-                for k1, d1 in mult[p1][r1].items():
-                    for k2, d2 in mult[p2][r2].items():
-                        key = (k1, k2)
-                        t = c * d1 * d2
-                        out[key] = out[key] + t if key in out else t
-        return {k: v for k, v in out.items() if not v.is_zero()}
-
+    # Delta and S on g^a x^b as products: Delta is multiplicative, with
+    # Delta(g) = g (x) g; S(g) = g^{-1} and S(x) = -g^{-1} x, extended
+    # anti-multiplicatively
+    alg = Algebra(f, dim, labels, mult, unit)
     dg = {(idx(1, 0), idx(1, 0)): f.one()}
     dx = {(idx(0, 1), idx(0, 0)): f.one(), (idx(1, 0), idx(0, 1)): f.one()}
+    sg = alg.basis_vec(idx(n - 1, 0))
+    sx = alg.basis_vec(idx(n - 1, 1)).scale(-f.one())
     comult = [None] * dim
+    antipode = Matrix.zeros(f, dim, dim)
     for a in range(n):
         for b in range(n):
             cur = {(idx(0, 0), idx(0, 0)): f.one()}
             for _ in range(a):
-                cur = pair_mul(cur, dg)
+                cur = alg.tensor_mul(cur, dg)
             for _ in range(b):
-                cur = pair_mul(cur, dx)
+                cur = alg.tensor_mul(cur, dx)
             comult[idx(a, b)] = cur
-
-    # S(g) = g^{-1}, S(x) = -g^{-1} x; extend anti-multiplicatively
-    def vec_mul(u, v):
-        out = {}
-        for p, cu in u.items():
-            for r, cv in v.items():
-                c = cu * cv
-                for k, d in mult[p][r].items():
-                    out[k] = out.get(k, f.zero()) + c * d
-        return {k: v for k, v in out.items() if not v.is_zero()}
-
-    sg = {idx(n - 1, 0): f.one()}
-    sx = {idx(n - 1, 1): -f.one()}
-    antipode = Matrix.zeros(f, dim, dim)
-    for a in range(n):
-        for b in range(n):
-            cur = {idx(0, 0): f.one()}
+            s = unit
             for _ in range(b):
-                cur = vec_mul(cur, sx)
+                s = alg.mul_vec(s, sx)
             for _ in range(a):
-                cur = vec_mul(cur, sg)
-            for k, v in cur.items():
+                s = alg.mul_vec(s, sg)
+            for k, v in enumerate(s.data):
                 antipode.data[k * dim + idx(a, b)] = v
     return HopfAlgebraData(f, dim, labels, mult, unit, comult, counit,
                            antipode, None, None, "taft(%d)" % n)
@@ -950,6 +939,15 @@ class AlgebraFormatError(Exception):
 
 
 def from_json_dict(d):
+    """The Hopf data of a spec-file dict.  A missing field, a bad index or
+    a bad scalar literal raises AlgebraFormatError."""
+    try:
+        return _from_json_dict(d)
+    except (ValueError, TypeError, KeyError, IndexError) as e:
+        raise AlgebraFormatError("malformed algebra spec: %s" % e)
+
+
+def _from_json_dict(d):
     for fieldname in ["name", "scalar", "dim", "basis", "mult", "unit",
                       "comult", "counit", "antipode", "rmatrix"]:
         if fieldname not in d:
@@ -1001,9 +999,11 @@ def save_algebra(h, path):
 
 
 def load_algebra(path):
-    with open(path) as fp:
-        try:
+    try:
+        with open(path) as fp:
             d = json.load(fp)
-        except json.JSONDecodeError as e:
-            raise AlgebraFormatError("malformed JSON in %s: %s" % (path, e))
+    except OSError as e:
+        raise AlgebraFormatError("cannot read %s: %s" % (path, e.strerror))
+    except json.JSONDecodeError as e:
+        raise AlgebraFormatError("malformed JSON in %s: %s" % (path, e))
     return from_json_dict(d)

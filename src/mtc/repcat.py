@@ -267,9 +267,10 @@ def twist_morphism(x):
 
 def generating_indices(h):
     """A small set of basis indices generating H as a unital algebra."""
-    cached = h._cache.get("generators")
-    if cached is not None:
-        return cached
+    return h._derived("generators", lambda: _generating_indices(h))
+
+
+def _generating_indices(h):
     gens = []
 
     def closure(idxs):
@@ -294,7 +295,6 @@ def generating_indices(h):
         span = closure(gens)
         if span.rank == h.dim:
             break
-    h._cache["generators"] = gens
     return gens
 
 
@@ -411,9 +411,10 @@ def simples_data(h):
     """Simple modules, projective covers, primitive idempotent data, and the
     Cartan matrix.  Raises NonSplitError when the scalar field does not
     split the semisimple quotient."""
-    cached = h._cache.get("simples")
-    if cached is not None:
-        return cached
+    return h._derived("simples", lambda: _simples_data(h))
+
+
+def _simples_data(h):
     f = h.field
     q = _Quotient(h)
     qspan = IncrementalSpan(f, h.dim)
@@ -477,9 +478,7 @@ def simples_data(h):
 
     cartan = [[len(hom_basis(projectives[v], projectives[u]))
                for v in range(m)] for u in range(m)]
-    sd = SimplesData(h, simples, projectives, idems, cartan)
-    h._cache["simples"] = sd
-    return sd
+    return SimplesData(h, simples, projectives, idems, cartan)
 
 
 def composition_factors(x, sd=None):
@@ -496,15 +495,11 @@ def composition_factors(x, sd=None):
 def grothendieck_ring(h):
     """Structure constants N_ij^k = [S_i x S_j : S_k] on classes of
     simples."""
-    cached = h._cache.get("grring")
-    if cached is not None:
-        return cached
-    sd = simples_data(h)
-    m = sd.count
-    table = [[composition_factors(tensor_obj(sd.simples[i], sd.simples[j]), sd)
-              for j in range(m)] for i in range(m)]
-    h._cache["grring"] = table
-    return table
+    def compute():
+        sd = simples_data(h)
+        return [[composition_factors(tensor_obj(s, t), sd) for t in sd.simples]
+                for s in sd.simples]
+    return h._derived("grring", compute)
 
 
 # ---------------------------------------------------------------------------
@@ -521,17 +516,32 @@ def module_to_json_dict(x):
     }
 
 
+class ModuleFormatError(ValueError):
+    pass
+
+
 def module_from_json_dict(h, d):
-    for fieldname in ["name", "dim", "action"]:
-        if fieldname not in d:
-            raise ValueError("missing field %r in module spec" % fieldname)
-    dim = int(d["dim"])
-    action = [Matrix.zeros(h.field, dim, dim) for _ in range(h.dim)]
-    for k, i, j, c in d["action"]:
-        action[int(k)][int(i), int(j)] = parse_scalar(h.field, c)
+    """The H-module of a module-file dict.  A missing field, a bad index
+    or literal, or an action that is not a module raises
+    ModuleFormatError."""
+    try:
+        for fieldname in ["name", "dim", "action"]:
+            if fieldname not in d:
+                raise ValueError("missing field %r" % fieldname)
+        dim = int(d["dim"])
+        action = [Matrix.zeros(h.field, dim, dim) for _ in range(h.dim)]
+        for k, i, j, c in d["action"]:
+            k, i, j = int(k), int(i), int(j)
+            if not (0 <= k < h.dim and 0 <= i < dim and 0 <= j < dim):
+                raise ValueError("action entry (%d, %d, %d) out of range"
+                                 % (k, i, j))
+            action[k][i, j] = parse_scalar(h.field, c)
+    except (ValueError, TypeError, KeyError) as e:
+        raise ModuleFormatError("malformed module spec: %s" % e)
     m = ModuleObject(h, dim, action, str(d["name"]))
     if not m.validate():
-        raise ValueError("module action does not respect the algebra structure")
+        raise ModuleFormatError(
+            "module action does not respect the algebra structure")
     return m
 
 
@@ -541,5 +551,11 @@ def save_module(x, path):
 
 
 def load_module(h, path):
-    with open(path) as fp:
-        return module_from_json_dict(h, json.load(fp))
+    try:
+        with open(path) as fp:
+            d = json.load(fp)
+    except OSError as e:
+        raise ModuleFormatError("cannot read %s: %s" % (path, e.strerror))
+    except json.JSONDecodeError as e:
+        raise ModuleFormatError("malformed JSON in %s: %s" % (path, e))
+    return module_from_json_dict(h, d)

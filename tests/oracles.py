@@ -499,3 +499,21 @@ def quasitriangular_oracle(h):
     ok = ce1 == h.unit and ce2 == h.unit
     _check(out, "(eps x id)R = 1 = (id x eps)R", None if ok else (), None)
     return out
+
+
+def operator_minimal_polynomial_oracle(op):
+    """Monic minimal polynomial, low degree first, of a square matrix: the
+    first power op^d that is a combination of op^0, ..., op^{d-1}, with
+    every power formed as an n x n operator."""
+    f = op.field
+    cols = [Matrix.column(f, Matrix.identity(f, op.rows).data)]
+    power = op
+    while True:
+        target = Matrix.column(f, power.data)
+        try:
+            sol = solve_right(cols[0].hstack(*cols[1:]), target)
+        except NoSolution:
+            cols.append(target)
+            power = power * op
+            continue
+        return [-x for x in sol.data] + [f.one()]

@@ -198,7 +198,7 @@ def test_criterion_4_cardy_suite(dz2_coend, dz2_simples):
                 stat["span{O_S} has dimension = number of simples"] == "pass")
     ok &= _line("4 constants = Grothendieck ring",
                 stat["structure constants match the Grothendieck ring"] == "pass")
-    ok &= _line("4 semisimple for D(k[Z/2])", fa.trace_form_radical_dim() == 0)
+    ok &= _line("4 semisimple for D(k[Z/2])", repcat.radical_basis(fa) == [])
     assert ok
 
 
@@ -234,14 +234,13 @@ def test_criterion_6_symplectic_fermions():
         f = fa.field
         I1, P1, T, PT = range(4)
         c = f.from_rational(2 ** (2 * npairs - 1))
-        good = fa.constants[P1][P1][I1].is_one()
-        good &= fa.constants[P1][T][PT].is_one()
-        good &= fa.constants[T][T][I1] == c and fa.constants[T][T][P1] == c
-        good &= fa.constants[T][PT][I1] == c and fa.constants[T][PT][P1] == c
-        nil = cardy._fa_mul(fa, [f.zero(), f.zero(), f.one(), -f.one()],
-                            [f.zero(), f.zero(), f.one(), -f.one()])
-        good &= all(x.is_zero() for x in nil)
-        good &= fa.trace_form_radical_dim() > 0
+        good = fa.mult[P1][P1] == {I1: f.one()}
+        good &= fa.mult[P1][T] == {PT: f.one()}
+        good &= fa.mult[T][T] == {I1: c, P1: c}
+        good &= fa.mult[T][PT] == {I1: c, P1: c}
+        nvec = fa.basis_vec(T) - fa.basis_vec(PT)
+        good &= fa.mul_vec(nvec, nvec).is_zero()
+        good &= len(repcat.radical_basis(fa)) > 0
         ok &= _line("6 SF(%d) relations" % npairs, good)
     assert ok
 

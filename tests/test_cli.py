@@ -143,6 +143,86 @@ def test_bad_file_is_usage_error(tmp_path, capsys):
     assert "comult" in err
 
 
+@pytest.mark.parametrize("args", [
+    ["modular-data", "--builtin", "group_algebra", "--param", "orders=2"],
+    ["modular-data", "--builtin", "sweedler"],
+])
+def test_non_modular_input_is_check_failure(args, capsys):
+    code, out, err = run_cli(args + ["--format", "json"], capsys)
+    assert (code, err) == (EXIT_CHECK_FAILED, "")
+    assert json.loads(out)["modular"] is False
+    code, out, err = run_cli(["cardy", "torus"] + args[1:], capsys)
+    assert (code, out) == (EXIT_CHECK_FAILED, "")
+    assert err.startswith("error: the Hopf pairing omega") \
+        and err.count("\n") == 1
+
+
+def _spec_file(tmp_path, d):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(d))
+    return str(path)
+
+
+@pytest.mark.parametrize("builtin, params, failed", [
+    ("group_algebra", [3], "eps(v) = 1"),      # e_0 = 1
+    ("double_z2", None, "v invertible"),       # e_0 = delta_1 (x) 1, idempotent
+])
+def test_declared_ribbon_element_is_checked(builtin, params, failed, tmp_path,
+                                            capsys):
+    """A declared v = 2 e_0 is no ribbon element: "ribbon element" fails
+    with the failed identities, and the ribbon stages are skipped."""
+    d = hopf.to_json_dict(hopf.builtin(builtin, params))
+    d["ribbon"] = [[0, "2"]]
+    path = _spec_file(tmp_path, d)
+    code, out, err = run_cli(["verify", "--algebra", path, "--format", "json"],
+                             capsys)
+    assert (code, err) == (EXIT_CHECK_FAILED, "")
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["ribbon element"]["status"] == "fail"
+    assert checks["ribbon element"]["witness"].startswith(
+        "declared ribbon element fails:")
+    assert failed in checks["ribbon element"]["witness"]
+    assert "twist of a product" not in checks
+    assert checks["coend build"]["status"] == "skip"
+    code, out, err = run_cli(["modular-data", "--algebra", path], capsys)
+    assert (code, out) == (EXIT_CHECK_FAILED, "")
+    assert err.startswith("error: declared ribbon element fails:")
+
+
+def _malformed_case(case, tmp_path):
+    """The argv of one malformed-input case."""
+    none = str(tmp_path / "none.json")
+    spec = hopf.to_json_dict(hopf.builtin("double_z2"))
+    if case == "missing algebra file":
+        return ["cartan", "--algebra", none]
+    if case == "dim not an integer":
+        spec["dim"] = "x"
+        return ["cartan", "--algebra", _spec_file(tmp_path, spec)]
+    if case == "bad scalar literal":
+        spec["mult"][0][-1] = "1+"
+        return ["cartan", "--algebra", _spec_file(tmp_path, spec)]
+    module = repcat.module_to_json_dict(
+        repcat.trivial_module(hopf.builtin("double_z2")))
+    bind = ["diagram", "eval", "--builtin", "double_z2", "--expr", "id(X)",
+            "--bind"]
+    if case == "missing module file":
+        return bind + ["X=" + none]
+    assert case == "action index out of range"
+    module["action"].append([99, 0, 0, "1"])
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(module))
+    return bind + ["X=%s" % path]
+
+
+@pytest.mark.parametrize("case", [
+    "missing algebra file", "dim not an integer", "bad scalar literal",
+    "missing module file", "action index out of range"])
+def test_malformed_file_is_one_usage_error_line(case, tmp_path, capsys):
+    code, out, err = run_cli(_malformed_case(case, tmp_path), capsys)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_deterministic_output(tmp_path, capsys):
     outs = []
     for _ in range(2):

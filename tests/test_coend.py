@@ -138,7 +138,7 @@ def sweedler_coend(sweedler):
     a multiple of the trivial module, unlike those of the abelian doubles,
     on which every matrix is an intertwiner."""
     cd = build_coend(sweedler.with_ribbon(hopf.solve_ribbon(sweedler)[0]))
-    coend.solve_structure_morphisms(cd, certify=False)
+    coend.solve_structure_morphisms(cd)
     return cd
 
 

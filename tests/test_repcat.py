@@ -199,16 +199,19 @@ def test_grothendieck_ring_dz2(dz2):
 
 
 def test_grothendieck_nonsemisimple(dsw):
-    # oracle: trace-form radical of the structure-constant algebra
-    from mtc.cardy import FusionAlgebra
+    # the Grothendieck ring as a structure-constant algebra: associative,
+    # with a nonzero trace-form radical
     gr = grothendieck_ring(dsw)
     sd = simples_data(dsw)
     f = dsw.field
-    consts = [[[f.from_rational(gr[i][j][k]) for k in range(sd.count)]
-               for j in range(sd.count)] for i in range(sd.count)]
-    fa = FusionAlgebra([s.name for s in sd.simples], consts, f)
-    assert fa.verify_associative()
-    assert fa.trace_form_radical_dim() > 0
+    mult = [[{k: f.from_rational(c) for k, c in enumerate(gr[i][j]) if c}
+             for j in range(sd.count)] for i in range(sd.count)]
+    one = sd.trivial_index()
+    unit = Matrix.column(f, [f.one() if k == one else f.zero()
+                             for k in range(sd.count)])
+    fa = hopf.Algebra(f, sd.count, [s.name for s in sd.simples], mult, unit)
+    assert regular_module(fa).validate()
+    assert repcat.radical_basis(fa)
 
 
 def test_module_serialization(dz2, tmp_path):
