@@ -131,9 +131,10 @@ def run_suite(config):
     """Dependency-ordered pipeline with skip-propagation."""
     rep = Report("verification suite")
     threads = max(1, int(os.environ.get("MTC_THREADS", "1")))
-    # the Hopf axioms are checked once: a failure fails the load
+    # an unreadable or malformed spec is a usage error; the Hopf axioms are
+    # checked once, and a failure fails the load
+    h = _read_algebra(config)
     try:
-        h = _read_algebra(config)
         with rep.timed("axioms"):
             axioms = hopf_mod.verify_hopf_axioms(h)
             _require_axioms(axioms)
@@ -516,8 +517,8 @@ def _needs_ribbon(expr):
 def cmd_cardy(config, sub, args):
     if sub == "sf" and args.N < 1:
         raise UsageError("--N must be >= 1, got %d" % args.N)
-    h = choose_ribbon(load_algebra(config), config.ribbon)
     if sub == "sf":
+        # the symplectic-fermion fusion algebra depends on N alone
         fa = cardy_mod.sf_fusion_algebra(args.N)
         payload = {
             "N": args.N,
@@ -529,6 +530,7 @@ def cmd_cardy(config, sub, args):
         }
         emit(payload, config.fmt, config.out)
         return EXIT_OK
+    h = choose_ribbon(load_algebra(config), config.ribbon)
     sd = repcat.simples_data(h)
     # resolve the object names before the coend build, so that a bad name
     # is a usage error and costs nothing

@@ -1,6 +1,7 @@
 """Finite-dimensional ribbon Hopf algebras presented by exact structure
 constants: verifiers for the axioms, Drinfeld doubles, mirrors, tensor
-products, ribbon element enumeration, and a library of built-in presets.
+products, ribbon elements as pivotal grouplikes, and a library of built-in
+presets.
 
 `Algebra` is the one algebra given by structure constants, with its element
 calculus; `HopfAlgebraData` extends it by the coalgebra, R and the ribbon
@@ -20,8 +21,9 @@ powers H^{x m} are sparse dicts {index tuple: Scalar}.
 import json
 
 from .scalars import CycField, parse_scalar, format_scalar, poly_squarefree
-from .linalg import Matrix, kron, solve_right, kernel_basis, NoSolution, invert
-from .etale import Subalgebra, orthogonal_primitive_idempotents
+from .linalg import (Matrix, kron, solve_right, NoSolution, invert,
+                     IncrementalSpan)
+from .etale import corner_subalgebra, orthogonal_primitive_idempotents
 from . import diagrams, repcat
 from .report import Report
 
@@ -132,6 +134,56 @@ class Algebra:
         z = self.field.zero()
         return all(x.get(k, z) == y.get(k, z) for k in keys)
 
+    # -- characters ---------------------------------------------------------
+    def characters(self):
+        """The algebra maps A -> k as columns of their values on the basis,
+        in deterministic order.  They factor through A/I, I the two-sided
+        ideal generated by the commutators.  A block of A/I gives one when
+        each basis element acts on it as a scalar plus a nilpotent (its
+        minimal polynomial there has a squarefree part of degree 1), else
+        none: a block need not split over k, having no k-point."""
+        return self._derived("characters", self._characters)
+
+    def _characters(self):
+        f, n = self.field, self.dim
+        ideal = IncrementalSpan(f, n)
+        todo = [self.mul_vec(self.basis_vec(i), self.basis_vec(j))
+                - self.mul_vec(self.basis_vec(j), self.basis_vec(i))
+                for i in range(n) for j in range(i + 1, n)
+                if self.mult[i][j] != self.mult[j][i]]
+        while todo:
+            w = todo.pop()
+            if ideal.add(w):
+                for k in range(n):
+                    e = self.basis_vec(k)
+                    todo += [self.mul_vec(e, w), self.mul_vec(w, e)]
+        if ideal.rank == n:
+            return []
+
+        # A/I on the canonical representatives modulo I
+        def mul(a, b):
+            return ideal.reduce(self.mul_vec(a, b))
+        basis = [self.basis_vec(j) for j in ideal.free_indices()]
+        out = []
+        for e in orthogonal_primitive_idempotents(
+                f, mul, basis, ideal.reduce(self.unit), require_split=False,
+                block_name="%s/[%s, %s]" % ((self.name,) * 3)):
+            corner = corner_subalgebra(f, mul, basis, e)
+            j = next(j for j, x in enumerate(e.data) if not x.is_zero())
+            chi = []
+            for i in range(n):
+                w = mul(self.basis_vec(i), e)
+                # a block of dimension 1 is k e, and w = (w_j / e_j) e on it
+                p = ([-w.data[j], e.data[j]] if corner.dim == 1
+                     else poly_squarefree(corner.min_poly(w)))
+                if len(p) != 2:
+                    break
+                chi.append(-p[0] / p[1])
+            else:
+                out.append(Matrix.column(f, chi))
+        out.sort(key=lambda m: tuple(s.sort_key() for s in m.data))
+        return out
+
     # -- derived data -------------------------------------------------------
     # computed once per algebra and kept in _cache: callers must not
     # mutate what is returned
@@ -221,6 +273,20 @@ class HopfAlgebraData(Algebra):
         """S(u)^{-1}."""
         return self._derived("s_u_inv", lambda: self.inv_vec(
             self.antipode * self.drinfeld_u()))
+
+    def dual(self):
+        """H* as an algebra on the dual basis e^i: e^j e^k = sum_i
+        Delta(e_i)_{jk} e^i, with unit eps.  Its characters are the
+        grouplikes of H."""
+        def compute():
+            mult = [[{} for _ in range(self.dim)] for _ in range(self.dim)]
+            for i, d in enumerate(self.comult):
+                for (j, k), c in d.items():
+                    mult[j][k][i] = c
+            return Algebra(self.field, self.dim,
+                           ["e^" + b for b in self.basis_labels], mult,
+                           self.counit.transpose(), "%s*" % self.name)
+        return self._derived("dual", compute)
 
     def monodromy_sparse(self):
         """R_21 R as a sparse element of H x H."""
@@ -551,16 +617,7 @@ def drinfeld_double(h):
         return got
 
     # convolution on H*: f_a f_x = sum_c Delta(e_c)[(a,x)] f_c
-    conv = [[None] * n for _ in range(n)]
-    for c in range(n):
-        for (a, x), v in h.comult[c].items():
-            if conv[a][x] is None:
-                conv[a][x] = {}
-            conv[a][x][c] = conv[a][x].get(c, f.zero()) + v
-    for a in range(n):
-        for x in range(n):
-            if conv[a][x] is None:
-                conv[a][x] = {}
+    conv = h.dual().mult
 
     mult = [[{} for _ in range(dim)] for _ in range(dim)]
     for i in range(n):
@@ -650,91 +707,31 @@ def drinfeld_double(h):
 
 
 # ---------------------------------------------------------------------------
-# ribbon element enumeration
+# ribbon elements
 
 def solve_ribbon(h):
     """All ribbon elements of a quasitriangular H, in deterministic order.
 
-    Every ribbon element is S-fixed, central, and squares to u S(u); the
-    candidates are found by taking square roots of u S(u) in each local
-    factor of the S-fixed part of the centre, then filtered by the counit
-    and Delta(v) relations."""
+    Ribbon elements are v = l^{-1} u for the grouplikes l with l^2 =
+    u S(u)^{-1} and l^{-1} u central, one for each such l (Kauffman-Radford,
+    J. Algebra 159, 1993); l is the pivot.  The grouplikes of H are the
+    characters of the dual algebra H*, and l^{-1} = S(l)."""
     if h.rmatrix is None:
         raise HopfError("%s has no R-matrix: a ribbon element needs a "
                         "quasitriangular structure" % h.name)
-    f = h.field
-    n = h.dim
     u = h.drinfeld_u()
-    c = h.mul_vec(u, h.antipode * u)
-
-    # centre: [L_i - R_i] x = 0 for all i
-    rows = [h.left_regular(i) - h.right_mult_matrix(h.basis_vec(i))
-            for i in range(n)]
-    stack = rows[0].vstack(*rows[1:], h.antipode - Matrix.identity(f, n))
-    zbasis = kernel_basis(stack)
-    if not zbasis:
-        return []
-    idems = orthogonal_primitive_idempotents(
-        f, h.mul_vec, zbasis, h.unit, require_split=False,
-        block_name="S-fixed centre of %s" % h.name)
-    idems.sort(key=lambda e: tuple(s.sort_key() for s in e.data))
-
-    from .scalars import sqrt_in_field
-    per_factor = []
-    for e in idems:
-        corner = Subalgebra(f, h.mul_vec, zbasis, e)
-        ce = h.mul_vec(c, e)
-        q = corner.min_poly(ce)
-        q_sf = poly_squarefree(q)
-        if len(q_sf) - 1 != 1:
-            # residue field strictly larger than the scalar field
-            return []
-        gamma = -(q_sf[0] * q_sf[1].inv())
-        roots = sqrt_in_field(gamma)
-        if not roots:
-            return []
-        # nilpotent part: n0 = ce/gamma - e; sqrt(e + n0) by binomial series
-        n0 = ce.scale(gamma.inv()) - e
-        series = e
-        term = e
-        kk = 1
-        while True:
-            term = h.mul_vec(term, n0)
-            if term.is_zero():
-                break
-            coeff = _binom_half(kk)
-            series = series + term.scale(f.from_rational(coeff))
-            kk += 1
-        branch = []
-        for r in sorted(roots, key=lambda s: s.sort_key()):
-            branch.append(h.mul_vec(series, e.scale(r)))
-        per_factor.append(branch)
-
-    candidates = [Matrix.zeros(f, n, 1)]
-    for branch in per_factor:
-        candidates = [cand + y for cand in candidates for y in branch]
-
+    g = h.mul_vec(u, h.antipode_u_inv())
     out = []
-    mono = h.monodromy_sparse()
-    for v in candidates:
-        if h.counit_of(v) != f.one():
+    for l in h.dual().characters():
+        assert h.sparse_eq(h.comult_sparse(l), _outer_sparse(h, l, l)), \
+            "a character of %s* is not grouplike" % h.name
+        if h.mul_vec(l, l) != g:
             continue
-        lhs = h.tensor_mul(mono, h.comult_sparse(v))
-        if not h.sparse_eq(lhs, _outer_sparse(h, v, v)):
-            continue
-        out.append(v)
+        v = h.mul_vec(h.antipode * l, u)
+        if h.left_mult_matrix(v) == h.right_mult_matrix(v):
+            out.append(v)
     out.sort(key=lambda m: tuple(s.sort_key() for s in m.data))
     return out
-
-
-def _binom_half(k):
-    from fractions import Fraction
-    num = Fraction(1)
-    x = Fraction(1, 2)
-    for i in range(k):
-        num *= (x - i)
-    from math import factorial
-    return num / factorial(k)
 
 
 # ---------------------------------------------------------------------------

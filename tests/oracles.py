@@ -1,11 +1,14 @@
 """Independent brute-force oracles for the derived expected values.  These
 deliberately avoid the library's own computation paths."""
 
+import math
 from fractions import Fraction
 
 import sympy
 
 from mtc import repcat
+from mtc.etale import Subalgebra, orthogonal_primitive_idempotents
+from mtc.scalars import poly_squarefree, sqrt_in_field
 from mtc.diagrams import Compose, Tensor
 from mtc.linalg import (Matrix, kernel_basis, kron, invert, IncrementalSpan,
                         solve_right, NoSolution)
@@ -517,3 +520,91 @@ def operator_minimal_polynomial_oracle(op):
             power = power * op
             continue
         return [-x for x in sol.data] + [f.one()]
+
+
+def sqrt_branch_ribbon_elements(h):
+    """All ribbon elements of a quasitriangular H, in the order of
+    `hopf.solve_ribbon`, by the square-root branch search it replaced.
+
+    Every ribbon element is S-fixed, central, and squares to u S(u); the
+    candidates are found by taking square roots of u S(u) in each local
+    factor of the S-fixed part of the centre, then filtered by the counit
+    and Delta(v) relations."""
+    if h.rmatrix is None:
+        raise ValueError("%s has no R-matrix: a ribbon element needs a "
+                         "quasitriangular structure" % h.name)
+    f = h.field
+    n = h.dim
+    u = h.drinfeld_u()
+    c = h.mul_vec(u, h.antipode * u)
+
+    # centre: [L_i - R_i] x = 0 for all i
+    rows = [h.left_regular(i) - h.right_mult_matrix(h.basis_vec(i))
+            for i in range(n)]
+    stack = rows[0].vstack(*rows[1:], h.antipode - Matrix.identity(f, n))
+    zbasis = kernel_basis(stack)
+    if not zbasis:
+        return []
+    idems = orthogonal_primitive_idempotents(
+        f, h.mul_vec, zbasis, h.unit, require_split=False,
+        block_name="S-fixed centre of %s" % h.name)
+    idems.sort(key=lambda e: tuple(s.sort_key() for s in e.data))
+
+    per_factor = []
+    for e in idems:
+        corner = Subalgebra(f, h.mul_vec, zbasis, e)
+        ce = h.mul_vec(c, e)
+        q = corner.min_poly(ce)
+        q_sf = poly_squarefree(q)
+        if len(q_sf) - 1 != 1:
+            # residue field strictly larger than the scalar field
+            return []
+        gamma = -(q_sf[0] * q_sf[1].inv())
+        roots = sqrt_in_field(gamma)
+        if not roots:
+            return []
+        # nilpotent part: n0 = ce/gamma - e; sqrt(e + n0) by binomial series
+        n0 = ce.scale(gamma.inv()) - e
+        series = e
+        term = e
+        kk = 1
+        while True:
+            term = h.mul_vec(term, n0)
+            if term.is_zero():
+                break
+            coeff = _binom_half_oracle(kk)
+            series = series + term.scale(f.from_rational(coeff))
+            kk += 1
+        branch = []
+        for r in sorted(roots, key=lambda s: s.sort_key()):
+            branch.append(h.mul_vec(series, e.scale(r)))
+        per_factor.append(branch)
+
+    candidates = [Matrix.zeros(f, n, 1)]
+    for branch in per_factor:
+        candidates = [cand + y for cand in candidates for y in branch]
+
+    out = []
+    mono = h.monodromy_sparse()
+    for v in candidates:
+        if h.counit_of(v) != f.one():
+            continue
+        lhs = h.tensor_mul(mono, h.comult_sparse(v))
+        if not h.sparse_eq(lhs, _outer_sparse_oracle(v, v)):
+            continue
+        out.append(v)
+    out.sort(key=lambda m: tuple(s.sort_key() for s in m.data))
+    return out
+
+
+def _binom_half_oracle(k):
+    num = Fraction(1)
+    x = Fraction(1, 2)
+    for i in range(k):
+        num *= (x - i)
+    return num / math.factorial(k)
+
+
+def _outer_sparse_oracle(a, b):
+    return {(i, j): x * y for i, x in enumerate(a.data) if not x.is_zero()
+            for j, y in enumerate(b.data) if not y.is_zero()}

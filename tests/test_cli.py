@@ -108,6 +108,32 @@ def test_cardy_sf_needs_a_pair_before_loading(n, capsys, monkeypatch):
                                 "error: --N must be >= 1, got %s\n" % n)
 
 
+def test_cardy_sf_reads_no_algebra(capsys, monkeypatch):
+    """The symplectic-fermion algebra depends on N alone, so an algebra
+    with no ribbon element gives the same payload as the trivial one."""
+    monkeypatch.setattr(hopf, "builtin", lambda *a: pytest.fail("loaded"))
+    outs = []
+    for name in ["trivial", "double_sweedler"]:
+        code, out, err = run_cli(["cardy", "sf", "--N", "2", "--builtin", name,
+                                  "--format", "json"], capsys)
+        assert (code, err) == (EXIT_OK, "")
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["N"] == 2
+
+
+@pytest.mark.parametrize("spec", [None, {"dim": "x"}])
+def test_verify_on_an_unreadable_or_malformed_spec_is_usage_error(
+        spec, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    if spec is not None:
+        path.write_text(json.dumps(spec))
+    code, out, err = run_cli(["verify", "--algebra", str(path),
+                              "--format", "json"], capsys)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_no_ribbon_is_check_failure(capsys):
     code, out, err = run_cli(["modular-data", "--builtin", "double_sweedler"],
                              capsys)

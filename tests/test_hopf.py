@@ -1,14 +1,16 @@
 import json
+import time
 
 import pytest
 
 from mtc import hopf
 from mtc.linalg import Matrix
-from mtc.scalars import format_scalar, parse_scalar
+from mtc.scalars import CycField, format_scalar, parse_scalar
 from mtc.hopf import (verify_hopf_axioms, verify_ribbon, verify_all,
                       drinfeld_double, mirror, tensor_hopf, solve_ribbon,
                       builtin, AlgebraFormatError)
-from oracles import (brute_ribbon_elements, group_double_table_z2,
+from oracles import (brute_ribbon_elements, sqrt_branch_ribbon_elements,
+                     group_double_table_z2,
                      hopf_axioms_oracle, quasitriangular_oracle,
                      invert_tensor2_oracle)
 
@@ -101,6 +103,102 @@ def test_double_sweedler_has_no_ribbon(dsw):
     Both the enumeration and the independent sympy oracle agree."""
     assert solve_ribbon(dsw) == []
     assert brute_ribbon_elements(dsw) == []
+
+
+def _algebra(field, table, dim):
+    """An Algebra on e_0 = 1, ..., e_{dim-1} from {(i, j): {k: rational}}."""
+    mult = [[{k: field.from_rational(c) for k, c in table.get((i, j), {}).items()}
+             for j in range(dim)] for i in range(dim)]
+    unit = Matrix.column(field, [field.one()] + [field.zero()] * (dim - 1))
+    return hopf.Algebra(field, dim, ["e%d" % i for i in range(dim)], mult, unit)
+
+
+def test_characters_of_small_algebras(z2, sweedler):
+    """k[Z/2] and Sweedler have the characters g -> +-1 (x -> 0 through the
+    commutator ideal); the dual numbers k[t]/t^2 have one, on a block of
+    dimension 2; Q(zeta_3) over Q is a block that does not split and M_2(Q)
+    is its own commutator ideal, so neither has one."""
+    q = CycField(1)
+    unit = {(0, i): {i: 1} for i in range(4)}
+    unit.update({(i, 0): {i: 1} for i in range(4)})
+    dual_numbers = _algebra(q, {**unit, (1, 1): {}}, 2)
+    # 1, w with w^2 = -1 - w
+    zeta3 = _algebra(q, {**unit, (1, 1): {0: -1, 1: -1}}, 2)
+    # 1 = E11 + E22, E11, E12, E21
+    m2 = _algebra(q, {**unit, (1, 1): {1: 1}, (1, 2): {2: 1}, (2, 3): {1: 1},
+                      (3, 1): {3: 1}, (3, 2): {0: 1, 1: -1}}, 4)
+
+    def values(a):
+        return [[format_scalar(x) for x in c.data] for c in a.characters()]
+    assert values(z2) == [["1", "-1"], ["1", "1"]]
+    assert values(sweedler) == [["1", "-1", "0", "0"], ["1", "1", "0", "0"]]
+    assert values(dual_numbers) == [["1", "0"]]
+    assert values(zeta3) == []
+    assert values(m2) == []
+
+
+RIBBON_ORACLE_CASES = [("trivial", None), ("group_algebra", [2]),
+                       ("group_algebra", [3]), ("double_z2", None),
+                       ("double_group_algebra", [3]), ("double_sweedler", None)]
+
+
+@pytest.mark.parametrize("name, params", RIBBON_ORACLE_CASES)
+def test_solve_ribbon_matches_sqrt_branch_oracle(name, params):
+    """The grouplike route gives the list of the square-root branch search,
+    element by element and in order; on D(Sweedler) both are empty."""
+    h = builtin(name, params)
+    assert solve_ribbon(h) == sqrt_branch_ribbon_elements(h)
+
+
+def test_ribbon_elements_of_dz2xz2_are_a_torsor():
+    """D(Z/2 x Z/2) has 16 ribbon elements.  They form a torsor over the
+    central grouplikes z with z^2 = 1, so each v_i v_0^{-1} is one."""
+    h = builtin("double_group_algebra", [2, 2])
+    vs = solve_ribbon(h)
+    assert len(vs) == 16
+    v0_inv = h.inv_vec(vs[0])
+    for v in vs:
+        assert verify_ribbon(h.with_ribbon(v)).ok
+        z = h.mul_vec(v, v0_inv)
+        assert h.left_mult_matrix(z) == h.right_mult_matrix(z)
+        assert h.sparse_eq(h.comult_sparse(z), {(i, j): x * y
+                           for i, x in enumerate(z.data) if not x.is_zero()
+                           for j, y in enumerate(z.data) if not y.is_zero()})
+        assert h.mul_vec(z, z) == h.unit
+
+
+@pytest.mark.parametrize("name, params", [("double_z2", None),
+                                          ("double_group_algebra", [3])])
+def test_a_wrong_character_value_is_caught(name, params, monkeypatch):
+    """Each character of H* with one value off by one either fails the
+    grouplike assertion or changes the ribbon list."""
+    h = builtin(name, params)
+    oracle = sqrt_branch_ribbon_elements(h)
+    chars = h.dual().characters()
+    for c in range(len(chars)):
+        for i in range(chars[c].rows):
+            bad = [m.copy() for m in chars]
+            bad[c].data[i] = bad[c].data[i] + h.field.one()
+            monkeypatch.setattr(hopf.Algebra, "characters", lambda a: bad)
+            try:
+                got = solve_ribbon(h)
+            except AssertionError as e:
+                assert "is not grouplike" in str(e)
+            else:
+                assert got != oracle
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name, params", [("double_group_algebra", [4]),
+                                          ("double_taft", [3])])
+def test_solve_ribbon_matches_sqrt_branch_oracle_slow(name, params):
+    """As the tier-1 comparison, on D(Z/4) (4 ribbon elements) and the
+    dim-81 D(Taft_3) (1).  Budget: 60 s per case; the oracle takes most of
+    it."""
+    start = time.perf_counter()
+    h = builtin(name, params)
+    assert solve_ribbon(h) == sqrt_branch_ribbon_elements(h)
+    assert time.perf_counter() - start < 60
 
 
 def test_drinfeld_u_and_pivot(dz2_ribbon):
