@@ -491,8 +491,9 @@ def cmd_modular_data(config):
 
 
 def cmd_diagram_eval(config, binds, expr):
-    h = choose_ribbon(load_algebra(config), config.ribbon) \
-        if _needs_ribbon(expr) else load_algebra(config)
+    h = load_algebra(config)
+    if _needs_ribbon(diagrams.parse(expr)):
+        h = choose_ribbon(h, config.ribbon)
     env = diagrams.Env(h)
     for spec in binds:
         if "=" not in spec:
@@ -510,8 +511,11 @@ def cmd_diagram_eval(config, binds, expr):
     return EXIT_OK
 
 
-def _needs_ribbon(expr):
-    return any(tok in expr for tok in ("tw(", "twinv(", "evt(", "coevt("))
+def _needs_ribbon(ast):
+    """Whether a parsed word has a generator that reads the ribbon element."""
+    if isinstance(ast, diagrams.Gen):
+        return ast.kind in ("tw", "twinv", "evt", "coevt")
+    return any(_needs_ribbon(p) for p in ast.parts)
 
 
 def cmd_cardy(config, sub, args):
@@ -531,6 +535,13 @@ def cmd_cardy(config, sub, args):
         emit(payload, config.fmt, config.out)
         return EXIT_OK
     h = choose_ribbon(load_algebra(config), config.ribbon)
+    if sub == "torus":
+        # the certificate reads only the carrier, so it needs no build_full
+        cartan, rep = cardy_mod.torus_partition(h, coend_mod.build_coend(h))
+        payload = {"algebra": h.name, "cartan": cartan,
+                   "certificate": report_payload(rep)["checks"]}
+        emit(payload, config.fmt, config.out)
+        return EXIT_OK if rep.ok else EXIT_CHECK_FAILED
     sd = repcat.simples_data(h)
     # resolve the object names before the coend build, so that a bad name
     # is a usage error and costs nothing
@@ -540,12 +551,6 @@ def cmd_cardy(config, sub, args):
     elif sub == "boundary-state" or (sub == "defect" and not args.all_pairs):
         x = _resolve_object(h, sd, args.object)
     cd = coend_mod.build_full(h)
-    if sub == "torus":
-        cartan, rep = cardy_mod.torus_partition(h, with_coend=cd)
-        payload = {"algebra": h.name, "cartan": cartan,
-                   "certificate": report_payload(rep)["checks"]}
-        emit(payload, config.fmt, config.out)
-        return EXIT_OK if rep.ok else EXIT_CHECK_FAILED
     if sub == "boundary-state":
         mor = cardy_mod.boundary_state(cd, x, args.direction)
         payload = {"object": x.name, "direction": args.direction,

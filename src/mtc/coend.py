@@ -3,12 +3,13 @@ coadjoint module on H* with its universal dinatural family, Hopf structure,
 Hopf pairing, integrals, Frobenius (Radford) pairing, and the modular S and
 T transformations.
 
-The structure morphisms are solved from their defining diagrams with
-X = Y = H (regular module) by composing with the explicit section
-xi -> xi (x) 1 of iota_H, then certified by re-checking the defining
-relations on all pairs of simples and projective covers.  Diagram words are
-evaluated column-by-column so tensor powers of the regular module are never
-materialized.
+The structure morphisms are listed once, in STRUCTURE.  Each is solved from
+its defining diagram with X = H (regular module), through the explicit
+section xi -> xi (x) 1 of iota_H, and, for a word on a pair, Y = the sum of
+the projective covers, through a solved right inverse of iota_Y.  Each is
+then certified by re-checking its defining relation on all simples and
+projective covers, or on all pairs of them.  Diagram words are evaluated
+column-by-column on sparse vectors.
 
 The derived morphisms are diagram words in the solved structure, evaluated
 by the same evaluator: the S transformation (omega x id)(id x copairing),
@@ -17,6 +18,9 @@ delta_X = (id x iota_X)(coev_X x id), the action rho_X =
 (id x omega)(delta_X x id), the character chi_X as the pivotal trace of
 rho_X, and the cocharacter iota_X coev~_X.
 """
+
+from collections import namedtuple
+from itertools import product
 
 from .scalars import sqrt_adjoin
 from .linalg import Matrix, kron, solve_right, kernel_basis, rank, invert, \
@@ -162,23 +166,9 @@ def coadjoint_module(h):
 
 
 # ---------------------------------------------------------------------------
-# the defining diagram words (coend structure figure; XX, YY bound in env)
+# the structure morphisms and their defining diagram words
 
-MU_WORD = ("(id(XX.dual) * br(XX, YY.dual) * id(YY)) ; "
-           "(br(XX.dual, YY.dual) * id(XX) * id(YY)) ; "
-           "(box(kap) * id(XX) * id(YY)) ; box(iota_t)")
-DELTA_WORD = "(id(XX.dual) * coev(XX) * id(XX)) ; (box(iota_x) * box(iota_x))"
-EPS_WORD = "ev(XX)"
-S_WORD = "br(XX.dual, XX) ; (box(piv) * id(XX.dual)) ; box(iota_d)"
-OMEGA_WORD = ("(id(XX.dual) * br(XX, YY.dual) * id(YY)) ; "
-              "(id(XX.dual) * br(YY.dual, XX) * id(YY)) ; "
-              "(ev(XX) * ev(YY))")
-OMEGA_BAR_WORD = ("(id(XX.dual) * brinv(YY.dual, XX) * id(YY)) ; "
-                  "(id(XX.dual) * brinv(XX, YY.dual) * id(YY)) ; "
-                  "(ev(XX) * ev(YY))")
-T_WORD = "(id(XX.dual) * tw(XX)) ; box(iota_x)"
-
-# the derived morphisms, in the carrier L, an object X and boxes for the
+# The derived morphisms, in the carrier L, an object X and boxes for the
 # solved structure: copair is a copairing 1 -> L (x) L, iota_x is iota_X,
 # coact the coaction delta_X and rho the action rho_X
 COPAIRING_WORD = "(id(L) * box(copair)) ; (box(%s) * id(L))"
@@ -188,6 +178,39 @@ ACTION_WORD = "(box(coact) * id(L)) ; (id(X) * box(omega))"
 CHARACTER_WORD = "(coevt(X) * id(L)) ; (id(X.dual) * box(rho)) ; ev(X)"
 _L = (("name", "L"),)
 _X = (("name", "X"),)
+
+Structure = namedtuple("Structure", "check box attr dom cod word")
+
+# The one list of the coend's structure morphisms: the name its checks use,
+# its box in _structure_env, its CoendData attribute, its domain and
+# codomain as powers of L, and its defining word through the dinatural
+# family (coend structure figure).  A word on one L is read on an object XX
+# (the boxes of _object_env), a word on L (x) L on a pair XX, YY (those of
+# _pair_env); eta = eps_H has no word.
+STRUCTURE = (
+    Structure("mu", "mu", "mu", _L + _L, _L,
+              "(id(XX.dual) * br(XX, YY.dual) * id(YY)) ; "
+              "(br(XX.dual, YY.dual) * id(XX) * id(YY)) ; "
+              "(box(kap) * id(XX) * id(YY)) ; box(iota_t)"),
+    Structure("eta", "eta", "eta", (), _L, None),
+    Structure("Delta", "delta", "delta", _L, _L + _L,
+              "(id(XX.dual) * coev(XX) * id(XX)) ; "
+              "(box(iota_x) * box(iota_x))"),
+    Structure("eps", "eps", "eps", _L, (), "ev(XX)"),
+    Structure("S", "S", "antipode_L", _L, _L,
+              "br(XX.dual, XX) ; (box(piv) * id(XX.dual)) ; box(iota_d)"),
+    Structure("T", "T", "T_transform", _L, _L,
+              "(id(XX.dual) * tw(XX)) ; box(iota_x)"),
+    Structure("omega", "omega", "omega", _L + _L, (),
+              "(id(XX.dual) * br(XX, YY.dual) * id(YY)) ; "
+              "(id(XX.dual) * br(YY.dual, XX) * id(YY)) ; "
+              "(ev(XX) * ev(YY))"),
+    Structure("omega_bar", "omega_bar", "omega_bar", _L + _L, (),
+              "(id(XX.dual) * brinv(YY.dual, XX) * id(YY)) ; "
+              "(id(XX.dual) * brinv(XX, YY.dual) * id(YY)) ; "
+              "(ev(XX) * ev(YY))"),
+)
+_XX, _YY, _LL = (("name", "XX"),), (("name", "YY"),), (("name", "_L"),)
 
 
 def kappa_matrix(field, dx, dy):
@@ -200,30 +223,29 @@ def kappa_matrix(field, dx, dy):
     return m
 
 
+def _object_env(cd, x):
+    """Environment with boxes for the defining words on one object XX."""
+    h = cd.h
+    env = diagrams.Env(h).bind_object("XX", x).bind_object("_L", cd.carrier)
+    dxx = obj_dual(_XX)
+    env.bind_box("iota_x", cd.iota_matrix(x), dxx + _XX, _LL)
+    env.bind_box("iota_d", cd.iota_matrix(dual_obj(x)), obj_dual(dxx) + dxx,
+                 _LL)
+    # the curl in the antipode diagram: the canonical X -> X** built from
+    # braiding and duality alone acts by S(u)^{-1} (u the Drinfeld element)
+    env.bind_box("piv", x.act(h.antipode_u_inv()), _XX, obj_dual(dxx))
+    return env
+
+
 def _pair_env(cd, x, y):
     """Environment with boxes for the defining words on the pair
     (X, Y) = (XX, YY)."""
-    h = cd.h
-    env = diagrams.Env(h)
-    env.bind_object("XX", x)
-    env.bind_object("YY", y)
+    env = diagrams.Env(cd.h).bind_object("XX", x).bind_object("YY", y)
     env.bind_object("_L", cd.carrier)
-    xx = (("name", "XX"),)
-    yy = (("name", "YY"),)
-    ll = (("name", "_L"),)
-    dxx = diagrams.obj_dual(xx)
-    dyy = diagrams.obj_dual(yy)
-    env.bind_box("kap", kappa_matrix(h.field, x.dim, y.dim), dyy + dxx,
-                 diagrams.obj_dual(xx + yy))
-    env.bind_box("iota_t", cd.iota_pair_colfn(x, y),
-                 diagrams.obj_dual(xx + yy) + xx + yy, ll)
-    env.bind_box("iota_x", cd.iota_matrix(x), dxx + xx, ll)
-    env.bind_box("iota_y", cd.iota_matrix(y), dyy + yy, ll)
-    env.bind_box("iota_d", cd.iota_matrix(dual_obj(x)),
-                 diagrams.obj_dual(dxx) + dxx, ll)
-    # the curl in the antipode diagram: the canonical X -> X** built from
-    # braiding and duality alone acts by S(u)^{-1} (u the Drinfeld element)
-    env.bind_box("piv", x.act(h.antipode_u_inv()), xx, diagrams.obj_dual(dxx))
+    dxy = obj_dual(_XX + _YY)
+    env.bind_box("kap", kappa_matrix(cd.field, x.dim, y.dim),
+                 obj_dual(_YY) + obj_dual(_XX), dxy)
+    env.bind_box("iota_t", cd.iota_pair_colfn(x, y), dxy + _XX + _YY, _LL)
     return env
 
 
@@ -239,63 +261,45 @@ def build_coend(h):
 
 
 def _faithful_witness(h):
-    """A small faithful module Y (with iota_Y surjective) plus a right
-    inverse of iota_Y: the regular module itself at desk scale, else the
-    direct sum of one copy of each projective cover.  That sum is a
-    progenerator, hence faithful, and no smaller sum is: H is Frobenius, so
-    a faithful module contains every indecomposable projective as a
-    summand."""
-    n = h.dim
-    if n <= 16:
-        return regular_module(h), None
+    """The direct sum of one copy of each projective cover, with a right
+    inverse of its iota.  That sum is a progenerator, hence faithful, and
+    no smaller sum is: H is Frobenius, so a faithful module contains every
+    indecomposable projective as a summand."""
     covers = simples_data(h).projectives
     mod = covers[0]
     for p in covers[1:]:
         mod = direct_sum(mod, p)
-    tau = solve_right(CoendData.iota_matrix(mod), Matrix.identity(h.field, n))
+    tau = solve_right(CoendData.iota_matrix(mod),
+                      Matrix.identity(h.field, h.dim))
     return mod, tau
 
 
 def solve_structure_morphisms(cd):
-    """Solve mu, eta, Delta, eps, S, omega (and T) from the defining
-    diagrams with the regular module as the dinatural argument, verify the
-    Hopf axioms, run the dinaturality certificate, and build cd.algebra.
+    """Solve the structure morphisms of STRUCTURE from their defining
+    diagrams, verify the Hopf axioms, run the dinaturality certificate,
+    and build cd.algebra.
 
-    The two-argument diagrams (mu, omega) only need iota_X (x) iota_Y
-    jointly surjective; above desk scale the second argument is a small
-    faithful sum of projectives with an explicitly solved right inverse,
-    which keeps the column pipelines tractable."""
+    A word on one L is read on the regular module through the section
+    xi -> xi (x) 1 of iota_H.  A word on L (x) L only needs iota_X (x)
+    iota_Y jointly surjective: its second argument is the faithful witness,
+    no larger than H, through the solved right inverse of its iota."""
     h = cd.h
     n = h.dim
     reg = regular_module(h)
     sec_cols = cd.section_columns()
-
-    ymod, tau = _faithful_witness(h)
-    env = _pair_env(cd, reg, ymod)
-    ydim2 = ymod.dim * ymod.dim
-    y_cols = sec_cols if tau is None else [
-        {i: v for i, v in enumerate(tau.col_list(b)) if not v.is_zero()}
-        for b in range(n)]
-
-    def pair_cols():
-        cols = []
-        for ca in sec_cols:
-            for cb in y_cols:
-                col = {}
-                for ia, va in ca.items():
-                    for ib, vb in cb.items():
-                        col[ia * ydim2 + ib] = va * vb
-                cols.append(col)
-        return cols
-
-    cd.mu = apply_word(env, MU_WORD, pair_cols())
-    cd.omega = apply_word(env, OMEGA_WORD, pair_cols())
-    cd.omega_bar = apply_word(env, OMEGA_BAR_WORD, pair_cols())
-    env1 = _pair_env(cd, reg, reg) if tau is not None else env
-    cd.delta = apply_word(env1, DELTA_WORD, sec_cols)
-    cd.eps = apply_word(env1, EPS_WORD, sec_cols)
-    cd.antipode_L = apply_word(env1, S_WORD, sec_cols)
-    cd.T_transform = apply_word(env1, T_WORD, sec_cols)
+    wit, tau = _faithful_witness(h)
+    wdim2 = wit.dim * wit.dim
+    tau_cols = [{i: v for i, v in enumerate(tau.col_list(b)) if not v.is_zero()}
+                for b in range(n)]
+    pair_cols = [{ia * wdim2 + ib: va * vb for ia, va in ca.items()
+                  for ib, vb in cb.items()}
+                 for ca in sec_cols for cb in tau_cols]
+    witnesses = {1: (_object_env(cd, reg), sec_cols),
+                 2: (_pair_env(cd, reg, wit), pair_cols)}
+    for e in STRUCTURE:
+        if e.word is not None:
+            env, cols = witnesses[len(e.dom)]
+            setattr(cd, e.attr, apply_word(env, e.word, cols))
     cd.eta = h.counit.transpose()
 
     rep = verify_hopf_on_coend(cd)
@@ -315,16 +319,9 @@ def solve_structure_morphisms(cd):
 def _structure_env(cd):
     """Environment with the carrier bound as L and the solved structure
     morphisms of the coend as boxes on it."""
-    env = diagrams.Env(cd.h)
-    env.bind_object("L", cd.carrier)
-    for name, m, dom, cod in [("mu", cd.mu, _L + _L, _L),
-                              ("eta", cd.eta, (), _L),
-                              ("delta", cd.delta, _L, _L + _L),
-                              ("eps", cd.eps, _L, ()),
-                              ("S", cd.antipode_L, _L, _L),
-                              ("omega", cd.omega, _L + _L, ()),
-                              ("omega_bar", cd.omega_bar, _L + _L, ())]:
-        env.bind_box(name, m, dom, cod)
+    env = diagrams.Env(cd.h).bind_object("L", cd.carrier)
+    for e in STRUCTURE:
+        env.bind_box(e.box, getattr(cd, e.attr), e.dom, e.cod)
     return env
 
 
@@ -340,73 +337,55 @@ HOPF_AXIOMS = hopf_axiom_words("L", "br(L, L)") + (
 
 def verify_hopf_on_coend(cd):
     """Exact Hopf-axiom identities for (mu, eta, Delta, eps, S) on L, as
-    the word table HOPF_AXIOMS, plus intertwiner checks against the
-    action of L (x) L, built one generator at a time."""
+    the word table HOPF_AXIOMS, plus the check that every entry of
+    STRUCTURE intertwines the actions on 1, L and L (x) L, one generator
+    at a time."""
     rep = Report("Hopf structure of the coend")
     h = cd.h
     L = cd.carrier
-    gens = generating_indices(h)
-
-    ok_mu = ok_om = ok_ob = ok_delta = True
-    for g in gens:
-        rho_ll = repcat.tensor_action(h.comult[g], L, L)
-        eps_g = h.counit.data[g]
-        ok_mu = ok_mu and cd.mu * rho_ll == L.action[g] * cd.mu
-        ok_om = ok_om and cd.omega * rho_ll == cd.omega.scale(eps_g)
-        ok_ob = ok_ob and cd.omega_bar * rho_ll == cd.omega_bar.scale(eps_g)
-        ok_delta = ok_delta and cd.delta * L.action[g] == rho_ll * cd.delta
-    rep.add("mu is an intertwiner", ok_mu)
-    rep.add("omega is an intertwiner", ok_om)
-    rep.add("omega_bar is an intertwiner", ok_ob)
     one = trivial_module(h)
-    for name, mor in [("eta", Morphism(one, L, cd.eta)),
-                      ("eps", Morphism(L, one, cd.eps)),
-                      ("S", Morphism(L, L, cd.antipode_L)),
-                      ("T", Morphism(L, L, cd.T_transform))]:
-        rep.add("%s is an intertwiner" % name, mor.is_intertwiner(gens))
-    rep.add("Delta is an intertwiner", ok_delta)
-
+    ok = dict.fromkeys((e.check for e in STRUCTURE), True)
+    for g in generating_indices(h):
+        # the action of g on L^{(x) k}, indexed by k
+        act = (one.action[g], L.action[g],
+               repcat.tensor_action(h.comult[g], L, L))
+        for e in STRUCTURE:
+            m = getattr(cd, e.attr)
+            ok[e.check] = ok[e.check] and \
+                m * act[len(e.dom)] == act[len(e.cod)] * m
+    for check, good in ok.items():
+        rep.add("%s is an intertwiner" % check, good)
     return check_words(rep, _structure_env(cd), HOPF_AXIOMS)
 
 
-def dinaturality_certificate(cd, objects=None):
-    """Re-check the defining diagram relations on pairs drawn from simples
-    and projective covers, plus dinaturality of iota along a basis of every
-    intertwiner space."""
+def dinaturality_certificate(cd):
+    """Re-check the defining word of every entry of STRUCTURE on the simples
+    and projective covers, one object or a pair as its domain says, plus
+    dinaturality of iota along a basis of every intertwiner space."""
     rep = Report("dinaturality certificate")
     h = cd.h
     f = h.field
-    if objects is None:
-        sd = simples_data(h)
-        objects = []
-        seen = set()
-        for m in list(sd.simples) + list(sd.projectives):
-            if m.fingerprint() not in seen:
-                seen.add(m.fingerprint())
-                objects.append(m)
+    sd = simples_data(h)
+    objects = []
+    seen = set()
+    for m in list(sd.simples) + list(sd.projectives):
+        if m.fingerprint() not in seen:
+            seen.add(m.fingerprint())
+            objects.append(m)
 
-    for x in objects:
-        envx = _pair_env(cd, x, x)
-        ix = cd.iota_matrix(x)
-        cols1 = identity_columns(f, x.dim * x.dim)
-        rep.add("Delta . iota_%s" % x.name,
-                cd.delta * ix == apply_word(envx, DELTA_WORD, cols1))
-        rep.add("eps . iota_%s" % x.name,
-                cd.eps * ix == apply_word(envx, EPS_WORD, cols1))
-        rep.add("S . iota_%s" % x.name,
-                cd.antipode_L * ix == apply_word(envx, S_WORD, cols1))
-        rep.add("T . iota_%s" % x.name,
-                cd.T_transform * ix == apply_word(envx, T_WORD, cols1))
-
-    for x in objects:
-        for y in objects:
-            envp = _pair_env(cd, x, y)
-            ixy = kron(cd.iota_matrix(x), cd.iota_matrix(y))
-            cols2 = identity_columns(f, (x.dim * y.dim) ** 2)
-            rep.add("mu . (iota_%s x iota_%s)" % (x.name, y.name),
-                    cd.mu * ixy == apply_word(envp, MU_WORD, cols2))
-            rep.add("omega . (iota_%s x iota_%s)" % (x.name, y.name),
-                    cd.omega * ixy == apply_word(envp, OMEGA_WORD, cols2))
+    for k in (1, 2):
+        entries = [e for e in STRUCTURE if len(e.dom) == k]
+        for xs in product(objects, repeat=k):
+            env = (_object_env if k == 1 else _pair_env)(cd, *xs)
+            iotas = [cd.iota_matrix(x) for x in xs]
+            iota = iotas[0] if k == 1 else kron(*iotas)
+            label = " x ".join("iota_%s" % x.name for x in xs)
+            label = label if k == 1 else "(%s)" % label
+            cols = identity_columns(f, iota.cols)
+            for e in entries:
+                rep.add("%s . %s" % (e.check, label),
+                        getattr(cd, e.attr) * iota ==
+                        apply_word(env, e.word, cols))
 
     for x in objects:
         for y in objects:

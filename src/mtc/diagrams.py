@@ -369,9 +369,12 @@ def typecheck(ast, env):
 # -- evaluation -------------------------------------------------------------
 #
 # The one evaluator: a word is normalized into layers of tensored
-# generators and applied column by column to sparse vectors.  Each
-# generator is a column function built factor-wise, so tensor-product
-# modules and dense composites are never materialized.
+# generators and applied column by column to sparse vectors, so the dense
+# matrix of a composite word is never built.  id, ev, coev and box read
+# only dimensions.  tw, twinv, evt, coevt, br and brinv act through the
+# module of their object argument, which Env.module_of builds with
+# tensor_obj and dual_obj when that argument is a tensor product or a dual
+# (tw(X x Y), br(X x Y, Z)).
 
 def _matrix_colfn(matrix):
     """Column function j -> [(row, Scalar)] of a dense matrix, nonzero
@@ -418,8 +421,8 @@ def _braid_colfn(terms, x, y, inverse):
 
 
 def _gen_colfn(gen, env):
-    """(dom_dim, cod_dim, colfn|None) with colfn built factor-wise; never
-    materializes tensor-product modules."""
+    """(dom_dim, cod_dim, colfn|None); the generators that act through
+    their object argument read its module from env.module_of."""
     h = env.algebra
     f = h.field
     k = gen.kind
@@ -462,11 +465,8 @@ def _gen_colfn(gen, env):
     if h.rmatrix is None:
         raise DiagramTypeError("%s needs an R-matrix; %s has none"
                                % (k, h.name), gen.pos)
-    terms = [(i, j, c) for (i, j), c in h.rmatrix.items()]
-    if k == "brinv":
-        terms = [(kk, j, c * s) for i, j, c in terms
-                 for kk, s in enumerate(h.antipode.col_list(i))
-                 if not s.is_zero()]
+    r = h.r_inverse() if k == "brinv" else h.rmatrix
+    terms = [(i, j, c) for (i, j), c in r.items()]
     return _braid_colfn(terms, x, env.module_of(gen.args[1]), k == "brinv")
 
 

@@ -274,6 +274,17 @@ class HopfAlgebraData(Algebra):
         return self._derived("s_u_inv", lambda: self.inv_vec(
             self.antipode * self.drinfeld_u()))
 
+    def r_inverse(self):
+        """R^{-1} = (S x id)(R) (Drinfeld), sparse in H x H."""
+        def compute():
+            out = {}
+            for (i, j), c in self.rmatrix.items():
+                for k, s in enumerate(self.antipode.col_list(i)):
+                    if not s.is_zero():
+                        out[(k, j)] = out.get((k, j), self.field.zero()) + c * s
+            return {t: v for t, v in sorted(out.items()) if not v.is_zero()}
+        return self._derived("r_inv", compute)
+
     def dual(self):
         """H* as an algebra on the dual basis e^i: e^j e^k = sum_i
         Delta(e_i)_{jk} e^i, with unit eps.  Its characters are the
@@ -498,12 +509,7 @@ def mirror(h):
     quasitriangular Hopf algebra (Drinfeld)."""
     if h.rmatrix is None:
         raise HopfError("%s has no R-matrix to mirror" % h.name)
-    rinv = {}
-    for (i, j), c in h.rmatrix.items():
-        for k, s in enumerate(h.antipode.col_list(i)):
-            if not s.is_zero():
-                rinv[(j, k)] = rinv.get((j, k), h.field.zero()) + c * s
-    rinv = {t: v for t, v in sorted(rinv.items()) if not v.is_zero()}
+    rinv = dict(sorted(((j, k), c) for (k, j), c in h.r_inverse().items()))
     rflip = {(j, i): c for (i, j), c in h.rmatrix.items()}
     if not h.sparse_eq(h.tensor_mul(rflip, rinv),
                        _outer_sparse(h, h.unit, h.unit)):

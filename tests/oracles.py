@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import sympy
 
-from mtc import repcat
+from mtc import repcat, coend
 from mtc.etale import Subalgebra, orthogonal_primitive_idempotents
 from mtc.scalars import poly_squarefree, sqrt_in_field
-from mtc.diagrams import Compose, Tensor
+from mtc.diagrams import Compose, Tensor, apply_word
 from mtc.linalg import (Matrix, kernel_basis, kron, invert, IncrementalSpan,
                         solve_right, NoSolution)
 
@@ -608,3 +608,27 @@ def _binom_half_oracle(k):
 def _outer_sparse_oracle(a, b):
     return {(i, j): x * y for i, x in enumerate(a.data) if not x.is_zero()
             for j, y in enumerate(b.data) if not y.is_zero()}
+
+
+def regular_witness_structure(cd):
+    """The coend's structure morphisms solved with the regular module H as
+    every argument of every defining word, through the section
+    xi -> xi (x) 1 of iota_H: {CoendData attribute: matrix}.  It reads the
+    words of coend.STRUCTURE on another witness than the library, which
+    reads a word on a pair on (H, the sum of the projective covers)."""
+    h = cd.h
+    reg = repcat.regular_module(h)
+    sec = cd.section_columns()
+    n2 = h.dim * h.dim
+    pair = [{ia * n2 + ib: va * vb for ia, va in ca.items()
+             for ib, vb in cb.items()} for ca in sec for cb in sec]
+    out = {"eta": h.counit.transpose()}
+    for e in coend.STRUCTURE:
+        if e.word is None:
+            continue
+        if len(e.dom) == 1:
+            env, cols = coend._object_env(cd, reg), sec
+        else:
+            env, cols = coend._pair_env(cd, reg, reg), pair
+        out[e.attr] = apply_word(env, e.word, cols)
+    return out

@@ -177,10 +177,35 @@ def test_non_modular_input_is_check_failure(args, capsys):
     code, out, err = run_cli(args + ["--format", "json"], capsys)
     assert (code, err) == (EXIT_CHECK_FAILED, "")
     assert json.loads(out)["modular"] is False
-    code, out, err = run_cli(["cardy", "torus"] + args[1:], capsys)
+    code, out, err = run_cli(["cardy", "defect", "--all-pairs"] + args[1:],
+                             capsys)
     assert (code, out) == (EXIT_CHECK_FAILED, "")
     assert err.startswith("error: the Hopf pairing omega") \
         and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args, cartan", [
+    (["--builtin", "double_z2", "--ribbon", "3"], None),
+    (["--builtin", "sweedler"], [[1, 1], [1, 1]]),
+    (["--builtin", "group_algebra", "--param", "orders=2"], [[1, 0], [0, 1]]),
+])
+def test_cardy_torus_builds_only_the_carrier(args, cartan, capsys,
+                                             monkeypatch):
+    """The torus certificate reads the coend's carrier and iota alone, so
+    it runs without build_full and also on a non-modular input."""
+    def no_build(h):
+        raise AssertionError("build_full was called")
+    monkeypatch.setattr("mtc.coend.build_full", no_build)
+    code, out, err = run_cli(["cardy", "torus"] + args + ["--format", "json"],
+                             capsys)
+    assert (code, err) == (EXIT_OK, "")
+    if cartan is None:
+        assert out == (GOLDEN / "cardy-torus_double_z2_ribbon3.json").read_text()
+    payload = json.loads(out)
+    assert cartan is None or payload["cartan"] == cartan
+    checks = {c["name"]: c["status"] for c in payload["certificate"]}
+    assert checks["coend carrier cocharacter computed"] == "pass"
+    assert set(checks.values()) == {"pass"}
 
 
 def _spec_file(tmp_path, d):
@@ -326,6 +351,16 @@ def test_diagram_eval_cli(tmp_path, capsys):
         ["diagram", "eval", "--builtin", "taft", "--param", "n=3",
          "--bind", "X=%s" % tpath, "--expr", "br(X, X)"], capsys)
     assert code == EXIT_USAGE and "br needs an R-matrix" in err
+    # the ribbon element is chosen from the parsed word, whatever its spacing
+    outs = []
+    for expr in ["tw(X)", "tw (X)", " twinv\n(X)", "evt (X)", "coevt ( X )"]:
+        code, out, err = run_cli(
+            ["diagram", "eval", "--builtin", "double_z2", "--ribbon", "3",
+             "--bind", "X=%s" % mpath, "--expr", expr, "--format", "json"],
+            capsys)
+        assert (code, err) == (EXIT_OK, ""), expr
+        outs.append(json.loads(out)["matrix"])
+    assert outs[1] == outs[0]
 
 
 def test_unknown_object_is_usage_error(capsys):

@@ -1,4 +1,5 @@
 import copy
+import time
 
 import pytest
 
@@ -148,10 +149,16 @@ def sweedler_coend(sweedler):
     ("omega", "omega is an intertwiner"),
     ("omega_bar", "omega_bar is an intertwiner"),
     ("delta", "Delta is an intertwiner"),
+    ("eta", "eta is an intertwiner"),
+    ("eps", "eps is an intertwiner"),
 ])
 def test_intertwiner_checks_catch_a_nonequivariant_entry(sweedler_coend, attr,
                                                          must_fail):
-    assert must_fail in _failed_after_bump(sweedler_coend, attr, 0, 1)
+    """Entry (0, 1) is bumped; eta, a column, at its x* coordinate, since
+    its 1* and g* coordinates span invariants of L."""
+    i, j = (2, 0) if attr == "eta" else (0, 1)
+    assert sweedler_coend.h.basis_labels[2] == "x"
+    assert must_fail in _failed_after_bump(sweedler_coend, attr, i, j)
 
 
 @pytest.fixture(scope="module",
@@ -160,6 +167,48 @@ def any_coend(request):
     """The coends of D(Z/2), D(Z/3) (twists of order 3, simples that are
     not self-dual) and the Sweedler algebra (non-semisimple)."""
     return request.getfixturevalue(request.param)
+
+
+def test_structure_matches_regular_witness_oracle(any_coend):
+    """Every solved structure morphism equals its solve on the regular
+    module alone, on D(Z/2), D(Z/3) and Sweedler."""
+    cd = any_coend
+    want = oracles.regular_witness_structure(cd)
+    assert set(want) == {e.attr for e in coend.STRUCTURE}
+    for e in coend.STRUCTURE:
+        assert getattr(cd, e.attr) == want[e.attr], e.check
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("orders", [4, 5])
+def test_structure_matches_regular_witness_oracle_slow(orders):
+    """As the tier-1 comparison, on D(Z/4) and D(Z/5) with ribbon element
+    0.  Budget: 60 s per case, for the ribbon solve, the structure solve
+    with its certificates and the oracle."""
+    start = time.perf_counter()
+    h = hopf.builtin("double_group_algebra", [orders])
+    cd = build_coend(h.with_ribbon(hopf.solve_ribbon(h)[0]))
+    coend.solve_structure_morphisms(cd)
+    want = oracles.regular_witness_structure(cd)
+    for e in coend.STRUCTURE:
+        assert getattr(cd, e.attr) == want[e.attr], e.check
+    assert time.perf_counter() - start < 60
+
+
+def test_certificate_rederives_omega_bar(dz3_coend):
+    """A copy of the D(Z/3) coend with omega_bar set to omega, which
+    differs from it there, fails the certificate, and only on omega_bar's
+    own word on pairs of simples."""
+    cd = dz3_coend
+    assert cd.omega_bar != cd.omega
+    assert coend.dinaturality_certificate(cd).ok
+    swapped = copy.copy(cd)
+    swapped.omega_bar = cd.omega
+    failed = [name for name, status, _ in
+              coend.dinaturality_certificate(swapped).checks
+              if status == FAIL]
+    assert failed
+    assert all(name.startswith("omega_bar . (iota_S") for name in failed)
 
 
 def _objects(cd):
@@ -223,9 +272,10 @@ def test_half_braiding_certificate(any_coend):
 
 
 def test_faithful_witness_above_desk_scale():
-    """Above dim 16 the second argument of the two-argument structure
-    diagrams is the sum of the projective covers, with a right inverse
-    of its iota; no cover can be left out (H is Frobenius)."""
+    """The second argument of the two-argument structure words is the sum
+    of the projective covers, with a right inverse of its iota, at every
+    dimension; on this non-semisimple algebra of dim 32 it is smaller than
+    H, and no cover can be left out (H is Frobenius)."""
     h = hopf.tensor_hopf(hopf.drinfeld_double(hopf.sweedler()),
                          hopf.group_algebra([2]))
     assert h.dim > 16

@@ -219,11 +219,14 @@ def test_drinfeld_u_and_pivot(dz2_ribbon):
     assert h.sparse_eq(h.comult_sparse(g), hopf._outer_sparse(h, g, g))
     assert h.counit_of(g).is_one()
     # the derived elements are solved once per algebra
-    assert h.pivot() is g and h.drinfeld_u() is u
+    rinv = h.r_inverse()
+    assert h.pivot() is g and h.drinfeld_u() is u and h.r_inverse() is rinv
     one = h.unit
     assert h.mul_vec(g, h.pivot_inv()) == one
     assert h.mul_vec(h.ribbon, h.ribbon_inv()) == one
     assert h.mul_vec(h.antipode * u, h.antipode_u_inv()) == one
+    assert h.sparse_eq(h.tensor_mul(dict(h.rmatrix), rinv),
+                       hopf._outer_sparse(h, one, one))
 
 
 def test_mirror(dz2, dz2_ribbons):
