@@ -222,28 +222,21 @@ def defect_algebra(cd):
     rep.add("span{O_S} has dimension = number of simples", rank(stack) == m)
 
     gr = grothendieck_ring(h)
-    ok = True
+    fuses = ok = True
     for i in range(m):
         for j in range(m):
             comp = ops[i].matrix * ops[j].matrix
             # composed defect label: S_i (x) S_j
             comp2 = defect_operator(cd, tensor_obj(sd.simples[i], sd.simples[j]),
                                     check=False).matrix
-            if comp != comp2:
-                ok = False
-    rep.add("O_E . O_D = O_{E x D} on all simple pairs", ok)
-
-    ok = True
-    for i in range(m):
-        for j in range(m):
-            comp = ops[i].matrix * ops[j].matrix
             expect = Matrix.zeros(f, h.dim, h.dim)
             for k in range(m):
                 c = f.from_rational(gr[i][j][k])
                 if not c.is_zero():
                     expect = expect + ops[k].matrix.scale(c)
-            if comp != expect:
-                ok = False
+            fuses = fuses and comp == comp2
+            ok = ok and comp == expect
+    rep.add("O_E . O_D = O_{E x D} on all simple pairs", fuses)
     rep.add("structure constants match the Grothendieck ring", ok)
     if not ok:
         raise CardyError("defect algebra does not match the Grothendieck ring")

@@ -60,10 +60,10 @@ def _read_algebra(config):
     name = config.builtin
     if name is None:
         return hopf_mod.load_algebra(config.algebra)
-    if name not in hopf_mod.BUILTIN_PARAMS:
+    if name not in hopf_mod.BUILTINS:
         raise UsageError("unknown builtin %r: expected one of %s"
                          % (name, ", ".join(hopf_mod.BUILTIN_NAMES)))
-    key = hopf_mod.BUILTIN_PARAMS[name]
+    key = hopf_mod.BUILTINS[name][0]
     unread = sorted(set(config.params) - {key})
     if unread:
         raise UsageError("bad --param for %s: unread key %s (%s takes %s)"

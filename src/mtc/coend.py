@@ -459,23 +459,14 @@ def integrals_and_zeta(cd):
 
     def zeta_of(lam, Lam):
         w = cd.omega * kron(eye, Lam)
-        zeta = None
-        for i in range(n):
-            li = lam.data[i]
-            wi = w.data[i]
-            if not li.is_zero():
-                cand = wi * li.inv()
-                if zeta is None:
-                    zeta = cand
-                elif zeta != cand:
-                    raise CoendError("omega(id x Lambda) is not proportional to lambda")
-            elif not wi.is_zero():
-                raise CoendError("omega(id x Lambda) is not proportional to lambda")
+        if w.is_zero():
+            raise CoendError("zeta = 0: the Hopf pairing is degenerate")
+        zeta = _proportionality(w, lam)
+        if zeta is None:
+            raise CoendError("omega(id x Lambda) is not proportional to lambda")
         return zeta
 
     zeta = zeta_of(lam, Lam)
-    if zeta is None or zeta.is_zero():
-        raise CoendError("zeta = 0: the Hopf pairing is degenerate")
 
     # The pair (lambda, Lambda) is only fixed up to (c lambda, Lambda/c),
     # which rescales zeta by c^{-2}.  The representative is pinned by the
@@ -755,13 +746,7 @@ def cutting_decomposition(cd, x):
     except NoSolution:
         raise CoendError("cutting endomorphism is not expressible through the"
                          " unit (modularity contradiction)")
-    cmat = Matrix.zeros(f, len(b_basis), len(a_basis))
-    idx = 0
-    for j in range(len(b_basis)):
-        for i in range(len(a_basis)):
-            cmat.data[j * len(a_basis) + i] = coeff.data[idx]
-            idx += 1
-    bfac, afac = rank_factor(cmat)
+    bfac, afac = rank_factor(Matrix(f, len(b_basis), len(a_basis), coeff.data))
     m = bfac.cols
     a = afac * a_basis[0].matrix.vstack(*(ai.matrix for ai in a_basis[1:]))
     b = b_basis[0].matrix.hstack(*(bj.matrix for bj in b_basis[1:])) * bfac

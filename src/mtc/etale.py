@@ -226,23 +226,24 @@ def _candidate_stream(sub, max_height=3):
                 yield sub.basis[i] - sub.basis[j].scale(sub.field.from_rational(h))
 
 
-def split_corner_once(sub):
-    """A nontrivial idempotent of the corner, or None if the deterministic
-    search exhausts (local corner, or genuinely non-split block)."""
+def split_corner(sub):
+    """Orthogonal nontrivial idempotents of the corner summing to its unit,
+    one per factor of the first splitting minimal polynomial, or None if
+    the deterministic search exhausts (local corner, or genuinely
+    non-split block)."""
     field = sub.field
     for w in _candidate_stream(sub):
-        q = sub.min_poly(w)
-        q_sf = poly_squarefree(q)
+        q_sf = poly_squarefree(sub.min_poly(w))
         if len(q_sf) - 1 < 2:
             continue
         idems = split_etale_cyclic(field, q_sf)
         if len(idems) < 2:
             continue
-        e = newton_lift_idempotent(field, sub.mul,
-                                   sub.evaluate_poly(idems[0], w))
-        if e.is_zero() or e == sub.unit:
-            continue
-        return e
+        # a nonzero, non-unit idempotent of k[t]/(q_sf) lifts to one of
+        # the corner
+        return [newton_lift_idempotent(field, sub.mul,
+                                       sub.evaluate_poly(e, w))
+                for e in idems]
     return None
 
 
@@ -262,14 +263,13 @@ def orthogonal_primitive_idempotents(field, mul, ambient_basis, unit,
         if corner.dim == 1:
             done.append(p)
             continue
-        e = split_corner_once(corner)
-        if e is None:
+        es = split_corner(corner)
+        if es is None:
             if require_split:
                 raise NonSplitError(
                     "block of dimension %d in %s has no scalar splitting"
                     % (corner.dim, block_name))
             done.append(p)
             continue
-        todo.insert(0, e)
-        todo.insert(1, p - e)
+        todo[:0] = es
     return done

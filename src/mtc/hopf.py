@@ -20,7 +20,8 @@ powers H^{x m} are sparse dicts {index tuple: Scalar}.
 
 import json
 
-from .scalars import CycField, parse_scalar, format_scalar, poly_squarefree
+from .scalars import (CycField, parse_scalar, parse_count, format_scalar,
+                      poly_squarefree)
 from .linalg import (Matrix, kron, solve_right, NoSolution, invert,
                      IncrementalSpan)
 from .etale import corner_subalgebra, orthogonal_primitive_idempotents
@@ -134,6 +135,15 @@ class Algebra:
         z = self.field.zero()
         return all(x.get(k, z) == y.get(k, z) for k in keys)
 
+    def quotient(self, ideal):
+        """A/I on the canonical representatives modulo the two-sided ideal
+        I, an IncrementalSpan: (mul, basis, unit), where basis holds the
+        unit vectors at the span's free indices."""
+        def mul(a, b):
+            return ideal.reduce(self.mul_vec(a, b))
+        return (mul, [self.basis_vec(j) for j in ideal.free_indices()],
+                ideal.reduce(self.unit))
+
     # -- characters ---------------------------------------------------------
     def characters(self):
         """The algebra maps A -> k as columns of their values on the basis,
@@ -159,14 +169,10 @@ class Algebra:
                     todo += [self.mul_vec(e, w), self.mul_vec(w, e)]
         if ideal.rank == n:
             return []
-
-        # A/I on the canonical representatives modulo I
-        def mul(a, b):
-            return ideal.reduce(self.mul_vec(a, b))
-        basis = [self.basis_vec(j) for j in ideal.free_indices()]
+        mul, basis, unit = self.quotient(ideal)
         out = []
         for e in orthogonal_primitive_idempotents(
-                f, mul, basis, ideal.reduce(self.unit), require_split=False,
+                f, mul, basis, unit, require_split=False,
                 block_name="%s/[%s, %s]" % ((self.name,) * 3)):
             corner = corner_subalgebra(f, mul, basis, e)
             j = next(j for j, x in enumerate(e.data) if not x.is_zero())
@@ -543,173 +549,108 @@ def change_field(h, target):
                            emb_mat(h.antipode), rmat, ribbon, h.name)
 
 
+def _smash(a, b, cross):
+    """Structure constants of the algebra A # B on a_x (x) b_i, at index
+    x dim B + i: (a_x b_i)(a_k b_j) = (a_x 1) cross[i][k] (1 b_j), where
+    cross[i][k] = (1 b_i)(a_k 1) is a sparse element {(y, q): c} of
+    A (x) B.  A and B are subalgebras, and cross is the one relation
+    between them."""
+    m, zero = b.dim, a.field.zero()
+    mult = [[None] * (a.dim * m) for _ in range(a.dim * m)]
+    for i, row in enumerate(cross):
+        for k, cr in enumerate(row):
+            for x in range(a.dim):
+                left = {}  # (a_x 1) cross[i][k]
+                for (y, q), c in cr.items():
+                    for z, u in a.mult[x][y].items():
+                        left[z, q] = left.get((z, q), zero) + c * u
+                for j in range(m):
+                    out = {}
+                    for (z, q), c in left.items():
+                        for w, v in b.mult[q][j].items():
+                            out[z * m + w] = out.get(z * m + w, zero) + c * v
+                    mult[x * m + i][k * m + j] = {
+                        t: v for t, v in out.items() if not v.is_zero()}
+    return mult
+
+
+def _kron2(x, y, m):
+    """Sparse x in A (x) A and y in B (x) B as one element of
+    (A (x) B) (x) (A (x) B), componentwise, with dim B = m."""
+    return {(a1 * m + b1, a2 * m + b2): u * v for (a1, a2), u in x.items()
+            for (b1, b2), v in y.items()}
+
+
 def tensor_hopf(h, k):
     """Componentwise Hopf structure on H x K with R = (R_H)_13 (R_K)_24 and
-    v = v_H x v_K.  Operands over different cyclotomic fields are embedded
-    into the lcm field."""
+    v = v_H x v_K: the smash product with the trivial cross relation
+    (1 x b)(a x 1) = a x b.  Operands over different cyclotomic fields are
+    embedded into the lcm field."""
     if h.field is not k.field:
         from math import lcm
         target = CycField(lcm(h.field.order, k.field.order))
         h = change_field(h, target)
         k = change_field(k, target)
-    f = h.field
-    n, m = h.dim, k.dim
-    dim = n * m
+    m, one = k.dim, h.field.one()
     labels = ["%s*%s" % (a, b) for a in h.basis_labels for b in k.basis_labels]
-
-    def pid(i, j):
-        return i * m + j
-
-    mult = [[{} for _ in range(dim)] for _ in range(dim)]
-    for i1 in range(n):
-        for j1 in range(m):
-            for i2 in range(n):
-                for j2 in range(m):
-                    d = mult[pid(i1, j1)][pid(i2, j2)]
-                    for a, ca in h.mult[i1][i2].items():
-                        for b, cb in k.mult[j1][j2].items():
-                            d[pid(a, b)] = ca * cb
-    unit = kron(h.unit, k.unit)
-    comult = []
-    for i in range(n):
-        for j in range(m):
-            d = {}
-            for (a1, a2), va in h.comult[i].items():
-                for (b1, b2), vb in k.comult[j].items():
-                    d[(pid(a1, b1), pid(a2, b2))] = va * vb
-            comult.append(d)
-    counit = kron(h.counit, k.counit)
-    antipode = kron(h.antipode, k.antipode)
-    rmat = {}
-    for (a1, a2), va in h.rmatrix.items():
-        for (b1, b2), vb in k.rmatrix.items():
-            rmat[(pid(a1, b1), pid(a2, b2))] = va * vb
+    cross = [[{(x, i): one} for x in range(h.dim)] for i in range(m)]
     ribbon = None
     if h.ribbon is not None and k.ribbon is not None:
         ribbon = kron(h.ribbon, k.ribbon)
-    return HopfAlgebraData(f, dim, labels, mult, unit, comult, counit,
-                           antipode, rmat, ribbon,
-                           "%s(x)%s" % (h.name, k.name))
+    return HopfAlgebraData(
+        h.field, h.dim * m, labels, _smash(h, k, cross), kron(h.unit, k.unit),
+        [_kron2(x, y, m) for x in h.comult for y in k.comult],
+        kron(h.counit, k.counit), kron(h.antipode, k.antipode),
+        _kron2(h.rmatrix, k.rmatrix, m), ribbon, "%s(x)%s" % (h.name, k.name))
 
 
 def drinfeld_double(h):
-    """The Drinfeld double D(H) on basis f_a x e_i (dual functions first),
-    with the standard double multiplication and canonical R-matrix
-    sum_i (1 x e_i) x (f^i x 1)."""
-    f = h.field
-    n = h.dim
-    dim = n * n
-    labels = ["%s*.%s" % (h.basis_labels[a], h.basis_labels[i])
-              for a in range(n) for i in range(n)]
-
-    def did(a, i):
-        return a * n + i
-
+    """The Drinfeld double D(H) = H*^cop # H on basis f_a x e_i (dual
+    functions first), with the canonical R-matrix sum_i (eps x e_i) x
+    (f_i x 1).  Its cross relation is (1 x a)(f x 1) = f(S^{-1}(a_(3)) ?
+    a_(1)) x a_(2) (Kassel, Quantum Groups, GTM 155, IX.4)."""
+    f, n = h.field, h.dim
+    labels = ["%s*.%s" % (a, i) for a in h.basis_labels
+              for i in h.basis_labels]
     sinv = invert(h.antipode)
 
-    # conj[p][r] entry (c, b): f_b(S^{-1}(e_r) e_c e_p)
-    conj = {}
+    def cross(i):
+        # (1 x e_i)(f_b x 1) for every b, summed over the terms
+        # c e_p x e_q x e_r of Delta^2(e_i): the functional y ->
+        # f_b(S^{-1}(e_r) y e_p) is row b of L_{S^{-1} e_r} R_{e_p}
+        row = [{} for _ in range(n)]
+        for (p, q, r), c in h.comult2_sparse(h.basis_vec(i)).items():
+            lr = h.left_mult_matrix(sinv * h.basis_vec(r)) \
+                * h.right_mult_matrix(h.basis_vec(p))
+            for b, d in enumerate(row):
+                for y, w in enumerate(lr.row_list(b)):
+                    if not w.is_zero():
+                        d[y, q] = d.get((y, q), f.zero()) + c * w
+        return row
 
-    def conj_coeff(p, r, c):
-        key = (p, r, c)
-        got = conj.get(key)
-        if got is None:
-            s = sinv.col_list(r)
-            vec = Matrix.column(f, s)
-            vec = h.mul_vec(vec, h.basis_vec(c))
-            vec = h.mul_vec(vec, h.basis_vec(p))
-            got = vec
-            conj[key] = got
-        return got
-
-    # convolution on H*: f_a f_x = sum_c Delta(e_c)[(a,x)] f_c
-    conv = h.dual().mult
-
-    mult = [[{} for _ in range(dim)] for _ in range(dim)]
-    for i in range(n):
-        d2 = h.comult2_sparse(h.basis_vec(i))
-        for a in range(n):
-            for b in range(n):
-                for j in range(n):
-                    acc = mult[did(a, i)][did(b, j)]
-                    for (p, q, r), c in d2.items():
-                        # middle functional: y -> f_b(S^{-1}(e_r) y e_p)
-                        for cc in range(n):
-                            w = conj_coeff(p, r, cc).data[b]
-                            if w.is_zero():
-                                continue
-                            coeff = c * w
-                            for aa, v in conv[a][cc].items():
-                                coeff2 = coeff * v
-                                for kk, u in h.mult[q][j].items():
-                                    key = did(aa, kk)
-                                    acc[key] = acc.get(key, f.zero()) + coeff2 * u
-                    for key in [k for k, v in acc.items() if v.is_zero()]:
-                        del acc[key]
-
-    unit = kron(h.counit.transpose(), h.unit)
-
-    # Delta_D(f_c x e_i) with H*^cop: sum m^c_{ab} (f_b x e_i1) x (f_a x e_i2)
-    comult = []
-    for c in range(n):
-        for i in range(n):
-            d = {}
-            for a in range(n):
-                for b in range(n):
-                    v = h.mult[a][b].get(c)
-                    if v is None:
-                        continue
-                    for (i1, i2), w in h.comult[i].items():
-                        key = (did(b, i1), did(a, i2))
-                        d[key] = d.get(key, f.zero()) + v * w
-            comult.append({k: v for k, v in d.items() if not v.is_zero()})
-
-    counit_entries = []
-    for a in range(n):
-        for i in range(n):
-            counit_entries.append(h.unit.data[a] * h.counit.data[i])
-    counit = Matrix.row(f, counit_entries)
-
-    # antipode: S_D(f_c x e_i) = (eps x S(e_i)) *D (f_c S^{-1} x 1)
-    alg = Algebra(f, dim, labels, mult, unit)
-    antipode = Matrix.zeros(f, dim, dim)
-    eta = h.unit
-    eps_row = h.counit
-    for c in range(n):
-        for i in range(n):
-            left = Matrix.zeros(f, dim, 1)
-            sv = h.antipode.col_list(i)
-            for a in range(n):
-                for ii in range(n):
-                    val = eps_row.data[a] * sv[ii]
-                    if not val.is_zero():
-                        left.data[did(a, ii)] = val
-            right = Matrix.zeros(f, dim, 1)
-            for b in range(n):
-                w = sinv.data[c * n + b]
-                if w.is_zero():
-                    continue
-                for ii in range(n):
-                    val = w * eta.data[ii]
-                    if not val.is_zero():
-                        right.data[did(b, ii)] = right.data[did(b, ii)] + val
-            col = alg.mul_vec(left, right)
-            for t in range(dim):
-                antipode.data[t * dim + did(c, i)] = col.data[t]
-
-    rmat = {}
-    for a in range(n):
-        for bb, cb in enumerate(h.counit.data):
-            if cb.is_zero():
-                continue
-            for cc, cu in enumerate(h.unit.data):
-                if cu.is_zero():
-                    continue
-                key = (did(bb, a), did(a, cc))
-                rmat[key] = rmat.get(key, f.zero()) + cb * cu
-    rmat = {k: v for k, v in rmat.items() if not v.is_zero()}
-    return HopfAlgebraData(f, dim, labels, mult, unit, comult, counit,
-                           antipode, rmat, None, "D(%s)" % h.name)
+    eps = h.counit.transpose()
+    d = Algebra(f, n * n, labels,
+                _smash(h.dual(), h, [cross(i) for i in range(n)]),
+                kron(eps, h.unit))
+    # Delta of H*^cop: f_c -> sum_{a, b} (e_a e_b)_c f_b x f_a
+    dual_cop = [{} for _ in range(n)]
+    for a, row in enumerate(h.mult):
+        for b, cell in enumerate(row):
+            for c, v in cell.items():
+                dual_cop[c][b, a] = v
+    # S_D(f x a) = (eps x S(a)) (f S^{-1} x 1)
+    sinv_t = sinv.transpose()
+    cols = [d.mul_vec(kron(eps, h.antipode * h.basis_vec(i)),
+                      kron(sinv_t * h.basis_vec(c), h.unit))
+            for c in range(n) for i in range(n)]
+    rmat = {(x * n + a, a * n + y): cx * cy for a in range(n)
+            for x, cx in enumerate(eps.data) if not cx.is_zero()
+            for y, cy in enumerate(h.unit.data) if not cy.is_zero()}
+    return HopfAlgebraData(
+        f, n * n, labels, d.mult, d.unit,
+        [_kron2(x, y, n) for x in dual_cop for y in h.comult],
+        kron(h.unit.transpose(), h.counit), cols[0].hstack(*cols[1:]), rmat,
+        None, "D(%s)" % h.name)
 
 
 # ---------------------------------------------------------------------------
@@ -743,36 +684,28 @@ def solve_ribbon(h):
 # ---------------------------------------------------------------------------
 # built-in presets
 
+# name -> (the one --param key the builtin reads, None for none; its
+# constructor on the list of parameter values, empty for the default)
+BUILTINS = {
+    "trivial": (None, lambda p: group_algebra([1])),
+    "group_algebra": ("orders", lambda p: group_algebra(p or [2])),
+    "sweedler": (None, lambda p: sweedler()),
+    "double_group_algebra": (
+        "orders", lambda p: drinfeld_double(group_algebra(p or [2]))),
+    "double_z2": (None, lambda p: drinfeld_double(group_algebra([2]))),
+    "double_sweedler": (None, lambda p: drinfeld_double(sweedler())),
+    "taft": ("n", lambda p: taft(p[0] if p else 3)),
+    "double_taft": ("n", lambda p: drinfeld_double(taft(p[0] if p else 3))),
+}
+BUILTIN_NAMES = list(BUILTINS)
+
+
 def builtin(name, params=None):
-    """Verified preset algebras: group_algebra(orders), sweedler,
-    drinfeld doubles thereof."""
-    params = list(params) if params is not None else []
-    if name == "group_algebra":
-        orders = params if params else [2]
-        return group_algebra(orders)
-    if name == "sweedler":
-        return sweedler()
-    if name == "double_group_algebra":
-        orders = params if params else [2]
-        return drinfeld_double(group_algebra(orders))
-    if name == "double_z2":
-        return drinfeld_double(group_algebra([2]))
-    if name == "double_sweedler":
-        return drinfeld_double(sweedler())
-    if name == "taft":
-        return taft(params[0] if params else 3)
-    if name == "double_taft":
-        return drinfeld_double(taft(params[0] if params else 3))
-    if name == "trivial":
-        return group_algebra([1])
-    raise HopfError("unknown builtin algebra %r" % name)
-
-
-# the one --param key each builtin reads, None for a builtin that reads none
-BUILTIN_PARAMS = {"trivial": None, "group_algebra": "orders", "sweedler": None,
-                  "double_group_algebra": "orders", "double_z2": None,
-                  "double_sweedler": None, "taft": "n", "double_taft": "n"}
-BUILTIN_NAMES = list(BUILTIN_PARAMS)
+    """The preset algebra `name` of BUILTINS, from a list of parameter
+    values or None."""
+    if name not in BUILTINS:
+        raise HopfError("unknown builtin algebra %r" % name)
+    return BUILTINS[name][1](list(params) if params is not None else [])
 
 
 def group_algebra(orders):
@@ -957,16 +890,17 @@ def _from_json_dict(d):
             raise AlgebraFormatError("missing field %r in algebra spec" % fieldname)
     if "cyclotomic_order" not in d["scalar"]:
         raise AlgebraFormatError("missing field 'scalar.cyclotomic_order'")
-    f = CycField(int(d["scalar"]["cyclotomic_order"]))
-    n = int(d["dim"])
+    f = CycField(parse_count(d["scalar"]["cyclotomic_order"],
+                             "scalar.cyclotomic_order", 1))
+    n = parse_count(d["dim"], "dim", 1)
     labels = list(d["basis"])
     if len(labels) != n:
         raise AlgebraFormatError("basis has %d labels, dim is %d" % (len(labels), n))
 
     def chk(i, what):
-        i = int(i)
-        if not 0 <= i < n:
-            raise AlgebraFormatError("index %d out of range in %s" % (i, what))
+        if type(i) is not int or not 0 <= i < n:
+            raise AlgebraFormatError("index %s out of range in %s"
+                                     % (json.dumps(i), what))
         return i
 
     mult = [[{} for _ in range(n)] for _ in range(n)]

@@ -6,7 +6,7 @@ Grothendieck ring.
 
 import json
 
-from .scalars import parse_scalar, format_scalar
+from .scalars import parse_scalar, parse_count, format_scalar
 from .linalg import Matrix, kron, solve_right, kernel_basis, IncrementalSpan
 from .etale import orthogonal_primitive_idempotents, newton_lift_idempotent
 
@@ -154,14 +154,8 @@ def tensor_obj(x, y):
 def dual_obj(x):
     """Left dual: rho*(a) = rho(S(a))^T."""
     h = x.algebra
-    action = []
-    for i in range(h.dim):
-        s = h.antipode.col_list(i)
-        m = Matrix.zeros(h.field, x.dim, x.dim)
-        for k, c in enumerate(s):
-            if not c.is_zero():
-                m = m + x.action[k].scale(c)
-        action.append(m.transpose())
+    action = [x.act(h.antipode * h.basis_vec(i)).transpose()
+              for i in range(h.dim)]
     return ModuleObject(h, x.dim, action, "%s*" % x.name)
 
 
@@ -384,29 +378,6 @@ def radical_basis(h):
     return kernel_basis(gram)
 
 
-class _Quotient:
-    """A/rad with canonical representatives: coordinates reduced modulo the
-    radical."""
-
-    def __init__(self, h):
-        self.h = h
-        self.rad = radical_basis(h)
-        self.span = IncrementalSpan(h.field, h.dim)
-        for v in self.rad:
-            self.span.add(v)
-
-    def reduce(self, v):
-        """Canonical representative of v + rad."""
-        return self.span.reduce(v)
-
-    def mul(self, a, b):
-        return self.reduce(self.h.mul_vec(a, b))
-
-    def basis(self):
-        return [self.reduce(self.h.basis_vec(j))
-                for j in self.span.free_indices()]
-
-
 def simples_data(h):
     """Simple modules, projective covers, primitive idempotent data, and the
     Cartan matrix.  Raises NonSplitError when the scalar field does not
@@ -416,12 +387,12 @@ def simples_data(h):
 
 def _simples_data(h):
     f = h.field
-    q = _Quotient(h)
-    qspan = IncrementalSpan(f, h.dim)
-    qbasis = [v for v in q.basis() if qspan.add(v)]
-    unit_bar = q.reduce(h.unit)
+    rad = IncrementalSpan(f, h.dim)
+    for v in radical_basis(h):
+        rad.add(v)
+    mul, qbasis, unit_bar = h.quotient(rad)
     prims = orthogonal_primitive_idempotents(
-        f, q.mul, qbasis, unit_bar, require_split=True,
+        f, mul, qbasis, unit_bar, require_split=True,
         block_name="semisimple quotient of %s" % h.name)
 
     # group into isomorphism classes: P ~ P' iff P Abar P' != 0
@@ -432,7 +403,7 @@ def _simples_data(h):
             rep = cls[0]
             linked = False
             for b in qbasis:
-                if not q.mul(q.mul(rep, b), p).is_zero():
+                if not mul(mul(rep, b), p).is_zero():
                     linked = True
                     break
             if linked:
@@ -445,9 +416,9 @@ def _simples_data(h):
     entries = []
     for cls in classes:
         p = cls[0]
-        simple_vectors = [q.mul(b, p) for b in qbasis]
+        simple_vectors = [mul(b, p) for b in qbasis]
         s = module_from_vectors(h, simple_vectors, "S?",
-                                left_action=lambda i, v: q.mul(h.basis_vec(i), v))
+                                left_action=lambda i, v: mul(h.basis_vec(i), v))
         # lift the idempotent to H and take the projective cover H e
         e = newton_lift_idempotent(f, h.mul_vec, p)
         proj_vectors = [h.mul_vec(h.basis_vec(i), e) for i in range(h.dim)]
@@ -528,12 +499,12 @@ def module_from_json_dict(h, d):
         for fieldname in ["name", "dim", "action"]:
             if fieldname not in d:
                 raise ValueError("missing field %r" % fieldname)
-        dim = int(d["dim"])
+        dim = parse_count(d["dim"], "dim", 0)
         action = [Matrix.zeros(h.field, dim, dim) for _ in range(h.dim)]
         for k, i, j, c in d["action"]:
-            k, i, j = int(k), int(i), int(j)
-            if not (0 <= k < h.dim and 0 <= i < dim and 0 <= j < dim):
-                raise ValueError("action entry (%d, %d, %d) out of range"
+            if not (all(type(t) is int for t in (k, i, j))
+                    and 0 <= k < h.dim and 0 <= i < dim and 0 <= j < dim):
+                raise ValueError("action entry (%s, %s, %s) out of range"
                                  % (k, i, j))
             action[k][i, j] = parse_scalar(h.field, c)
     except (ValueError, TypeError, KeyError) as e:

@@ -12,6 +12,7 @@ Q(z_N)(D)), used for the cyclotomic polynomials here and for the etale
 splitting, the ribbon solve and the defect minimal polynomials elsewhere.
 """
 
+import json
 from fractions import Fraction
 from math import gcd
 
@@ -403,6 +404,15 @@ def format_scalar(s):
 
 class ScalarParseError(ValueError):
     pass
+
+
+def parse_count(x, what, least):
+    """x itself when it is a JSON integer >= least (a cyclotomic order, a
+    dimension); a ValueError naming `what` otherwise."""
+    if type(x) is not int or x < least:
+        raise ValueError("%s must be an integer >= %d, got %s"
+                         % (what, least, json.dumps(x)))
+    return x
 
 
 def parse_scalar(field, text):

@@ -6,8 +6,8 @@ unattainable: D(Sweedler) admits no ribbon element (Kauffman-Radford parity;
 verified here by complete enumeration plus an independent sympy solve of the
 quadratic system).  Those parts are strict xfails carrying the obstruction.
 No test runs the same checks on a non-semisimple modular example yet: the
-odd-Taft double D(Taft_3) has no test file, and `pytest -m slow` selects no
-test."""
+odd-Taft double D(Taft_3) is tested only under `pytest -m slow`, for its
+ribbon elements and its Cartan matrix."""
 
 import random
 

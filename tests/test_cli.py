@@ -2,6 +2,7 @@ import json
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -240,6 +241,13 @@ def test_declared_ribbon_element_is_checked(builtin, params, failed, tmp_path,
     assert err.startswith("error: declared ribbon element fails:")
 
 
+# cyclotomic orders that are not integers >= 1: they used to reach an
+# assert (exit 3 with an empty message) or be truncated and accepted, as
+# fractional indices were
+BAD_ORDERS = {"cyclotomic order 0": 0, "negative cyclotomic order": -3,
+              "fractional cyclotomic order": 2.5}
+
+
 def _malformed_case(case, tmp_path):
     """The argv of one malformed-input case."""
     none = str(tmp_path / "none.json")
@@ -252,14 +260,29 @@ def _malformed_case(case, tmp_path):
     if case == "bad scalar literal":
         spec["mult"][0][-1] = "1+"
         return ["cartan", "--algebra", _spec_file(tmp_path, spec)]
+    if case in BAD_ORDERS:
+        spec["scalar"]["cyclotomic_order"] = BAD_ORDERS[case]
+        return ["cartan", "--algebra", _spec_file(tmp_path, spec)]
+    if case == "fractional index":
+        spec["mult"][1][0] = 0.5
+        return ["cartan", "--algebra", _spec_file(tmp_path, spec)]
+    if case == "dim 0":
+        spec.update(dim=0, basis=[], mult=[], unit=[], comult=[], counit=[],
+                    antipode=[], rmatrix=[])
+        return ["cartan", "--algebra", _spec_file(tmp_path, spec)]
     module = repcat.module_to_json_dict(
         repcat.trivial_module(hopf.builtin("double_z2")))
     bind = ["diagram", "eval", "--builtin", "double_z2", "--expr", "id(X)",
             "--bind"]
     if case == "missing module file":
         return bind + ["X=" + none]
-    assert case == "action index out of range"
-    module["action"].append([99, 0, 0, "1"])
+    if case == "negative module dim":
+        module.update(dim=-1, action=[])
+    elif case == "fractional action index":
+        module["action"][0][1] = 0.5
+    else:
+        assert case == "action index out of range"
+        module["action"].append([99, 0, 0, "1"])
     path = tmp_path / "module.json"
     path.write_text(json.dumps(module))
     return bind + ["X=%s" % path]
@@ -267,7 +290,9 @@ def _malformed_case(case, tmp_path):
 
 @pytest.mark.parametrize("case", [
     "missing algebra file", "dim not an integer", "bad scalar literal",
-    "missing module file", "action index out of range"])
+    "missing module file", "action index out of range", *BAD_ORDERS,
+    "dim 0", "negative module dim", "fractional index",
+    "fractional action index"])
 def test_malformed_file_is_one_usage_error_line(case, tmp_path, capsys):
     code, out, err = run_cli(_malformed_case(case, tmp_path), capsys)
     assert (code, out) == (EXIT_USAGE, "")
@@ -492,6 +517,19 @@ def test_golden_json_output(name, args, tmp_path, capsys):
     code, out, err = run_cli(args + ["--format", "json"], capsys)
     assert (code, err) == (GOLDEN_EXIT.get(name, EXIT_OK), "")
     assert out == (GOLDEN / (name + ".json")).read_text()
+
+
+@pytest.mark.slow
+def test_golden_cartan_double_taft_slow(capsys):
+    """The Cartan matrix of D(Taft_3) (dim 81; simples of dims 1, 2 and 3,
+    so its semisimple quotient is not commutative), as recorded in
+    tests/golden, within a 60 s budget."""
+    start = time.perf_counter()
+    code, out, err = run_cli(["cartan", "--builtin", "double_taft", "--param",
+                              "n=3", "--format", "json"], capsys)
+    assert time.perf_counter() - start < 60
+    assert (code, err) == (EXIT_OK, "")
+    assert out == (GOLDEN / "cartan_double_taft_n3.json").read_text()
 
 
 # D(Z/3) spec files with the coefficient of one structure-constant entry

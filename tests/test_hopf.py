@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -267,6 +268,67 @@ def test_taft_and_its_double():
     assert t.dim == 9
     assert verify_hopf_axioms(t).ok
     assert t.rmatrix is None
+
+
+# SHA-256 of json.dumps(to_json_dict(h), sort_keys=True), recorded with the
+# hand-indexed double and tensor-product loops that the smash product
+# replaced; benchmark set-up writes its input files from these builtins
+CONSTRUCTOR_DIGESTS = {
+    ("builtin", "trivial", None):
+        "377a278934a3b6157661cca6f42048133efe97a5a548eb3e4903675dafa2ac65",
+    ("builtin", "group_algebra", None):
+        "d1d829212fc3ecc134d1d3179fb09e700400494b62fd035c75b7dc2555656b1c",
+    ("builtin", "sweedler", None):
+        "ee2877bf4c25298769840e43c16521599eb19e96da998b5421695aa62ca47572",
+    ("builtin", "double_group_algebra", None):
+        "a343acfcdfa0efd5ab959c23d9b09fc61ca43295652630c2d181f189440c598c",
+    ("builtin", "double_z2", None):
+        "a343acfcdfa0efd5ab959c23d9b09fc61ca43295652630c2d181f189440c598c",
+    ("builtin", "double_sweedler", None):
+        "41f0b69d4ab6259909202b02bf71ad14c1c3ecc407da4a1e74efc7a37086f7ed",
+    ("builtin", "taft", None):
+        "40484d3242fc6a1230fa688cb6324362ce452cecaf480612d59bb222e44cd21b",
+    ("builtin", "double_taft", None):
+        "cd71742c17c7fdbd300a050b0d6e487af839f9e54b064c7bd463bf510ecc9466",
+    ("builtin", "double_group_algebra", (2, 2)):
+        "45fabef591966ac4dfe2f028f86bd80cbb6b38f06727afb27e7b1b64e6e1d057",
+    ("builtin", "double_group_algebra", (4,)):
+        "51e954a0313dfea499c86866af0cac59c90bdc783ed1314baf282747f475d8b4",
+    ("builtin", "double_taft", (3,)):
+        "cd71742c17c7fdbd300a050b0d6e487af839f9e54b064c7bd463bf510ecc9466",
+    ("double", "taft", (4,)):
+        "acbf7674e7a5c92c9ba7c801816a137f5c1c5be9117964ce4a1c2ad1956b2bde",
+    ("tensor", "double_sweedler", "k[Z2]"):
+        "0cadc5c42e72bc51e9659c17d977b435bfc2e8541c9782beabcda4636ebd890b",
+    ("tensor", "double_z2", "k[Z1]"):
+        "8411a5aa2b0498a9e0330591a16c416e25c8e0f4dca6b68d4acebd4f3ff0b9c4",
+    ("tensor", "double_z2", "mirror"):
+        "f04f7bfbcd80ea6db5876b202301a81f825cff2127858a13b7c4cdc991630655",
+    ("tensor", "sweedler", "k[Z3]"):
+        "1a3f63dd0569416f9e7969022446e8ee7b93428996499cff295070e4cde31ee9",
+}
+
+
+def _constructed(kind, name, arg):
+    if kind == "builtin":
+        return builtin(name, None if arg is None else list(arg))
+    if kind == "double":
+        return drinfeld_double(getattr(hopf, name)(*arg))
+    h = builtin(name)
+    k = mirror(h) if arg == "mirror" else \
+        hopf.group_algebra([int(arg[len("k[Z"):-1])])
+    return tensor_hopf(h, k)
+
+
+@pytest.mark.parametrize("case", sorted(CONSTRUCTOR_DIGESTS, key=str),
+                         ids=lambda c: "-".join(map(str, c)))
+def test_constructors_keep_their_spec_bytes(case):
+    """drinfeld_double and tensor_hopf, both smash products, give the same
+    spec file as the loops they replaced, on every builtin, the larger
+    doubles and four tensor products (over one field and over two)."""
+    d = hopf.to_json_dict(_constructed(*case))
+    digest = hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()
+    assert digest == CONSTRUCTOR_DIGESTS[case]
 
 
 def test_builtin_unknown():

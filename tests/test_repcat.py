@@ -3,7 +3,7 @@ import random
 import pytest
 
 from mtc import hopf, repcat
-from mtc.linalg import Matrix, kron, rank
+from mtc.linalg import Matrix, kron, rank, IncrementalSpan
 
 from mtc.repcat import (trivial_module, regular_module, tensor_obj, dual_obj,
                         direct_sum, hom_basis, simples_data, duality,
@@ -248,3 +248,47 @@ def test_nonsplit_detection():
     # and with the right field it splits into three characters
     sd = simples_data(z3)
     assert [s.dim for s in sd.simples] == [1, 1, 1]
+
+
+def test_one_split_gives_every_block(monkeypatch):
+    """k[x]/(x^2 (x^2 - 1)) has the blocks k[x]/x^2, k and k.  The
+    minimal polynomial of x splits all three off at once: one etale
+    splitting, where taking one idempotent per split took two."""
+    from mtc import etale
+    from mtc.scalars import CycField
+    f = CycField(1)
+    # x^i x^j = x^(i + j), with x^4 = x^2
+    mult = [[{i + j if i + j < 4 else 2 + (i + j) % 2: f.one()}
+             for j in range(4)] for i in range(4)]
+    a = hopf.Algebra(f, 4, ["1", "x", "x2", "x3"], mult,
+                     Matrix.column(f, [1, 0, 0, 0]))
+    calls = []
+    split = etale.split_etale_cyclic
+    monkeypatch.setattr(etale, "split_etale_cyclic",
+                        lambda *args: calls.append(args) or split(*args))
+    basis = [a.basis_vec(i) for i in range(4)]
+    idems = etale.orthogonal_primitive_idempotents(
+        f, a.mul_vec, basis, a.unit, require_split=False)
+    assert len(calls) == 1
+    assert sorted(etale.corner_subalgebra(f, a.mul_vec, basis, e).dim
+                  for e in idems) == [1, 1, 2]
+    assert sum(idems[1:], idems[0]) == a.unit
+    for i, e in enumerate(idems):
+        for j, e2 in enumerate(idems):
+            assert a.mul_vec(e, e2) == (e if i == j else e.scale(f.zero()))
+
+
+@pytest.mark.parametrize("name", ["sweedler", "double_sweedler", "taft"])
+def test_quotient_by_the_radical(name):
+    """A/rad on canonical representatives: the unit vectors at the free
+    indices are already reduced, so they are a basis of the quotient with
+    no second filter, and the reduced unit acts as one on them."""
+    h = hopf.builtin(name)
+    rad = IncrementalSpan(h.field, h.dim)
+    for v in repcat.radical_basis(h):
+        rad.add(v)
+    assert 0 < rad.rank < h.dim
+    mul, basis, unit = h.quotient(rad)
+    assert len(basis) == h.dim - rad.rank
+    assert all(rad.reduce(b) == b for b in basis)
+    assert all(mul(unit, b) == b == mul(b, unit) for b in basis)
