@@ -14,9 +14,9 @@ from itertools import accumulate, repeat
 from .scalars import CycField, poly_squarefree
 from .linalg import Matrix, kron, rank, minimal_polynomial
 from .hopf import Algebra
-from . import repcat, coend as coend_mod
+from . import repcat, diagrams, coend as coend_mod
 from .repcat import (ModuleObject, Morphism, trivial_module, tensor_obj,
-                     dual_obj, hom_basis, simples_data, grothendieck_ring)
+                     dual_obj, simples_data, grothendieck_ring)
 from .report import Report
 
 
@@ -98,8 +98,7 @@ def coend_carrier_bimodule(h):
     """The coadjoint carrier as the coregular bimodule (a (x) b) . xi =
     xi(S(a) . b), realizing the coend as an object of C x Cbar.  A module
     over T = H (x) mirror(H) is a pair of commuting H-module structures, so
-    the carrier is given by its two factors.  Returns (left, right, factor
-    check)."""
+    the carrier is given by its two factors.  Returns (left, right)."""
     n = h.dim
     # left factor: xi -> xi(S(a) . ); right factor: xi -> xi( . b); on the
     # dual basis these are the transposes of the multiplication matrices
@@ -109,14 +108,7 @@ def coend_carrier_bimodule(h):
     right = ModuleObject(
         h, n, [h.right_mult_matrix(h.basis_vec(a)).transpose()
                for a in range(n)], "L-carrier right")
-
-    def factor_check():
-        # both factors are H-modules with commuting actions: the module
-        # axioms on T
-        return left.validate() and right.validate() and all(
-            a1 * a2 == a2 * a1 for a1 in left.action for a2 in right.action)
-
-    return left, right, factor_check
+    return left, right
 
 
 def torus_partition(h, with_coend=None):
@@ -131,9 +123,14 @@ def torus_partition(h, with_coend=None):
     sd = simples_data(h)
     cartan = [row[:] for row in sd.cartan]
 
-    left, right, factor_check = coend_carrier_bimodule(h)
+    left, right = coend_carrier_bimodule(h)
     ok = True
-    if rep.add("carrier bimodule is a T-module", factor_check()):
+    # both factors are H-modules with commuting actions: the module axioms
+    # on T
+    if rep.add("carrier bimodule is a T-module",
+               left.validate() and right.validate() and
+               all(a1 * a2 == a2 * a1
+                   for a1 in left.action for a2 in right.action)):
         dual_perm = sd.dual_permutation()
         lefts = [left.act(e) for e in sd.idempotents]
         rights = [right.act(e) for e in sd.idempotents]
@@ -172,18 +169,9 @@ def torus_partition(h, with_coend=None):
 # ---------------------------------------------------------------------------
 # defect operators
 
-class DefectOperator:
-    def __init__(self, label, matrix):
-        self.label = label
-        self.matrix = matrix
-
-    def __repr__(self):
-        return "DefectOperator(%s)" % self.label.name
-
-
 def defect_operator(cd, d_obj, check=True):
-    """O_D = mu (chk_D x id), left multiplication by the cocharacter in L;
-    cross-checked against the Frobenius-side formula
+    """The matrix of O_D = mu (chk_D x id), left multiplication by the
+    cocharacter in L; cross-checked against the Frobenius-side formula
     ((chi_D . S) x id) Delta_Lambda."""
     a = cd.algebra
     o = a.left_mult_matrix(coend_mod.cocharacter(cd, d_obj).matrix)
@@ -200,13 +188,14 @@ def defect_operator(cd, d_obj, check=True):
         if not all(o * a.left_regular(i) == a.left_regular(i) * o
                    for i in range(a.dim)):
             raise CardyError("defect operator is not an L-module endomorphism")
-    return DefectOperator(d_obj, o)
+    return o
 
 
 def defect_algebra(cd):
     """span{O_S : S simple}: dimension, structure constants compared with
     the Grothendieck ring, and the semisimplicity correspondence.  Returns
-    (the fusion algebra as an Algebra, report, operators)."""
+    (the fusion algebra as an Algebra, report, the operator matrices in the
+    order of the simples)."""
     h = cd.h
     f = cd.field
     rep = Report("defect operator algebra")
@@ -215,9 +204,9 @@ def defect_algebra(cd):
     m = len(ops)
 
     one_idx = sd.trivial_index()
-    rep.add("O_1 = id", ops[one_idx].matrix == Matrix.identity(f, h.dim))
+    rep.add("O_1 = id", ops[one_idx] == Matrix.identity(f, h.dim))
 
-    cols = [Matrix.column(f, op.matrix.data) for op in ops]
+    cols = [Matrix.column(f, op.data) for op in ops]
     stack = cols[0].hstack(*cols[1:])
     rep.add("span{O_S} has dimension = number of simples", rank(stack) == m)
 
@@ -225,15 +214,15 @@ def defect_algebra(cd):
     fuses = ok = True
     for i in range(m):
         for j in range(m):
-            comp = ops[i].matrix * ops[j].matrix
+            comp = ops[i] * ops[j]
             # composed defect label: S_i (x) S_j
             comp2 = defect_operator(cd, tensor_obj(sd.simples[i], sd.simples[j]),
-                                    check=False).matrix
+                                    check=False)
             expect = Matrix.zeros(f, h.dim, h.dim)
             for k in range(m):
                 c = f.from_rational(gr[i][j][k])
                 if not c.is_zero():
-                    expect = expect + ops[k].matrix.scale(c)
+                    expect = expect + ops[k].scale(c)
             fuses = fuses and comp == comp2
             ok = ok and comp == expect
     rep.add("O_E . O_D = O_{E x D} on all simple pairs", fuses)
@@ -269,8 +258,9 @@ def defect_minimal_polynomial(cd, d_obj):
 
 
 def nondiagonalizable_defect(cd):
-    """A defect operator whose minimal polynomial has a repeated root, or
-    None when all are semisimple operators."""
+    """(O_D, its minimal polynomial) for a defect operator whose minimal
+    polynomial has a repeated root, or None when all are semisimple
+    operators."""
     sd = simples_data(cd.h)
     # projective covers can also act non-diagonalizably
     for d_obj in list(sd.simples) + list(sd.projectives):
@@ -286,13 +276,13 @@ def nondiagonalizable_defect(cd):
 SF_LABELS = ["1", "P1", "T", "PT"]
 
 
-def sf_fusion_algebra(npairs, field=None):
+def sf_fusion_algebra(npairs):
     """The 4-dimensional fusion algebra of N pairs of symplectic fermions:
     [P1]^2 = [1], [P1][T] = [PT], [T][T] = [T][PT] = 2^{2N-1}([1] + [P1])."""
     if npairs < 1:
         raise ValueError("symplectic fermions need N >= 1 pairs, got %d"
                          % npairs)
-    f = field if field is not None else CycField(4)
+    f = CycField(4)
     one, zero = f.one(), f.zero()
     c = f.from_rational(2 ** (2 * npairs - 1))
     I1, P1, T, PT = range(4)
@@ -315,19 +305,24 @@ def sf_fusion_algebra(npairs, field=None):
 # two-point correlators and the adjunction maps
 
 def cardy_action(cd, x, xbar):
-    """The canonical L-action on the bulk module X (x) Xbar, with the second
-    factor carried along the mirrored braiding."""
-    return coend_mod.canonical_action(cd, x, mirror_factor=xbar)
+    """The canonical L-action on the bulk module W = X (x) Xbar: the
+    comodule structure is id_X (x) delta_Xbar, so the action is
+    id_X (x) rho_Xbar (the second factor carries the mirrored braiding
+    under the equivalence).  `coend._half_braiding_action` derives the
+    same action from the half-braiding figure, independently."""
+    w = tensor_obj(x, xbar)
+    rho = kron(Matrix.identity(cd.field, x.dim),
+               coend_mod.canonical_action(cd, xbar).matrix)
+    return Morphism(tensor_obj(w, cd.carrier), w, rho)
 
 
 def delta_lambda_coaction(cd, rho):
-    """delta^Lambda: W -> W (x) L from an action via the Radford copairing."""
-    f = cd.field
-    n = cd.h.dim
-    d = rho.cod.dim
-    return Morphism(rho.cod, tensor_obj(rho.cod, cd.carrier),
-                    kron(rho.matrix, Matrix.identity(f, n)) *
-                    kron(Matrix.identity(f, d), cd.kappa_copair))
+    """delta^Lambda = (rho x id)(id x copairing): W -> W (x) L from an
+    action rho: W (x) L -> W via the Radford copairing."""
+    w = rho.cod
+    return Morphism(w, tensor_obj(w, cd.carrier),
+                    coend_mod.through_copairing(cd, w, rho.matrix, w,
+                                                cd.kappa_copair))
 
 
 def adjunction_maps(cd, k):
@@ -357,19 +352,27 @@ def adjunction_maps(cd, k):
     return phi, psi, counit
 
 
+# Path B of the bulk two-point pairing on X (x) Xbar -> Y (x) Ybar: gf
+# followed by the cutting endomorphism cut = b . a of Ybar (x) Xbar*, the
+# Xbar* leg closed against the incoming Xbar
+TWO_POINT_WORD = ("(id(X) * coev(Xb) * id(Xb)) ; "
+                  "(box(gf) * id(Xb.dual) * id(Xb)) ; "
+                  "(id(Y) * box(cut) * id(Xb)) ; (id(Y) * id(Yb) * ev(Xb))")
+
+
 def bulk_two_point(cd, f_mor, g_mor, x, xbar, y, ybar, k):
     """The two evaluation paths of the bulk two-point pairing.
 
     Path A: phi(g) . psi(f) through the adjunction maps.
     Path B: the Psi-decomposition D . sum_a (left_a (x) right_a) through the
-    cutting of Ybar (x) Xbar*.
+    cutting b . a = sum_a b_a a_a of Ybar (x) Xbar*, as the one word
+    TWO_POINT_WORD.
 
     Returns (pathA, pathB, m); raises CardyError when they disagree."""
     fld = cd.field
     n = cd.h.dim
     rho_x = cardy_action(cd, x, xbar)
     rho_y = cardy_action(cd, y, ybar)
-    dxx = x.dim * xbar.dim
 
     # path A
     dl = delta_lambda_coaction(cd, rho_x)
@@ -378,21 +381,15 @@ def bulk_two_point(cd, f_mor, g_mor, x, xbar, y, ybar, k):
     patha = patha.promote(cd.D_field).scale(cd.D.inv())
 
     # path B: cutting of Ybar (x) Xbar*
-    w = tensor_obj(ybar, dual_obj(xbar))
-    m, a, b = coend_mod.cutting_decomposition(cd, w)
-    dy, dyb, dxb = y.dim, ybar.dim, xbar.dim
-    coev_xb = repcat.coev_morphism(xbar).matrix
-    ev_xb = repcat.ev_morphism(xbar).matrix
-    pathb = Matrix.zeros(fld, dy * dyb, dxx)
-    for alpha in range(m):
-        a_row = Matrix.row(fld, [a[alpha, j] for j in range(w.dim)])
-        b_col = Matrix.column(fld, [b[i, alpha] for i in range(w.dim)])
-        left = kron(Matrix.identity(fld, dy), a_row) * \
-            kron(gf, Matrix.identity(fld, dxb)) * \
-            kron(Matrix.identity(fld, x.dim), coev_xb)
-        right = kron(Matrix.identity(fld, dyb), ev_xb) * \
-            kron(b_col, Matrix.identity(fld, dxb))
-        pathb = pathb + kron(left, right)
+    m, a, b = coend_mod.cutting_decomposition(
+        cd, tensor_obj(ybar, dual_obj(xbar)))
+    env = diagrams.Env(cd.h).bind_object("X", x).bind_object("Xb", xbar)
+    env.bind_object("Y", y).bind_object("Yb", ybar)
+    xs, ys = (("name", "X"), ("name", "Xb")), (("name", "Y"), ("name", "Yb"))
+    env.bind_box("gf", gf, xs, ys)
+    cut = ys[1:] + diagrams.obj_dual(xs[1:])
+    env.bind_box("cut", b * a, cut, cut)
+    pathb = diagrams.word_matrix(env, TWO_POINT_WORD)
     pathb = pathb.promote(cd.D_field).scale(cd.D)
 
     if patha != pathb:

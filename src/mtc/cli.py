@@ -127,6 +127,18 @@ def choose_ribbon(h, index):
 # ---------------------------------------------------------------------------
 # the verification suite
 
+# The stages after the category structure, in order: a stage that cannot
+# run skips itself and every stage after it
+LATER_STAGES = ("coend build", "structure solve", "integrals", "modularity",
+                "S/T transforms", "characters", "cutting",
+                "cardy certificates")
+
+
+def _skip_from(rep, stage, reason):
+    for name in LATER_STAGES[LATER_STAGES.index(stage):]:
+        rep.skip(name, reason)
+
+
 def run_suite(config):
     """Dependency-ordered pipeline with skip-propagation."""
     rep = Report("verification suite")
@@ -169,10 +181,7 @@ def run_suite(config):
         _structural_checks(h, sd, rep, have_ribbon, threads)
 
     if not have_ribbon:
-        for stage in ["coend build", "structure solve", "integrals",
-                      "modularity", "S/T transforms", "characters",
-                      "cutting", "cardy certificates"]:
-            rep.skip(stage, "no ribbon element")
+        _skip_from(rep, "coend build", "no ribbon element")
         return rep
 
     with rep.timed("coend"):
@@ -193,9 +202,8 @@ def run_suite(config):
             rep.add("integrals normalized (lambda Lambda = 1)", True)
         except CoendError as e:
             rep.add("integrals", False, str(e))
-        for stage in ["zeta normalization", "S/T transforms", "characters",
-                      "cutting", "cardy certificates"]:
-            rep.skip(stage, "not modular")
+        rep.skip("zeta normalization", "not modular")
+        _skip_from(rep, "S/T transforms", "not modular")
         return rep
 
     with rep.timed("integrals"):
@@ -204,9 +212,7 @@ def run_suite(config):
             rep.add("integrals normalized (lambda Lambda = 1, zeta = D+ D-)", True)
         except CoendError as e:
             rep.add("integrals", False, str(e))
-            for stage in ["S/T transforms", "characters", "cutting",
-                          "cardy certificates"]:
-                rep.skip(stage, "integral normalization failed")
+            _skip_from(rep, "S/T transforms", "integral normalization failed")
             return rep
 
     with rep.timed("S/T"):
@@ -337,7 +343,7 @@ def emit(payload, fmt, out=None):
         sys.stdout.write(text)
 
 
-def _emit_csv(data, prefix=""):
+def _emit_csv(data):
     buf = io.StringIO()
 
     def walk(obj, path):
@@ -360,7 +366,7 @@ def _emit_csv(data, prefix=""):
     return buf.getvalue()
 
 
-def _emit_text(data, indent=0):
+def _emit_text(data):
     lines = []
 
     def walk(obj, pad, key=None):
@@ -383,7 +389,7 @@ def _emit_text(data, indent=0):
         else:
             lines.append(head + " " + str(obj))
 
-    walk(data, indent)
+    walk(data, 0)
     return "\n".join(lines) + "\n"
 
 
@@ -570,14 +576,14 @@ def cmd_cardy(config, sub, args):
             fa, rep, ops = cardy_mod.defect_algebra(cd)
             payload = {
                 "algebra": h.name,
-                "operators": {op.label.name: matrix_payload(op.matrix)
-                              for op in ops},
+                "operators": {s.name: matrix_payload(op)
+                              for s, op in zip(sd.simples, ops)},
                 "checks": report_payload(rep)["checks"],
             }
             emit(payload, config.fmt, config.out)
             return EXIT_OK if rep.ok else EXIT_CHECK_FAILED
-        op = cardy_mod.defect_operator(cd, x)
-        payload = {"object": x.name, "matrix": matrix_payload(op.matrix)}
+        payload = {"object": x.name, "matrix": matrix_payload(
+            cardy_mod.defect_operator(cd, x))}
         emit(payload, config.fmt, config.out)
         return EXIT_OK
     raise UsageError("unknown cardy subcommand %r" % sub)

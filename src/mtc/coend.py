@@ -12,11 +12,13 @@ projective covers, or on all pairs of them.  Diagram words are evaluated
 column-by-column on sparse vectors.
 
 The derived morphisms are diagram words in the solved structure, evaluated
-by the same evaluator: the S transformation (omega x id)(id x copairing),
-the Frobenius coproduct (mu x id)(id x copairing), the canonical coaction
-delta_X = (id x iota_X)(coev_X x id), the action rho_X =
-(id x omega)(delta_X x id), the character chi_X as the pivotal trace of
-rho_X, and the cocharacter iota_X coev~_X.
+by the same evaluator.  One copairing word (rho x id)(id x copairing)
+gives the S transformation (rho = omega), the Frobenius coproduct
+(rho = mu) and the coaction delta^Lambda of an L-module (rho its action).
+The words on an object X are the canonical coaction delta_X =
+(id x iota_X)(coev_X x id), the action rho_X = (id x omega)(delta_X x id)
+with delta_X inlined, the character chi_X as the pivotal trace of that
+action word, and the cocharacter iota_X coev~_X.
 """
 
 from collections import namedtuple
@@ -168,16 +170,19 @@ def coadjoint_module(h):
 # ---------------------------------------------------------------------------
 # the structure morphisms and their defining diagram words
 
-# The derived morphisms, in the carrier L, an object X and boxes for the
-# solved structure: copair is a copairing 1 -> L (x) L, iota_x is iota_X,
-# coact the coaction delta_X and rho the action rho_X
-COPAIRING_WORD = "(id(L) * box(copair)) ; (box(%s) * id(L))"
+# The derived morphisms.  The copairing word is read on a module W with a
+# map rho: W (x) L -> V and a copairing copair: 1 -> L (x) L; the other
+# words on an object X with iota_x = iota_X and the Hopf pairing omega
+COPAIRING_WORD = "(id(W) * box(copair)) ; (box(rho) * id(L))"
 COACTION_WORD = "(coev(X) * id(X)) ; (id(X) * box(iota_x))"
 COCHARACTER_WORD = "coevt(X) ; box(iota_x)"
-ACTION_WORD = "(box(coact) * id(L)) ; (id(X) * box(omega))"
-CHARACTER_WORD = "(coevt(X) * id(L)) ; (id(X.dual) * box(rho)) ; ev(X)"
-_L = (("name", "L"),)
-_X = (("name", "X"),)
+ACTION_WORD = ("(coev(X) * id(X) * id(L)) ; "
+               "(id(X) * box(iota_x) * id(L)) ; (id(X) * box(omega))")
+CHARACTER_WORD = ("(coevt(X) * id(L)) ; "
+                  "(id(X.dual) * coev(X) * id(X) * id(L)) ; "
+                  "(id(X.dual) * id(X) * box(iota_x) * id(L)) ; "
+                  "(id(X.dual) * id(X) * box(omega)) ; ev(X)")
+_L, _X, _W, _V = ((("name", s),) for s in "LXWV")
 
 Structure = namedtuple("Structure", "check box attr dom cod word")
 
@@ -213,16 +218,6 @@ STRUCTURE = (
 _XX, _YY, _LL = (("name", "XX"),), (("name", "YY"),), (("name", "_L"),)
 
 
-def kappa_matrix(field, dx, dy):
-    """The canonical Y* (x) X* -> (X (x) Y)* permutation matrix."""
-    m = Matrix.zeros(field, dx * dy, dx * dy)
-    one = field.one()
-    for a in range(dx):
-        for b in range(dy):
-            m.data[(a * dy + b) * (dx * dy) + (b * dx + a)] = one
-    return m
-
-
 def _object_env(cd, x):
     """Environment with boxes for the defining words on one object XX."""
     h = cd.h
@@ -243,7 +238,8 @@ def _pair_env(cd, x, y):
     env = diagrams.Env(cd.h).bind_object("XX", x).bind_object("YY", y)
     env.bind_object("_L", cd.carrier)
     dxy = obj_dual(_XX + _YY)
-    env.bind_box("kap", kappa_matrix(cd.field, x.dim, y.dim),
+    # the canonical Y* (x) X* -> (X (x) Y)* is the flip of the factors
+    env.bind_box("kap", repcat.flip_matrix(cd.field, y.dim, x.dim),
                  obj_dual(_YY) + obj_dual(_XX), dxy)
     env.bind_box("iota_t", cd.iota_pair_colfn(x, y), dxy + _XX + _YY, _LL)
     return env
@@ -476,7 +472,9 @@ def integrals_and_zeta(cd):
     # measured proportionality and rescale when the root is in the field.
     from .scalars import sqrt_in_field
     from .etale import sign_normalized_first
-    eps_s = cd.eps * _through_copairing(cd, "omega", _copairing(cd, Lam))
+    eps_s = cd.eps * through_copairing(cd, cd.carrier, cd.omega,
+                                       trivial_module(cd.h),
+                                       _copairing(cd, Lam))
     ratio = _proportionality(eps_s, lam)
     if ratio is None:
         raise CoendError("eps . S_transform is not proportional to lambda")
@@ -536,17 +534,21 @@ def _copairing(cd, Lam):
     return kron(cd.antipode_L, eye) * (cd.delta * Lam)
 
 
-def _through_copairing(cd, box, copair):
-    """(box x id)(id x copair): L -> L for box omega (the S transformation),
-    L -> L (x) L for box mu (the Frobenius coproduct)."""
-    env = _structure_env(cd).bind_box("copair", copair, (), _L + _L)
-    return word_matrix(env, COPAIRING_WORD % box)
+def through_copairing(cd, w, rho, v, copair):
+    """(rho x id)(id x copair): W -> V (x) L, the copairing word for
+    rho: W (x) L -> V on the modules w and v."""
+    env = diagrams.Env(cd.h).bind_object("L", cd.carrier)
+    env.bind_object("W", w).bind_object("V", v)
+    env.bind_box("copair", copair, (), _L + _L)
+    env.bind_box("rho", rho, _W + _L, _V)
+    return word_matrix(env, COPAIRING_WORD)
 
 
 def frobenius_coproduct(cd):
     """Delta_Lambda = (mu x id)(id x copairing): the Frobenius coalgebra
     structure with counit lambda."""
-    return _through_copairing(cd, "mu", cd.kappa_copair)
+    return through_copairing(cd, cd.carrier, cd.mu, cd.carrier,
+                             cd.kappa_copair)
 
 
 def s_t_transforms(cd):
@@ -558,7 +560,8 @@ def s_t_transforms(cd):
     if cd.kappa is None:
         radford_pairing(cd)
     eye = Matrix.identity(f, n)
-    cd.S_transform = _through_copairing(cd, "omega", cd.kappa_copair)
+    cd.S_transform = through_copairing(cd, cd.carrier, cd.omega,
+                                       trivial_module(cd.h), cd.kappa_copair)
 
     rep = Report("S/T transforms")
     s_inv_ant = invert(cd.antipode_L)
@@ -577,12 +580,10 @@ def s_t_transforms(cd):
     return rep, scalars
 
 
-def sl2z_check(cd, rep=None):
-    """Projective SL(2,Z) relations for precomposition on Hom(L, 1);
-    returns the measured proportionality scalars (reported, not
+def sl2z_check(cd, rep):
+    """Projective SL(2,Z) relations for precomposition on Hom(L, 1), added
+    to rep; returns the measured proportionality scalars (reported, not
     normalized)."""
-    if rep is None:
-        rep = Report("sl2z")
     h = cd.h
     L = cd.carrier
     one = trivial_module(h)
@@ -629,56 +630,36 @@ def _proportionality(a, b):
 # ---------------------------------------------------------------------------
 # canonical action / coaction, characters
 
-def _x_env(cd, x, boxes):
-    """Environment with the carrier bound as L, x as X, and the boxes
-    {name: (matrix, dom, cod)}."""
+def _object_word(cd, x, word):
+    """The matrix of a derived word on the object x, with the carrier bound
+    as L, x as X, iota_X as iota_x and, once solved, the Hopf pairing as
+    omega."""
     env = diagrams.Env(cd.h).bind_object("L", cd.carrier).bind_object("X", x)
-    for name, (m, dom, cod) in boxes.items():
-        env.bind_box(name, m, dom, cod)
-    return env
-
-
-def _iota_env(cd, x):
-    return _x_env(cd, x, {"iota_x": (cd.iota_matrix(x), obj_dual(_X) + _X, _L)})
-
-
-def _coaction_matrix(cd, x):
-    return word_matrix(_iota_env(cd, x), COACTION_WORD)
+    env.bind_box("iota_x", cd.iota_matrix(x), obj_dual(_X) + _X, _L)
+    if cd.omega is not None:
+        env.bind_box("omega", cd.omega, _L + _L, ())
+    return word_matrix(env, word)
 
 
 def canonical_coaction(cd, x):
     """delta_X = (id x iota_X)(coev_X x id): X -> X (x) L."""
-    return Morphism(x, tensor_obj(x, cd.carrier), _coaction_matrix(cd, x))
+    return Morphism(x, tensor_obj(x, cd.carrier),
+                    _object_word(cd, x, COACTION_WORD))
 
 
-def canonical_action(cd, x, mirror_factor=None):
+def canonical_action(cd, x):
     """rho_X: X (x) L -> X, the module structure obtained from the canonical
     coaction through the Hopf pairing: rho_X = (id (x) omega)(delta_X (x) id).
-
-    With `mirror_factor` set, the Cardy bulk module X (x) Xbar: the comodule
-    structure is id_X (x) delta_Xbar, so the action is id_X (x) rho_Xbar
-    (second factor carries the mirrored braiding under the equivalence).
     `_half_braiding_action` derives the same action from the half-braiding
     figure, independently."""
-    if mirror_factor is None:
-        return Morphism(tensor_obj(x, cd.carrier), x,
-                        _action_from_pairing(cd, x))
-    w = tensor_obj(x, mirror_factor)
-    rho = kron(Matrix.identity(cd.field, x.dim),
-               _action_from_pairing(cd, mirror_factor))
-    return Morphism(tensor_obj(w, cd.carrier), w, rho)
-
-
-def _action_from_pairing(cd, x):
-    """(id (x) omega)(delta_X (x) id) as a dense matrix."""
-    env = _x_env(cd, x, {"coact": (_coaction_matrix(cd, x), _X, _X + _L),
-                         "omega": (cd.omega, _L + _L, ())})
-    return word_matrix(env, ACTION_WORD)
+    return Morphism(tensor_obj(x, cd.carrier), x,
+                    _object_word(cd, x, ACTION_WORD))
 
 
 def _half_braiding_action(cd, x, mirror_factor=None):
     """The action computed from the half-braiding diagram (monodromy with
-    the regular argument), as a certificate for canonical_action."""
+    the regular argument), as a certificate for canonical_action and, with
+    mirror_factor, for cardy.cardy_action."""
     h = cd.h
     n = h.dim
     reg = regular_module(h)
@@ -711,16 +692,15 @@ def _half_braiding_action(cd, x, mirror_factor=None):
 def characters(cd, x):
     """(chi_X, chicheck_X): the pivotal trace of the canonical action
     rho_X over X, and the cocharacter."""
-    env = _x_env(cd, x, {"rho": (_action_from_pairing(cd, x), _X + _L, _X)})
     chi = Morphism(cd.carrier, trivial_module(cd.h),
-                   word_matrix(env, CHARACTER_WORD))
+                   _object_word(cd, x, CHARACTER_WORD))
     return chi, cocharacter(cd, x)
 
 
 def cocharacter(cd, x):
     """chicheck_X = iota_X . coev~_X: 1 -> L."""
     return Morphism(trivial_module(cd.h), cd.carrier,
-                    word_matrix(_iota_env(cd, x), COCHARACTER_WORD))
+                    _object_word(cd, x, COCHARACTER_WORD))
 
 
 def cutting_decomposition(cd, x):
@@ -729,7 +709,8 @@ def cutting_decomposition(cd, x):
     h = cd.h
     f = h.field
     d = x.dim
-    e = kron(Matrix.identity(f, d), cd.lambda_) * _coaction_matrix(cd, x)
+    e = kron(Matrix.identity(f, d), cd.lambda_) * \
+        _object_word(cd, x, COACTION_WORD)
 
     one = trivial_module(h)
     a_basis = hom_basis(x, one)
@@ -751,7 +732,8 @@ def cutting_decomposition(cd, x):
     a = afac * a_basis[0].matrix.vstack(*(ai.matrix for ai in a_basis[1:]))
     b = b_basis[0].matrix.hstack(*(bj.matrix for bj in b_basis[1:])) * bfac
     assert b * a == e, "cutting factorization failed"
-    lhs = _action_from_pairing(cd, x) * kron(Matrix.identity(f, d), cd.Lambda)
+    lhs = _object_word(cd, x, ACTION_WORD) * \
+        kron(Matrix.identity(f, d), cd.Lambda)
     if lhs != e.scale(cd.zeta):
         raise CoendError("rho_X(id x Lambda) != zeta (id x lambda) delta_X")
     return m, a, b

@@ -191,12 +191,12 @@ class Subalgebra:
         return acc
 
 
-def newton_lift_idempotent(field, mul, e, max_iter=64):
+def newton_lift_idempotent(field, mul, e):
     """Lift an idempotent-mod-nilpotents to an exact one via
-    e -> 3e^2 - 2e^3."""
+    e -> 3e^2 - 2e^3, in at most 64 steps."""
     three = field.from_rational(3)
     two = field.from_rational(2)
-    for _ in range(max_iter):
+    for _ in range(64):
         e2 = mul(e, e)
         if e2 == e:
             return e
@@ -211,15 +211,15 @@ def corner_subalgebra(field, mul, ambient_basis, p):
     return Subalgebra(field, mul, [v for v in corner if span.add(v)], p)
 
 
-def _candidate_stream(sub, max_height=3):
+def _candidate_stream(sub):
     """Deterministic stream of corner elements: basis, pairwise products,
-    then small integer combinations of basis pairs."""
+    then the combinations a +- h b of basis pairs for h = 1, 2, 3."""
     for b in sub.basis:
         yield b
     for i, a in enumerate(sub.basis):
         for b in sub.basis[i:]:
             yield sub.mul(a, b)
-    for h in range(1, max_height + 1):
+    for h in range(1, 4):
         for i in range(len(sub.basis)):
             for j in range(i + 1, len(sub.basis)):
                 yield sub.basis[i] + sub.basis[j].scale(sub.field.from_rational(h))

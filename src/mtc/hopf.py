@@ -583,9 +583,9 @@ def _kron2(x, y, m):
 
 def tensor_hopf(h, k):
     """Componentwise Hopf structure on H x K with R = (R_H)_13 (R_K)_24 and
-    v = v_H x v_K: the smash product with the trivial cross relation
-    (1 x b)(a x 1) = a x b.  Operands over different cyclotomic fields are
-    embedded into the lcm field."""
+    v = v_H x v_K, each when both operands carry one: the smash product
+    with the trivial cross relation (1 x b)(a x 1) = a x b.  Operands over
+    different cyclotomic fields are embedded into the lcm field."""
     if h.field is not k.field:
         from math import lcm
         target = CycField(lcm(h.field.order, k.field.order))
@@ -594,14 +594,16 @@ def tensor_hopf(h, k):
     m, one = k.dim, h.field.one()
     labels = ["%s*%s" % (a, b) for a in h.basis_labels for b in k.basis_labels]
     cross = [[{(x, i): one} for x in range(h.dim)] for i in range(m)]
-    ribbon = None
+    rmatrix = ribbon = None
+    if h.rmatrix is not None and k.rmatrix is not None:
+        rmatrix = _kron2(h.rmatrix, k.rmatrix, m)
     if h.ribbon is not None and k.ribbon is not None:
         ribbon = kron(h.ribbon, k.ribbon)
     return HopfAlgebraData(
         h.field, h.dim * m, labels, _smash(h, k, cross), kron(h.unit, k.unit),
         [_kron2(x, y, m) for x in h.comult for y in k.comult],
         kron(h.counit, k.counit), kron(h.antipode, k.antipode),
-        _kron2(h.rmatrix, k.rmatrix, m), ribbon, "%s(x)%s" % (h.name, k.name))
+        rmatrix, ribbon, "%s(x)%s" % (h.name, k.name))
 
 
 def drinfeld_double(h):

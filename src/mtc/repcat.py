@@ -154,7 +154,7 @@ def tensor_obj(x, y):
 def dual_obj(x):
     """Left dual: rho*(a) = rho(S(a))^T."""
     h = x.algebra
-    action = [x.act(h.antipode * h.basis_vec(i)).transpose()
+    action = [x.act(Matrix.column(h.field, h.antipode.col_list(i))).transpose()
               for i in range(h.dim)]
     return ModuleObject(h, x.dim, action, "%s*" % x.name)
 
@@ -452,11 +452,9 @@ def _simples_data(h):
     return SimplesData(h, simples, projectives, idems, cartan)
 
 
-def composition_factors(x, sd=None):
+def composition_factors(x, sd):
     """Multiset of simple indices with multiplicities [X : S_i], via
     dim Hom(P_i, X)."""
-    if sd is None:
-        sd = simples_data(x.algebra)
     mult = [len(hom_basis(p, x)) for p in sd.projectives]
     assert sum(m * s.dim for m, s in zip(mult, sd.simples)) == x.dim, \
         "composition series does not fill the module"

@@ -187,7 +187,7 @@ def test_criterion_4_cardy_suite(dz2_coend, dz2_simples):
     sd = dz2_simples
     fa, rep, ops = cardy.defect_algebra(cd)
     one_idx = sd.trivial_index()
-    ok = _line("4 O_1 = id", ops[one_idx].matrix == Matrix.identity(f, h.dim))
+    ok = _line("4 O_1 = id", ops[one_idx] == Matrix.identity(f, h.dim))
     stat = {name: status for name, status, _ in rep.checks}
     ok &= _line("4 composition law", stat["O_E . O_D = O_{E x D} on all simple pairs"] == "pass")
     formulas_ok = True

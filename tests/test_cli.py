@@ -504,6 +504,12 @@ GOLDEN_EXIT = {"verify_double_group_algebra_orders3": EXIT_CHECK_FAILED}
     ("cardy-defect-all-pairs_double_z2_ribbon3",
      ["cardy", "defect", "--builtin", "double_z2", "--ribbon", "3",
       "--all-pairs"]),
+    ("cardy-defect-S0_double_z2_ribbon3",
+     ["cardy", "defect", "--builtin", "double_z2", "--ribbon", "3",
+      "--object", "S0"]),
+    ("cardy-defect-S2_double_z2_ribbon3",
+     ["cardy", "defect", "--builtin", "double_z2", "--ribbon", "3",
+      "--object", "S2"]),
 ])
 def test_golden_json_output(name, args, tmp_path, capsys):
     """The JSON bytes and exit codes of cheap commands stay as recorded in

@@ -12,6 +12,7 @@ from mtc.repcat import (trivial_module, regular_module, tensor_obj, dual_obj,
 from mtc.coend import (build_coend, solve_integrals, modularity_test,
                        canonical_action, canonical_coaction, characters,
                        cocharacter, cutting_decomposition)
+from mtc.cardy import cardy_action, delta_lambda_coaction
 
 
 def test_carrier_and_iota(dz2_ribbon):
@@ -230,10 +231,23 @@ def test_copairing_words_match_index_formulas(any_coend):
         assert coend.frobenius_coproduct(cd) == \
             oracles.frobenius_coproduct_oracle(cd.mu, cop, n)
     assert not cop.is_zero()
-    assert coend._through_copairing(cd, "omega", cop) == \
+    L = cd.carrier
+    assert coend.through_copairing(cd, L, cd.omega, trivial_module(cd.h),
+                                   cop) == \
         oracles.copairing_oracle(cd.omega, cop, n)
-    assert coend._through_copairing(cd, "mu", cop) == \
+    assert coend.through_copairing(cd, L, cd.mu, L, cop) == \
         oracles.frobenius_coproduct_oracle(cd.mu, cop, n)
+    # delta^Lambda of each canonical action against the Kronecker formula
+    # (rho x id)(id x copairing); the Radford copairings of the abelian
+    # doubles are symmetric, the Sweedler cop is not, so it tells the two
+    # legs apart
+    with_cop = copy.copy(cd)
+    with_cop.kappa_copair = cop
+    for x in _objects(cd):
+        rho = canonical_action(cd, x)
+        assert delta_lambda_coaction(with_cop, rho).matrix == \
+            kron(rho.matrix, Matrix.identity(cd.field, n)) * \
+            kron(Matrix.identity(cd.field, x.dim), cop)
 
 
 def test_action_words_match_index_formulas(any_coend):
@@ -253,7 +267,7 @@ def test_action_words_match_index_formulas(any_coend):
         assert cocharacter(cd, x).matrix == \
             cd.iota_matrix(x) * repcat.coev_tilde_morphism(x).matrix
         xbar = objs[1]
-        assert canonical_action(cd, x, mirror_factor=xbar).matrix == \
+        assert cardy_action(cd, x, xbar).matrix == \
             oracles.mirror_action_oracle(
                 canonical_action(cd, xbar).matrix, d, xbar.dim, n)
 
@@ -267,7 +281,7 @@ def test_half_braiding_certificate(any_coend):
         assert canonical_action(cd, x).matrix == \
             coend._half_braiding_action(cd, x)
         for xbar in objs[:2]:
-            assert canonical_action(cd, x, mirror_factor=xbar).matrix == \
+            assert cardy_action(cd, x, xbar).matrix == \
                 coend._half_braiding_action(cd, x, xbar)
 
 
@@ -324,7 +338,7 @@ def test_canonical_action_relations(dz2_coend, dz2_simples):
         assert dlt.is_intertwiner()
         # mixed (Cardy) action certificate
         xbar = dz2_simples.simples[1]
-        assert canonical_action(cd, x, mirror_factor=xbar).matrix == \
+        assert cardy_action(cd, x, xbar).matrix == \
             coend._half_braiding_action(cd, x, xbar)
 
 

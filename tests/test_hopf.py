@@ -331,6 +331,14 @@ def test_constructors_keep_their_spec_bytes(case):
     assert digest == CONSTRUCTOR_DIGESTS[case]
 
 
+def test_tensor_with_a_factor_without_r_matrix():
+    """Taft(3) has no R-matrix, so neither has its product with k[Z3]: the
+    product is still a Hopf algebra, with no R-matrix and no ribbon."""
+    t = tensor_hopf(hopf.taft(3), hopf.group_algebra([3]))
+    assert verify_hopf_axioms(t).ok
+    assert t.rmatrix is None and t.ribbon is None
+
+
 def test_builtin_unknown():
     with pytest.raises(hopf.HopfError):
         builtin("nonsense")
