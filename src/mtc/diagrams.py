@@ -218,14 +218,21 @@ class _Parser:
         return expr
 
 
+_PARSED = {}  # text -> AST; the ASTs are never mutated
+
+
 def parse(text):
     """Parse a diagram expression; raises DiagramError with line/column on
-    syntax errors."""
-    p = _Parser(_tokenize(text))
-    ast = p.term()
-    if p.peek().kind != "eof":
-        t = p.peek()
-        raise DiagramError("unexpected %r after expression" % t.val, t.pos)
+    syntax errors.  Each text is parsed once: the library evaluates the same
+    constant words many times."""
+    ast = _PARSED.get(text)
+    if ast is None:
+        p = _Parser(_tokenize(text))
+        ast = p.term()
+        if p.peek().kind != "eof":
+            t = p.peek()
+            raise DiagramError("unexpected %r after expression" % t.val, t.pos)
+        _PARSED[text] = ast
     return ast
 
 

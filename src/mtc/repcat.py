@@ -23,6 +23,7 @@ class ModuleObject:
         self.dim = dim
         self.action = action
         self.name = name
+        self._dual = None  # dual_obj(self), built on first use
 
     def act(self, a):
         """Action matrix of an arbitrary element a of H."""
@@ -152,11 +153,14 @@ def tensor_obj(x, y):
 
 
 def dual_obj(x):
-    """Left dual: rho*(a) = rho(S(a))^T."""
-    h = x.algebra
-    action = [x.act(Matrix.column(h.field, h.antipode.col_list(i))).transpose()
-              for i in range(h.dim)]
-    return ModuleObject(h, x.dim, action, "%s*" % x.name)
+    """Left dual: rho*(a) = rho(S(a))^T.  Built once per module and kept on
+    it: a module's action never changes after construction."""
+    if x._dual is None:
+        h = x.algebra
+        action = [x.act(Matrix.column(h.field, h.antipode.col_list(i)))
+                  .transpose() for i in range(h.dim)]
+        x._dual = ModuleObject(h, x.dim, action, "%s*" % x.name)
+    return x._dual
 
 
 def direct_sum(x, y):

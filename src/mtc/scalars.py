@@ -49,6 +49,8 @@ class CycField:
         phi_poly = [Fraction(c) for c in cyclotomic_poly(order)]
         self.phi = len(phi_poly) - 1
         self.dim = self.phi * (2 if dsquare is not None else 1)
+        # coefficients of 1: Scalar arithmetic tests for the unit against it
+        self._one_num = (1,) + (0,) * (self.dim - 1)
         # reduction of z^k for k up to 2*(phi-1): integer vectors of length phi
         red = []
         for k in range(2 * self.phi - 1):
@@ -77,9 +79,7 @@ class CycField:
         return Scalar(self, (0,) * self.dim, 1)
 
     def one(self):
-        v = [0] * self.dim
-        v[0] = 1
-        return Scalar(self, tuple(v), 1)
+        return Scalar(self, self._one_num, 1)
 
     def from_rational(self, q):
         q = Fraction(q)
@@ -191,7 +191,7 @@ class Scalar:
         return any(self.num)
 
     def is_one(self):
-        return self.den == 1 and self.num[0] == 1 and not any(self.num[1:])
+        return self.den == 1 and self.num == self.field._one_num
 
     def is_rational(self):
         return not any(self.num[1:])
@@ -218,6 +218,11 @@ class Scalar:
         a, b = self._coerce(other)
         if b is NotImplemented:
             return NotImplemented
+        # a zero summand hands back the other operand: Scalars are immutable
+        if not any(b.num):
+            return a
+        if not any(a.num):
+            return b
         da, db = a.den, b.den
         num = tuple(x * db + y * da for x, y in zip(a.num, b.num))
         return Scalar(a.field, num, da * db)
@@ -225,6 +230,8 @@ class Scalar:
     __radd__ = __add__
 
     def __neg__(self):
+        if not any(self.num):
+            return self
         return Scalar(self.field, tuple(-x for x in self.num), self.den)
 
     def __sub__(self, other):
@@ -241,6 +248,16 @@ class Scalar:
         if b is NotImplemented:
             return NotImplemented
         fld = a.field
+        # a factor 1 or 0 hands back an operand: Scalars are immutable
+        one = fld._one_num
+        if a.den == 1 and a.num == one:
+            return b
+        if b.den == 1 and b.num == one:
+            return a
+        if not any(a.num):
+            return a
+        if not any(b.num):
+            return b
         acc = [0] * fld.dim
         den = a.den * b.den
         extra_den = 1

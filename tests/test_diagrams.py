@@ -69,6 +69,24 @@ def test_parse_errors_located():
         parse("br(X)")  # arity
 
 
+def test_each_text_is_parsed_once(monkeypatch):
+    from mtc import diagrams
+    tokenized = []
+    tokenize = diagrams._tokenize
+
+    def counting(text):
+        tokenized.append(text)
+        return tokenize(text)
+    monkeypatch.setattr(diagrams, "_tokenize", counting)
+    word = "(tw(X) * id(Y)) ; br(X, Y)"
+    assert parse(word) is parse(word)
+    assert tokenized.count(word) <= 1
+    for _ in range(2):  # a syntax error is never cached
+        with pytest.raises(DiagramError):
+            parse("id(X) ;; tw(X)")
+    assert tokenized.count("id(X) ;; tw(X)") == 2
+
+
 def test_typecheck(env):
     dom, cod = typecheck(parse("(coev(X) * id(X)) ; (id(X) * ev(X))"), env)
     assert obj_name(dom) == "X" and obj_name(cod) == "X"

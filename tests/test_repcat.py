@@ -93,6 +93,17 @@ def test_dual_of_trivial(z2):
     assert d.action == one.action
 
 
+def test_dual_is_built_once_per_module(dz2_ribbon):
+    h = dz2_ribbon
+    x = simples_data(h).simples[1]
+    d = dual_obj(x)
+    assert dual_obj(x) is d and d.name == x.name + "*"
+    # the cached dual is the rho(S(a))^T of a fresh module with x's action
+    fresh = dual_obj(repcat.ModuleObject(h, x.dim, x.action, x.name))
+    assert fresh is not d and fresh.action == d.action
+    assert dual_obj(d) is dual_obj(d) and dual_obj(d) is not x
+
+
 def test_duality_transport(dz2_ribbon):
     h = dz2_ribbon
     sd = simples_data(h)

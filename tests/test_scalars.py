@@ -231,3 +231,71 @@ def test_scalar_is_false_exactly_when_zero(field, data):
     assert bool(s) == (not s.is_zero())
     assert not field.zero() and field.one()
     assert EXTENDED.extended
+
+
+# ---------------------------------------------------------------------------
+# the unit and zero short-circuits of Scalar arithmetic
+
+UNIT_FIELDS = COEFF_FIELDS[1:] + [EXTENDED]
+
+
+def assert_canonical(r):
+    again = Scalar(r.field, r.num, r.den)
+    assert again == r and hash(again) == hash(r)
+    assert (again.num, again.den) == (r.num, r.den)
+
+
+@pytest.mark.parametrize("field", UNIT_FIELDS)
+@EXACT
+@given(data=st.data())
+def test_unit_and_zero_operands_give_the_right_value(field, data):
+    a = data.draw(coeffs(field))
+    one, zero = field.one(), field.zero()
+    for r in (a * one, one * a, a * 1, 1 * a, a + zero, zero + a, a + 0,
+              0 + a, a - zero, a - 0):
+        assert (r.field, r.num, r.den) == (a.field, a.num, a.den)
+        assert_canonical(r)
+    for r in (a * zero, zero * a, a * 0, 0 * a):
+        assert r.field is field and r.is_zero() and r.den == 1
+        assert_canonical(r)
+    assert_canonical(zero - a)
+    assert zero - a == -a
+
+
+@EXACT
+@given(data=st.data())
+def test_unit_and_zero_operands_across_the_extension(data):
+    base = CycField(4)
+    a = data.draw(coeffs(base))
+    b = data.draw(coeffs(EXTENDED))
+    pa = EXTENDED.promote(a)
+    cases = [(a * EXTENDED.one(), pa), (EXTENDED.one() * a, pa),
+             (b * base.one(), b), (base.one() * b, b),
+             (a + EXTENDED.zero(), pa), (EXTENDED.zero() + a, pa),
+             (b + base.zero(), b), (base.zero() + b, b), (b - base.zero(), b),
+             (a * EXTENDED.zero(), EXTENDED.zero()),
+             (b * base.zero(), EXTENDED.zero()),
+             (base.zero() * b, EXTENDED.zero())]
+    for got, want in cases:
+        assert got.field is EXTENDED
+        assert (got.num, got.den) == (want.num, want.den)
+        assert_canonical(got)
+
+
+def test_unit_and_zero_operands_build_no_scalar(monkeypatch):
+    f = CycField(8)
+    a = Scalar(f, (3, -1, 0, 2), 5)
+    one, zero = f.one(), f.zero()
+    built = []
+    init = Scalar.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+    monkeypatch.setattr(Scalar, "__init__", counting_init)
+    assert a * one is a and one * a is a
+    assert a + zero is a and zero + a is a
+    assert -zero is zero and a - zero is a
+    assert a * zero is zero and zero * a is zero
+    assert not built
+    assert (a * a).den == 25 and len(built) == 1
