@@ -5,7 +5,7 @@ modular data, and Cardy-case CFT quantities."""
 from .scalars import CycField, Scalar, parse_scalar, format_scalar, \
     sqrt_in_field, sqrt_adjoin
 from .linalg import Matrix, kron, solve_right, kernel_basis, rank, \
-    partial_trace_left, partial_trace_right, NoSolution
+    NoSolution
 from .hopf import (Algebra, HopfAlgebraData, HopfError, verify_hopf_axioms,
                    verify_quasitriangular, verify_ribbon, verify_all,
                    drinfeld_double, mirror, tensor_hopf, solve_ribbon,

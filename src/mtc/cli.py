@@ -139,10 +139,20 @@ def _skip_from(rep, stage, reason):
         rep.skip(name, reason)
 
 
+def _threads():
+    """MTC_THREADS as a worker count of at least 1 (default 1); text that
+    is not an integer is a usage error."""
+    text = os.environ.get("MTC_THREADS", "1")
+    try:
+        return max(1, int(text))
+    except ValueError:
+        raise UsageError("MTC_THREADS must be an integer, got %r" % text)
+
+
 def run_suite(config):
     """Dependency-ordered pipeline with skip-propagation."""
     rep = Report("verification suite")
-    threads = max(1, int(os.environ.get("MTC_THREADS", "1")))
+    threads = _threads()
     # an unreadable or malformed spec is a usage error; the Hopf axioms are
     # checked once, and a failure fails the load
     h = _read_algebra(config)
@@ -337,8 +347,12 @@ def emit(payload, fmt, out=None):
     else:
         raise UsageError("unknown format %r" % fmt)
     if out:
-        with open(out, "w") as fp:
-            fp.write(text)
+        try:
+            with open(out, "w") as fp:
+                fp.write(text)
+        except OSError as e:
+            raise UsageError("cannot write --out %s: %s"
+                             % (out, e.strerror or e))
     else:
         sys.stdout.write(text)
 

@@ -1,10 +1,12 @@
 """Dense exact matrices over a CycField and the linear-algebra kernel:
 row reduction with deterministic pivoting, right-hand solves, kernel bases,
 growing spans with canonical reduction modulo a subspace, minimal
-polynomials, Kronecker products, and partial traces.
+polynomials, and Kronecker products.
 
 The external contract is dense row-major; the elimination engine works on
-sparse rows internally, and no other module sees its rows or pivots.
+sparse rows internally, and no other module sees its rows or pivots.  One
+sparse row update serves `_rref` and `IncrementalSpan`, and one promotion
+rule puts the operands of a product or a solve over a common field.
 """
 
 from .scalars import Scalar
@@ -103,9 +105,8 @@ class Matrix:
             return self.scale(other)
         assert self.cols == other.rows, "shape mismatch %sx%s * %sx%s" % (
             self.rows, self.cols, other.rows, other.cols)
-        f = self.field if self.field.extended or not other.field.extended else other.field
-        a = self.promote(f) if f is not self.field else self
-        b = other.promote(f) if f is not other.field else other
+        a, b = _one_field(self, other)
+        f = a.field
         n, k, m = a.rows, a.cols, b.cols
         zero = f.zero()
         out = [zero] * (n * m)
@@ -139,13 +140,6 @@ class Matrix:
                 out.data[j * self.rows + i] = self.data[i * self.cols + j]
         return out
 
-    def trace(self):
-        assert self.rows == self.cols
-        t = self.field.zero()
-        for i in range(self.rows):
-            t = t + self.data[i * self.cols + i]
-        return t
-
     def hstack(self, *others):
         """Side-by-side concatenation with one or more blocks, in one pass."""
         blocks = (self,) + others
@@ -174,12 +168,17 @@ class Matrix:
     __repr__ = __str__
 
 
+def _one_field(a, b):
+    """a and b over one field: the extension when either is extended."""
+    f = a.field if a.field.extended or not b.field.extended else b.field
+    return a.promote(f), b.promote(f)
+
+
 def kron(a, b):
     """Kronecker product with lexicographic index convention
     (i_A, i_B) -> i_A * rows_B + i_B."""
-    f = a.field if a.field.extended or not b.field.extended else b.field
-    a = a.promote(f) if f is not a.field else a
-    b = b.promote(f) if f is not b.field else b
+    a, b = _one_field(a, b)
+    f = a.field
     r, c = a.rows * b.rows, a.cols * b.cols
     zero = f.zero()
     out = [zero] * (r * c)
@@ -200,35 +199,6 @@ def kron(a, b):
     return Matrix(f, r, c, out)
 
 
-def partial_trace_left(m, dim_traced, dim_kept):
-    """Sum_i (<i| x I) M (|i> x I) for M acting on a product with the traced
-    factor leftmost."""
-    n = dim_traced * dim_kept
-    assert m.rows == n and m.cols == n, "matrix must be (d*k)-square"
-    out = Matrix.zeros(m.field, dim_kept, dim_kept)
-    for a in range(dim_kept):
-        for b in range(dim_kept):
-            s = m.field.zero()
-            for i in range(dim_traced):
-                s = s + m.data[(i * dim_kept + a) * n + (i * dim_kept + b)]
-            out.data[a * dim_kept + b] = s
-    return out
-
-
-def partial_trace_right(m, dim_kept, dim_traced):
-    """Sum_i (I x <i|) M (I x |i>) for the traced factor rightmost."""
-    n = dim_kept * dim_traced
-    assert m.rows == n and m.cols == n
-    out = Matrix.zeros(m.field, dim_kept, dim_kept)
-    for a in range(dim_kept):
-        for b in range(dim_kept):
-            s = m.field.zero()
-            for i in range(dim_traced):
-                s = s + m.data[(a * dim_traced + i) * n + (b * dim_traced + i)]
-            out.data[a * dim_kept + b] = s
-    return out
-
-
 # ---------------------------------------------------------------------------
 # sparse-row elimination engine
 
@@ -243,6 +213,21 @@ def _to_sparse_rows(m):
                 row[j] = x
         rows.append(row)
     return rows
+
+
+def _sub_row(row, f, pivot_items, skip=None):
+    """row -= f * pivot row in place, dropping the entries that cancel.
+    `pivot_items` are the pivot row's (index, value) pairs; the pivot column
+    `skip`, already popped from row, is left out."""
+    for j, v in pivot_items:
+        if j == skip:
+            continue
+        cur = row.get(j)
+        nv = (cur - f * v) if cur is not None else -(f * v)
+        if nv.is_zero():
+            row.pop(j, None)
+        else:
+            row[j] = nv
 
 
 def _rref(rows, ncols, carry=None):
@@ -274,23 +259,9 @@ def _rref(rows, ncols, carry=None):
             if r == prow or col not in rows[r]:
                 continue
             f = rows[r].pop(col)
-            for j, v in prow_items:
-                if j == col:
-                    continue
-                cur = rows[r].get(j)
-                nv = (cur - f * v) if cur is not None else -(f * v)
-                if nv.is_zero():
-                    rows[r].pop(j, None)
-                else:
-                    rows[r][j] = nv
+            _sub_row(rows[r], f, prow_items, col)
             if carry is not None:
-                for j, v in carry_items:
-                    cur = carry[r].get(j)
-                    nv = (cur - f * v) if cur is not None else -(f * v)
-                    if nv.is_zero():
-                        carry[r].pop(j, None)
-                    else:
-                        carry[r][j] = nv
+                _sub_row(carry[r], f, carry_items)
     return pivots
 
 
@@ -304,9 +275,8 @@ def solve_right(a, b):
     variables are set to zero under leftmost-pivot / first-nonzero-row
     reduction."""
     assert a.rows == b.rows, "A and B must have the same number of rows"
-    f = a.field if a.field.extended or not b.field.extended else b.field
-    a = a.promote(f) if f is not a.field else a
-    b = b.promote(f) if f is not b.field else b
+    a, b = _one_field(a, b)
+    f = a.field
     rows = _to_sparse_rows(a)
     carry = _to_sparse_rows(b)
     pivots = _rref(rows, a.cols, carry)
@@ -364,15 +334,7 @@ class IncrementalSpan:
         v = {i: x for i, x in enumerate(vec.data) if not x.is_zero()}
         for piv in sorted(self.rows):
             if piv in v:
-                f = v.pop(piv)
-                for j, w in self.rows[piv].items():
-                    if j == piv:
-                        continue
-                    nv = v.get(j, self.field.zero()) - f * w
-                    if nv.is_zero():
-                        v.pop(j, None)
-                    else:
-                        v[j] = nv
+                _sub_row(v, v.pop(piv), self.rows[piv].items(), piv)
         return v
 
     def add(self, vec):
@@ -384,15 +346,7 @@ class IncrementalSpan:
         row = {j: inv * w for j, w in v.items()}
         for p, r in self.rows.items():
             if piv in r:
-                f = r.pop(piv)
-                for j, w in row.items():
-                    if j == piv:
-                        continue
-                    nv = r.get(j, self.field.zero()) - f * w
-                    if nv.is_zero():
-                        r.pop(j, None)
-                    else:
-                        r[j] = nv
+                _sub_row(r, r.pop(piv), row.items(), piv)
         self.rows[piv] = row
         return True
 
@@ -452,7 +406,6 @@ def rank_factor(m):
     rows = _to_sparse_rows(m)
     pivots = _rref(rows, m.cols)
     r = len(pivots)
-    zero = m.field.zero()
     a = Matrix.zeros(m.field, r, m.cols)
     for k, (prow, pcol) in enumerate(pivots):
         for j, v in rows[prow].items():

@@ -4,7 +4,10 @@ created).
 
 Elements are stored as integer coordinate vectors over the Q-basis
 {z^a} (a < phi(N)), or {z^a, z^a*D} when the extension is active, together
-with a single positive denominator.  All arithmetic is exact.
+with a single positive denominator.  All arithmetic is exact.  Each field
+keeps one 0 and one 1, shared by every caller since scalars are immutable.
+Inverses come from the polynomial layer: the Bezout coefficient against
+Phi_N in Q(z_N), and the conjugate over the norm in the D-extension.
 
 The bottom of the module is the one polynomial layer of the package:
 coefficient lists over any exact field (Fraction for Q, Scalar for
@@ -14,7 +17,7 @@ splitting, the ribbon solve and the defect minimal polynomials elsewhere.
 
 import json
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def cyclotomic_poly(n):
@@ -46,11 +49,14 @@ class CycField:
         self = object.__new__(cls)
         self.order = order
         self.dsquare = dsquare  # ((int coeffs over phi basis), den) or None
-        phi_poly = [Fraction(c) for c in cyclotomic_poly(order)]
+        # Scalar.inv takes Bezout coefficients against Phi_N
+        phi_poly = self._phi_poly = [Fraction(c) for c in cyclotomic_poly(order)]
         self.phi = len(phi_poly) - 1
         self.dim = self.phi * (2 if dsquare is not None else 1)
         # coefficients of 1: Scalar arithmetic tests for the unit against it
         self._one_num = (1,) + (0,) * (self.dim - 1)
+        self._zero = Scalar(self, (0,) * self.dim, 1)
+        self._one = Scalar(self, self._one_num, 1)
         # reduction of z^k for k up to 2*(phi-1): integer vectors of length phi
         red = []
         for k in range(2 * self.phi - 1):
@@ -76,10 +82,10 @@ class CycField:
         return Scalar(self, tuple(num), den)
 
     def zero(self):
-        return Scalar(self, (0,) * self.dim, 1)
+        return self._zero
 
     def one(self):
-        return Scalar(self, self._one_num, 1)
+        return self._one
 
     def from_rational(self, q):
         q = Fraction(q)
@@ -287,39 +293,25 @@ class Scalar:
     __rmul__ = __mul__
 
     def inv(self):
-        """Multiplicative inverse via the regular representation over Q."""
-        if self.is_zero():
+        """Multiplicative inverse: q/p for a rational p/q, the Bezout
+        coefficient of the numerator against Phi_N in Q(z_N), and
+        (a - bD) / (a^2 - b^2 D^2) in the D-extension."""
+        num, den = self.num, self.den
+        if not any(num):
             raise ZeroDivisionError("scalar division by zero")
         fld = self.field
-        n = fld.dim
-        # columns: self * basis_j, as fractions
-        cols = []
-        for j in range(n):
-            unit = [0] * n
-            unit[j] = 1
-            b = Scalar(fld, tuple(unit), 1)
-            p = self * b
-            cols.append([Fraction(x, p.den) for x in p.num])
-        # solve M y = e0 by Gaussian elimination over Fraction
-        m = [[cols[j][i] for j in range(n)] for i in range(n)]
-        rhs = [Fraction(1 if i == 0 else 0) for i in range(n)]
-        for col in range(n):
-            piv = next(r for r in range(col, n) if m[r][col] != 0)
-            m[col], m[piv] = m[piv], m[col]
-            rhs[col], rhs[piv] = rhs[piv], rhs[col]
-            inv = 1 / m[col][col]
-            m[col] = [v * inv for v in m[col]]
-            rhs[col] *= inv
-            for r in range(n):
-                if r != col and m[r][col] != 0:
-                    f = m[r][col]
-                    m[r] = [v - f * w for v, w in zip(m[r], m[col])]
-                    rhs[r] -= f * rhs[col]
-        den = 1
-        for v in rhs:
-            den = den * v.denominator // gcd(den, v.denominator)
-        num = tuple(int(v * den) for v in rhs)
-        return Scalar(fld, num, den)
+        if not any(num[1:]):
+            return Scalar(fld, (den,) + num[1:], num[0])
+        if fld.extended:
+            base, phi = CycField(fld.order), fld.phi
+            a, b = Scalar(base, num[:phi], den), Scalar(base, num[phi:], den)
+            norm = a * a - b * b * Scalar(base, *fld.dsquare)
+            conj = Scalar(fld, num[:phi] + tuple(-c for c in num[phi:]), den)
+            return conj * fld.promote(norm.inv())
+        s = poly_egcd([Fraction(c) for c in num], fld._phi_poly)[1]
+        q = lcm(*(c.denominator for c in s))
+        s = [c.numerator * (q // c.denominator) * den for c in s]
+        return Scalar(fld, tuple(s) + (0,) * (fld.dim - len(s)), q)
 
     def __truediv__(self, other):
         a, b = self._coerce(other)

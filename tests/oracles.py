@@ -8,7 +8,7 @@ import sympy
 
 from mtc import repcat, coend
 from mtc.etale import Subalgebra, orthogonal_primitive_idempotents
-from mtc.scalars import poly_squarefree, sqrt_in_field
+from mtc.scalars import Scalar, poly_squarefree, sqrt_in_field
 from mtc.diagrams import Compose, Tensor, apply_word
 from mtc.linalg import (Matrix, kernel_basis, kron, invert, IncrementalSpan,
                         solve_right, NoSolution)
@@ -38,6 +38,37 @@ def rank_oracle_fraction(rows):
         r += 1
         rank += 1
     return rank
+
+
+def regular_inverse_oracle(s):
+    """The inverse of a nonzero scalar by Gauss-Jordan over Fraction on its
+    regular representation: the y with (s * b_j)_j y = e_0 (independent of
+    the polynomial layer that Scalar.inv uses)."""
+    fld = s.field
+    n = fld.dim
+    # columns: s * basis_j, as fractions
+    cols = []
+    for j in range(n):
+        unit = [0] * n
+        unit[j] = 1
+        p = s * Scalar(fld, tuple(unit), 1)
+        cols.append([Fraction(x, p.den) for x in p.num])
+    m = [[cols[j][i] for j in range(n)] for i in range(n)]
+    rhs = [Fraction(1 if i == 0 else 0) for i in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if m[r][col] != 0)
+        m[col], m[piv] = m[piv], m[col]
+        rhs[col], rhs[piv] = rhs[piv], rhs[col]
+        inv = 1 / m[col][col]
+        m[col] = [v * inv for v in m[col]]
+        rhs[col] *= inv
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [v - f * w for v, w in zip(m[r], m[col])]
+                rhs[r] -= f * rhs[col]
+    den = math.lcm(*(v.denominator for v in rhs))
+    return Scalar(fld, tuple(int(v * den) for v in rhs), den)
 
 
 def tensor_action_oracle(t, x, y):
@@ -127,19 +158,6 @@ def radical_filtration_factors(x, sd):
             break
         cur = sub_module(cur, sub_basis)
     return mult
-
-
-def partial_trace_left_oracle(entries, d, k):
-    """Brute-force index sum for the left partial trace of a (d*k)-square
-    matrix given as a dict {(row, col): value}."""
-    out = {}
-    for a in range(k):
-        for b in range(k):
-            s = 0
-            for i in range(d):
-                s += entries.get((i * k + a, i * k + b), 0)
-            out[(a, b)] = s
-    return out
 
 
 def brute_ribbon_elements(h):

@@ -465,6 +465,20 @@ def test_thread_count_does_not_change_output(capsys, monkeypatch):
     assert outs[0] == outs[1]
 
 
+def test_unwritable_out_and_bad_thread_count_are_usage_errors(
+        tmp_path, capsys, monkeypatch):
+    for path in (tmp_path / "missing" / "x.json", tmp_path):
+        code, out, err = run_cli(["simples", "--builtin", "sweedler",
+                                  "--out", str(path)], capsys)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: cannot write --out ")
+        assert err.count("\n") == 1
+    monkeypatch.setenv("MTC_THREADS", "two")
+    code, out, err = run_cli(["verify", "--builtin", "sweedler"], capsys)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: MTC_THREADS must be an integer, got 'two'\n"
+
+
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 # a word with every generator but box (the CLI binds no boxes), on the sum
 # of two simples of D(Z/3) with twists zeta and zeta^2

@@ -1,14 +1,13 @@
 import random
-from fractions import Fraction
 from itertools import islice
 
 import pytest
 
 from mtc.scalars import CycField
 from mtc.linalg import (Matrix, kron, solve_right, kernel_basis, rank,
-                        partial_trace_left, invert, rank_factor, NoSolution,
-                        IncrementalSpan, minimal_polynomial)
-from oracles import rank_oracle_fraction, partial_trace_left_oracle
+                        invert, rank_factor, NoSolution, IncrementalSpan,
+                        minimal_polynomial)
+from oracles import rank_oracle_fraction
 
 F = CycField(4)
 
@@ -94,25 +93,6 @@ def test_kron_mixed_product():
         assert kron(a, b) * kron(c, d) == kron(a * c, b * d)
 
 
-def test_partial_trace_left():
-    d, k = 2, 3
-    assert partial_trace_left(Matrix.identity(F, d * k), d, k) == \
-        Matrix.identity(F, k).scale(F.from_rational(d))
-    rng = random.Random(6)
-    p = rand_matrix(rng, d, d)
-    q = rand_matrix(rng, k, k)
-    assert partial_trace_left(kron(p, q), d, k) == q.scale(p.trace())
-    # brute-force index sum oracle on a random 4x4 with d = k = 2
-    m = rand_matrix(rng, 4, 4)
-    entries = {(i, j): Fraction(m[i, j].num[0], m[i, j].den)
-               for i in range(4) for j in range(4)}
-    expected = partial_trace_left_oracle(entries, 2, 2)
-    got = partial_trace_left(m, 2, 2)
-    for a in range(2):
-        for b in range(2):
-            assert got[a, b] == F.from_rational(expected[(a, b)])
-
-
 def test_invert_and_rank_factor():
     rng = random.Random(8)
     m = Matrix.from_rows(F, [[1, 2], [3, 5]])
@@ -132,15 +112,6 @@ def test_rank_matches_oracle():
         rows = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(3)]
         m = Matrix.from_rows(F, rows)
         assert rank(m) == rank_oracle_fraction(rows)
-
-
-def test_partial_trace_right():
-    from mtc.linalg import partial_trace_right
-    rng = random.Random(10)
-    k, d = 3, 2
-    p = rand_matrix(rng, k, k)
-    q = rand_matrix(rng, d, d)
-    assert partial_trace_right(kron(p, q), k, d) == p.scale(q.trace())
 
 
 def _matrix_powers(m):

@@ -9,6 +9,8 @@ from mtc.scalars import (CycField, Scalar, parse_scalar, format_scalar,
                          sqrt_in_field, sqrt_adjoin, cyclotomic_poly,
                          ScalarParseError, poly_trim, poly_mul, poly_divmod,
                          poly_egcd, poly_squarefree)
+from mtc.linalg import Matrix
+from oracles import regular_inverse_oracle
 
 
 def test_cyclotomic_polys():
@@ -297,5 +299,40 @@ def test_unit_and_zero_operands_build_no_scalar(monkeypatch):
     assert a + zero is a and zero + a is a
     assert -zero is zero and a - zero is a
     assert a * zero is zero and zero * a is zero
+    assert f.zero() is zero and f.one() is one
+    Matrix.zeros(f, 3, 4)
+    Matrix.identity(f, 3)
     assert not built
     assert (a * a).den == 25 and len(built) == 1
+
+
+# ---------------------------------------------------------------------------
+# the inverse through the polynomial layer, against the regular
+# representation
+
+def units(field):
+    """Nonzero scalars of `field`, rational ones drawn on their own since
+    they take the closed form."""
+    rational = coeffs(None).map(field.from_rational)
+    return st.one_of(coeffs(field), rational).filter(bool)
+
+
+@pytest.mark.parametrize("field", UNIT_FIELDS)
+@EXACT
+@given(data=st.data())
+def test_inverse_matches_the_regular_representation(field, data):
+    a = data.draw(units(field))
+    inv = a.inv()
+    want = regular_inverse_oracle(a)
+    assert (inv.field, inv.num, inv.den) == (field, want.num, want.den)
+    assert_canonical(inv)
+    assert a * inv == 1 and inv * a == field.one()
+    assert (a / a).is_one() and a ** -1 == inv
+
+
+@pytest.mark.parametrize("field", UNIT_FIELDS)
+def test_inverse_of_zero_raises(field):
+    with pytest.raises(ZeroDivisionError):
+        field.zero().inv()
+    with pytest.raises(ZeroDivisionError):
+        field.one() / 0
