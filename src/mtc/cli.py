@@ -13,6 +13,7 @@ MTC_THREADS bounds the parallelism of independent leaf checks.  Exit codes:
 """
 
 import argparse
+import errno
 import io
 import json
 import os
@@ -53,6 +54,24 @@ class RunConfig:
         self.ribbon = ribbon
         self.fmt = fmt
         self.out = out
+        if out:
+            _check_out(out)
+
+
+def _check_out(path):
+    """Raise the error that writing --out would raise, before any work and
+    without creating or truncating the file."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        err = errno.EISDIR
+    elif not os.path.isdir(parent):
+        err = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    elif not (os.access(path, os.W_OK) if os.path.exists(path)
+              else os.access(parent, os.W_OK | os.X_OK)):
+        err = errno.EACCES
+    else:
+        return
+    raise UsageError("cannot write --out %s: %s" % (path, os.strerror(err)))
 
 
 def _read_algebra(config):

@@ -2,10 +2,10 @@
 polynomials over the cyclotomic scalar field without implementing polynomial
 factorization over number fields.
 
-The one external primitive is factorization of rational polynomials, which is
-delegated to sympy.  Polynomial arithmetic is the layer at the bottom of
-`scalars`, over Fraction on the Q side and over Scalar on the k side.
-Everything else is exact linear algebra:
+The one primitive beyond linear algebra is the factorization of rational
+polynomials, done here by the Zassenhaus method.  Polynomial arithmetic over
+Q and over k is the layer at the bottom of `scalars`.  The rest is exact
+linear algebra:
 
   * k[t]/(q) for squarefree q over k = Q(z_N)(D) is etale over Q, so its
     primitive idempotents over Q coincide with those over k;
@@ -15,9 +15,8 @@ Everything else is exact linear algebra:
 """
 
 from fractions import Fraction
-from itertools import accumulate, repeat
-
-import sympy
+from itertools import accumulate, combinations, count, repeat
+from math import comb, gcd, isqrt, lcm
 
 from .scalars import (CycField, poly_trim, poly_mul, poly_divmod, poly_egcd,
                       poly_squarefree)
@@ -25,21 +24,220 @@ from .linalg import Matrix, IncrementalSpan, minimal_polynomial
 
 
 # ---------------------------------------------------------------------------
-# factorization over Q: the one sympy boundary (Fraction coefficients)
+# factorization over Q (Zassenhaus, "On Hensel factorization I", 1969; Cohen,
+# GTM 138, section 3.5): factor modulo the smallest suitable prime p by
+# Berlekamp, lift the factors p-adically past a bound on the coefficients of
+# any factor, and recombine them by exact trial division.  The polynomials
+# here are int lists, low degree first, with coefficients reduced mod m
+# wherever an m is passed.
 
 def _qpoly_factor(coeffs):
-    """Irreducible monic factors over Q (multiplicity dropped) via sympy."""
-    x = sympy.Symbol("x")
-    expr = sum(sympy.Rational(c.numerator, c.denominator) * x**i
-               for i, c in enumerate(coeffs))
-    _, factors = sympy.Poly(expr, x, domain="QQ").factor_list()
-    out = []
-    for fac, _mult in factors:
-        cs = fac.all_coeffs()[::-1]  # low first
-        cs = [Fraction(c.p, c.q) for c in [sympy.Rational(c) for c in cs]]
-        lead = cs[-1]
-        out.append([c / lead for c in cs])
-    return out
+    """Irreducible monic factors over Q (multiplicity dropped) of a nonzero
+    polynomial with Fraction coefficients, low degree first."""
+    f = poly_squarefree(coeffs)
+    if len(f) < 3:
+        return [[c / f[-1] for c in f]] if len(f) == 2 else []
+    den = lcm(*(c.denominator for c in f))
+    f = [int(c * den) for c in f]
+    content = gcd(*f) if f[-1] > 0 else -gcd(*f)
+    return [[Fraction(c, g[-1]) for c in g]
+            for g in _zfactor([c // content for c in f])]
+
+
+def _zfactor(f):
+    """The irreducible factors over Z of a squarefree primitive integer
+    polynomial f of degree at least 2 with positive leading coefficient."""
+    p, fp = _good_prime(f)
+    gs = _berlekamp(fp, p)
+    if len(gs) == 1:
+        return [f]
+    # p^a exceeds twice the coefficients of lc(f)/lc(g) * g for every
+    # factor g of degree below deg f (Mignotte; Cohen, Theorem 3.5.1)
+    n, lc = len(f) - 1, f[-1]
+    norm = isqrt(sum(c * c for c in f)) + 1
+    bound = 2 * lc * max(comb(n - 2, j) * norm + (comb(n - 2, j - 1) * lc
+                                                  if j else 0)
+                         for j in range(n))
+    a = next(a for a in count(1) if p ** a > bound)
+    return _recombine(f, _hensel_lift(f, gs, p, a), p ** a)
+
+
+def _good_prime(f):
+    """The smallest prime p that does not divide the leading coefficient of
+    f and keeps f squarefree mod p, with f made monic mod p."""
+    for p in count(2):
+        if f[-1] % p == 0 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+            continue
+        fp = _monic(f, p)
+        dfp = poly_trim([i * c % p for i, c in enumerate(fp)][1:])
+        if len(_gcd(fp, dfp, p)) == 1:
+            return p, fp
+
+
+def _monic(a, p):
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _mul(a, b, m):
+    return poly_trim([c % m for c in poly_mul(a, b)])
+
+
+def _divmod(a, b, m):
+    """Quotient and remainder mod m by b, whose leading coefficient is a
+    unit mod m."""
+    a, db = list(a), len(b) - 1
+    inv = pow(b[-1], -1, m)
+    quo = [0] * max(1, len(a) - db)
+    for k in range(len(a) - 1, db - 1, -1):
+        c = a[k] * inv % m
+        if c:
+            quo[k - db] = c
+            for j in range(db):
+                a[k - db + j] -= c * b[j]
+    return poly_trim(quo), poly_trim([c % m for c in a[:db]] or [0])
+
+
+def _gcd(a, b, p):
+    """The monic gcd mod the prime p of a and b, a nonzero."""
+    while any(b):
+        a, b = b, _divmod(a, b, p)[1]
+    return _monic(a, p)
+
+
+def _sub(a, b, m):
+    n = max(len(a), len(b))
+    a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
+    return poly_trim([(x - y) % m for x, y in zip(a, b)])
+
+
+def _inverse(a, g, p):
+    """The inverse of a modulo g and the prime p, for a coprime to g."""
+    r0, r1, s0, s1 = g, _divmod(a, g, p)[1], [0], [1]
+    while any(r1):
+        quo, rem = _divmod(r0, r1, p)
+        r0, r1, s0, s1 = r1, rem, s1, _sub(s0, _mul(quo, s1, p), p)
+    return _mul(s0, [pow(r0[0], -1, p)], p)
+
+
+def _berlekamp(f, p):
+    """The monic irreducible factors mod the prime p of f, monic and
+    squarefree mod p, in sorted order."""
+    n = len(f) - 1
+    xp = [1]
+    for bit in bin(p)[2:]:
+        xp = _divmod(_mul(xp, xp, p), f, p)[1]
+        if bit == "1":
+            xp = _divmod([0] + xp, f, p)[1]
+    # row i of Q - I is x^(i p) - x^i mod f.  v(x)^p = v(x) mod f exactly
+    # when the coefficients of v are in the left kernel, and the dimension
+    # of that kernel is the number of irreducible factors.
+    rows, cur = [], [1]
+    for i in range(n):
+        row = cur + [0] * (n - len(cur))
+        row[i] -= 1
+        rows.append(row)
+        cur = _divmod(_mul(cur, xp, p), f, p)[1]
+    kernel = _kernel([list(col) for col in zip(*rows)], p)
+    factors = [f]
+    for v in kernel[1:]:  # kernel[0] is the constant 1
+        if len(factors) == len(kernel):
+            break
+        v = poly_trim(v)
+        # u is the product of the gcd(u, v - s) over s in F_p
+        factors = [g for u in factors
+                   for g in ([u] if len(u) == 2 else
+                             (_gcd(u, _sub(v, [s], p), p) for s in range(p)))
+                   if len(g) > 1]
+    return sorted(factors)
+
+
+def _kernel(m, p):
+    """A basis of the kernel mod the prime p of the square matrix m, given
+    by its rows: one vector per free column, in order."""
+    m, pivots = [[x % p for x in row] for row in m], []
+    for c in range(len(m)):
+        r = len(pivots)
+        k = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if k is None:
+            continue
+        inv = pow(m[k][c], -1, p)
+        m[k], m[r] = m[r], [x * inv % p for x in m[k]]
+        for i, row in enumerate(m):
+            if i != r and row[c]:
+                m[i] = [(x - row[c] * y) % p for x, y in zip(row, m[r])]
+        pivots.append(c)
+    basis = []
+    for c in range(len(m)):
+        if c not in pivots:
+            v = [0] * len(m)
+            v[c] = 1
+            for r, pc in enumerate(pivots):
+                v[pc] = -m[r][c] % p
+            basis.append(v)
+    return basis
+
+
+def _hensel_lift(f, gs, p, a):
+    """Monic lifts of the factors gs of f mod p, with f = lc(f) * prod gs
+    mod p^a, found one p-adic digit at a time."""
+    # t_i with lc(f) * sum_i t_i * prod_{j != i} g_j = 1 mod p
+    ts = []
+    for i, g in enumerate(gs):
+        rest = [f[-1] % p]
+        for j, h in enumerate(gs):
+            if j != i:
+                rest = _divmod(_mul(rest, h, p), g, p)[1]
+        ts.append(_inverse(rest, g, p))
+    lifts, q = list(gs), p
+    for _ in range(a - 1):
+        prod = [f[-1]]
+        for g in lifts:
+            prod = _mul(prod, g, q * p)
+        # e = (f - lc(f) * prod lifts) / q mod p; lc(f) * sum_i d_i *
+        # prod_{j != i} g_j = e mod p, with d_i = e * t_i mod g_i, is the
+        # next digit
+        e = [(x - y) // q % p for x, y in zip(f, prod)]
+        for i, (g, t) in enumerate(zip(gs, ts)):
+            d = _divmod(_mul(e, t, p), g, p)[1]
+            lifts[i] = [x + q * y for x, y in
+                        zip(lifts[i], d + [0] * (len(g) - len(d)))]
+        q *= p
+    return lifts
+
+
+def _recombine(f, lifts, q):
+    """The irreducible factors over Z of f, from monic lifts of its factors
+    mod p with f = lc(f) * prod lifts mod q, q above twice the coefficients
+    of lc(f)/lc(g) * g for every factor g.  Products of the lifts are tried
+    in order of size."""
+    found, size = [], 1
+    while 2 * size <= len(lifts):
+        for subset in combinations(range(len(lifts)), size):
+            lc = f[-1]
+            # the constant term of a factor divides lc(f) * f(0)
+            c0 = lc
+            for i in subset:
+                c0 = c0 * lifts[i][0] % q
+            c0 = c0 - q if 2 * c0 > q else c0
+            if f[0] and (not c0 or lc * f[0] % c0):
+                continue
+            g = [lc]
+            for i in subset:
+                g = _mul(g, lifts[i], q)
+            g = [c - q if 2 * c > q else c for c in g]
+            content = gcd(*g)
+            g = [c // content for c in g]
+            quo, rem = poly_divmod([Fraction(c) for c in f],
+                                   [Fraction(c) for c in g])
+            if not any(rem):
+                found.append(g)
+                f = [int(c) for c in quo]
+                lifts = [h for i, h in enumerate(lifts) if i not in subset]
+                break
+        else:
+            size += 1
+    return found + [f]
 
 
 # ---------------------------------------------------------------------------

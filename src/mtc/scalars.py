@@ -293,14 +293,17 @@ class Scalar:
     __rmul__ = __mul__
 
     def inv(self):
-        """Multiplicative inverse: q/p for a rational p/q, the Bezout
-        coefficient of the numerator against Phi_N in Q(z_N), and
-        (a - bD) / (a^2 - b^2 D^2) in the D-extension."""
+        """Multiplicative inverse: q/p for a rational p/q (1 and -1 hand
+        back themselves), the Bezout coefficient of the numerator against
+        Phi_N in Q(z_N), and (a - bD) / (a^2 - b^2 D^2) in the
+        D-extension."""
         num, den = self.num, self.den
         if not any(num):
             raise ZeroDivisionError("scalar division by zero")
         fld = self.field
         if not any(num[1:]):
+            if den == 1 and num[0] in (1, -1):
+                return self
             return Scalar(fld, (den,) + num[1:], num[0])
         if fld.extended:
             base, phi = CycField(fld.order), fld.phi

@@ -650,3 +650,20 @@ def regular_witness_structure(cd):
             env, cols = coend._pair_env(cd, reg, reg), pair
         out[e.attr] = apply_word(env, e.word, cols)
     return out
+
+
+def qpoly_factor_oracle(coeffs):
+    """Irreducible monic factors over Q (multiplicity dropped) of a
+    polynomial with Fraction coefficients, low degree first, by sympy's
+    factor_list: the factorizer `mtc.etale` used before it had its own."""
+    x = sympy.Symbol("x")
+    expr = sum(sympy.Rational(c.numerator, c.denominator) * x**i
+               for i, c in enumerate(coeffs))
+    _, factors = sympy.Poly(expr, x, domain="QQ").factor_list()
+    out = []
+    for fac, _mult in factors:
+        cs = fac.all_coeffs()[::-1]  # low first
+        cs = [Fraction(c.p, c.q) for c in [sympy.Rational(c) for c in cs]]
+        lead = cs[-1]
+        out.append([c / lead for c in cs])
+    return out

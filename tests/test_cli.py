@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -7,7 +8,8 @@ import time
 import pytest
 
 from mtc import hopf, repcat
-from mtc.cli import main, EXIT_OK, EXIT_CHECK_FAILED, EXIT_USAGE
+from mtc.cli import (main, emit, UsageError, EXIT_OK, EXIT_CHECK_FAILED,
+                     EXIT_USAGE)
 
 
 def run_cli(args, capsys):
@@ -446,6 +448,20 @@ def test_entry_point_installed():
     assert json.loads(proc.stdout)["cartan"] == [[1, 1], [1, 1]]
 
 
+def test_run_path_needs_only_the_standard_library():
+    # python -S leaves site-packages, and with it sympy, off the path
+    code = ("import sys; from mtc.cli import main; "
+            "rc = main(['verify', '--builtin', 'double_z2', '--ribbon', '3', "
+            "'--format', 'json']); "
+            "assert 'sympy' not in sys.modules; sys.exit(rc)")
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["ok"] is True
+
+
 def test_csv_cartan_rows(capsys):
     code, out, err = run_cli(["cartan", "--builtin", "double_sweedler",
                               "--format", "csv"], capsys)
@@ -467,12 +483,32 @@ def test_thread_count_does_not_change_output(capsys, monkeypatch):
 
 def test_unwritable_out_and_bad_thread_count_are_usage_errors(
         tmp_path, capsys, monkeypatch):
-    for path in (tmp_path / "missing" / "x.json", tmp_path):
-        code, out, err = run_cli(["simples", "--builtin", "sweedler",
-                                  "--out", str(path)], capsys)
+    # the path is checked before any algebra is loaded, with the line that
+    # writing the output would print
+    blocker = tmp_path / "file"
+    blocker.write_text("kept")
+    cases = [(tmp_path / "missing" / "x.json", "No such file or directory"),
+             (tmp_path, "Is a directory"),
+             (blocker / "x.json", "Not a directory")]
+    with monkeypatch.context() as m:
+        m.setattr(hopf, "builtin", lambda *a: pytest.fail("loaded"))
+        for path, reason in cases:
+            code, out, err = run_cli(["simples", "--builtin", "sweedler",
+                                      "--out", str(path)], capsys)
+            line = "error: cannot write --out %s: %s\n" % (path, reason)
+            assert (code, out, err) == (EXIT_USAGE, "", line)
+            with pytest.raises(UsageError) as late:
+                emit({}, "json", str(path))
+            assert "error: %s\n" % late.value == line
+    # a usage error found after loading neither creates nor truncates --out
+    fresh = tmp_path / "fresh.json"
+    for path in (blocker, fresh):
+        code, out, err = run_cli(["modular-data", "--builtin", "double_z2",
+                                  "--ribbon", "9", "--out", str(path)],
+                                 capsys)
         assert (code, out) == (EXIT_USAGE, "")
-        assert err.startswith("error: cannot write --out ")
-        assert err.count("\n") == 1
+        assert err.startswith("error: --ribbon 9 out of range")
+    assert blocker.read_text() == "kept" and not fresh.exists()
     monkeypatch.setenv("MTC_THREADS", "two")
     code, out, err = run_cli(["verify", "--builtin", "sweedler"], capsys)
     assert (code, out) == (EXIT_USAGE, "")

@@ -1,0 +1,107 @@
+"""The factorizer over Q behind the etale splitting (Zassenhaus: Berlekamp
+modulo a prime, Hensel lifting, recombination), against sympy's
+factor_list as the oracle."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from mtc import etale
+from mtc.scalars import cyclotomic_poly, poly_mul, poly_squarefree
+from oracles import qpoly_factor_oracle
+
+EXACT = settings(derandomize=True, database=None, deadline=None,
+                 max_examples=60)
+
+
+def fractions(coeffs):
+    return [Fraction(c) for c in coeffs]
+
+
+def factor(coeffs):
+    return sorted(etale._qpoly_factor(fractions(coeffs)))
+
+
+def oracle(coeffs):
+    return sorted(qpoly_factor_oracle(fractions(coeffs)))
+
+
+def int_polys():
+    """Integer polynomials of degree 1 to 5, low degree first."""
+    lower = st.integers(1, 5).flatmap(
+        lambda d: st.lists(st.integers(-9, 9), min_size=d, max_size=d))
+    return st.builds(lambda cs, lead: cs + [lead], lower,
+                     st.integers(-9, 9).filter(bool))
+
+
+@EXACT
+@given(factors=st.lists(int_polys(), min_size=1, max_size=4),
+       scale=st.builds(Fraction, st.integers(-50, 50).filter(bool),
+                       st.integers(1, 50)))
+def test_factors_of_products_match_the_oracle(factors, scale):
+    f = [Fraction(1)]
+    for g in factors:
+        f = poly_mul(f, fractions(g))
+    f = [c * scale for c in poly_squarefree(f)]
+    assert factor(f) == oracle(f)
+
+
+def test_cyclotomic_polynomials_are_irreducible():
+    for n in range(1, 31):
+        phi = cyclotomic_poly(n)
+        assert factor(phi) == [fractions(phi)]
+
+
+def test_x_n_minus_1_splits_into_cyclotomic_polynomials():
+    for n in range(1, 25):
+        f = [-1] + [0] * (n - 1) + [1]
+        want = sorted(fractions(cyclotomic_poly(d))
+                      for d in range(1, n + 1) if n % d == 0)
+        assert factor(f) == want == oracle(f)
+
+
+# prod (x +- sqrt 2 +- sqrt 3 +- sqrt 5): irreducible over Q, but its
+# Galois group (Z/2)^3 splits it into factors of degree at most 2 modulo
+# every prime, so the lifted factors must be recombined
+SWINNERTON_DYER = [576, 0, -960, 0, 352, 0, -40, 0, 1]
+
+
+def test_swinnerton_dyer_polynomial_needs_recombination():
+    p, fp = etale._good_prime(SWINNERTON_DYER)
+    assert len(etale._berlekamp(fp, p)) >= 4
+    assert factor(SWINNERTON_DYER) == [fractions(SWINNERTON_DYER)]
+    assert oracle(SWINNERTON_DYER) == [fractions(SWINNERTON_DYER)]
+
+
+def test_non_monic_polynomial_with_a_rational_root():
+    f = [c / 4 for c in poly_mul(fractions([-2, 3]), fractions([7, 1, 5]))]
+    want = [[Fraction(-2, 3), 1], [Fraction(7, 5), Fraction(1, 5), 1]]
+    assert factor(f) == want == oracle(f)
+
+
+# the Q-minimal polynomial of a primitive element that the etale splitting
+# factors for `modular-data` on D(Z/5): five quartics
+DZ5_MINPOLY = [1185921, 2874960, 4094640, 4394280, 3851830, 3196252, 2583440,
+               1975760, 1367020, 803870, 414534, 192720, 82280, 32560, 11810,
+               3868, 1120, 280, 60, 10, 1]
+
+
+def test_degree_20_minimal_polynomial_from_the_double_of_z5():
+    want = sorted(fractions(g) for g in (
+        [11, 2, 4, -2, 1], [11, -3, -1, 3, 1], [11, 7, 9, 3, 1],
+        [11, 17, 9, 3, 1], [81, 27, 9, 3, 1]))
+    assert factor(DZ5_MINPOLY) == want == oracle(DZ5_MINPOLY)
+
+
+def test_lifting_reaches_the_coefficient_bound():
+    # x^2 - 9 is a square modulo 2 and 3, so it is factored modulo 5 and
+    # lifted to 5^2 > 20, twice its Mignotte bound.  Modulo 5 alone both
+    # roots +-3 leave the symmetric range, and neither factor is found.
+    assert factor([-9, 0, 1]) == [[-3, 1], [3, 1]]
+
+
+def test_constants_linear_factors_and_repeated_factors():
+    assert factor([5]) == []
+    assert factor([3, 6]) == [[Fraction(1, 2), 1]]
+    # (x - 1)^2 (x + 2): multiplicity dropped
+    assert factor([2, -3, 0, 1]) == [[-1, 1], [2, 1]]

@@ -287,7 +287,7 @@ def test_unit_and_zero_operands_across_the_extension(data):
 def test_unit_and_zero_operands_build_no_scalar(monkeypatch):
     f = CycField(8)
     a = Scalar(f, (3, -1, 0, 2), 5)
-    one, zero = f.one(), f.zero()
+    one, zero, minus_one = f.one(), f.zero(), -f.one()
     built = []
     init = Scalar.__init__
 
@@ -300,6 +300,7 @@ def test_unit_and_zero_operands_build_no_scalar(monkeypatch):
     assert -zero is zero and a - zero is a
     assert a * zero is zero and zero * a is zero
     assert f.zero() is zero and f.one() is one
+    assert one.inv() is one and minus_one.inv() is minus_one
     Matrix.zeros(f, 3, 4)
     Matrix.identity(f, 3)
     assert not built
