@@ -15,8 +15,8 @@ from .scalars import CycField, poly_squarefree
 from .linalg import Matrix, kron, rank, minimal_polynomial
 from .hopf import Algebra
 from . import repcat, diagrams, coend as coend_mod
-from .repcat import (ModuleObject, Morphism, trivial_module, tensor_obj,
-                     dual_obj, simples_data, grothendieck_ring)
+from .repcat import (Morphism, trivial_module, tensor_obj, dual_obj,
+                     simples_data, grothendieck_ring)
 from .report import Report
 
 
@@ -94,23 +94,6 @@ def annulus_closed_channel(cd, m, n):
 # ---------------------------------------------------------------------------
 # torus partition function
 
-def coend_carrier_bimodule(h):
-    """The coadjoint carrier as the coregular bimodule (a (x) b) . xi =
-    xi(S(a) . b), realizing the coend as an object of C x Cbar.  A module
-    over T = H (x) mirror(H) is a pair of commuting H-module structures, so
-    the carrier is given by its two factors.  Returns (left, right)."""
-    n = h.dim
-    # left factor: xi -> xi(S(a) . ); right factor: xi -> xi( . b); on the
-    # dual basis these are the transposes of the multiplication matrices
-    left = ModuleObject(
-        h, n, [h.left_mult_matrix(h.antipode * h.basis_vec(a)).transpose()
-               for a in range(n)], "L-carrier left")
-    right = ModuleObject(
-        h, n, [h.right_mult_matrix(h.basis_vec(a)).transpose()
-               for a in range(n)], "L-carrier right")
-    return left, right
-
-
 def torus_partition(h, with_coend=None):
     """The Cartan matrix as the torus partition function in the character
     basis, with the composition-multiplicity certificate in the product
@@ -123,7 +106,7 @@ def torus_partition(h, with_coend=None):
     sd = simples_data(h)
     cartan = [row[:] for row in sd.cartan]
 
-    left, right = coend_carrier_bimodule(h)
+    left, right = coend_mod.carrier_bimodule(h)
     ok = True
     # both factors are H-modules with commuting actions: the module axioms
     # on T

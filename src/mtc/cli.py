@@ -193,7 +193,7 @@ def run_suite(config):
         h = choose_ribbon(h, config.ribbon)
         have_ribbon = True
         rep.add("ribbon element", True)
-    except (HopfError, UsageError) as e:
+    except HopfError as e:
         rep.add("ribbon element", False, str(e))
         have_ribbon = False
 
@@ -221,6 +221,7 @@ def run_suite(config):
             rep.add("structure solve + dinaturality certificate", True)
         except CoendError as e:
             rep.add("structure solve", False, str(e))
+            _skip_from(rep, "integrals", "structure solve failed")
             return rep
 
     modular = coend_mod.modularity_test(cd)
@@ -252,6 +253,7 @@ def run_suite(config):
             cd.sl2z_scalars = scalars
         except CoendError as e:
             rep.add("S/T transforms", False, str(e))
+            _skip_from(rep, "characters", "S/T transforms failed")
             return rep
 
     with rep.timed("characters"):
@@ -719,9 +721,10 @@ def main(argv=None):
         if args.command == "diagram":
             return cmd_diagram_eval(config, args.bind, args.expr)
         if args.command == "cardy":
-            if args.cardy_command == "defect" and not args.all_pairs \
-                    and args.object is None:
-                raise UsageError("cardy defect needs --object or --all-pairs")
+            if args.cardy_command == "defect" and \
+                    args.all_pairs == (args.object is not None):
+                raise UsageError("cardy defect needs --object or --all-pairs"
+                                 + (", not both" if args.all_pairs else ""))
             return cmd_cardy(config, args.cardy_command, args)
         raise UsageError("unknown command %r" % args.command)
     except (UsageError, AlgebraFormatError, repcat.ModuleFormatError,

@@ -1,7 +1,8 @@
 """The canonical coend L = int^X X* (x) X of the module category, as the
-coadjoint module on H* with its universal dinatural family, Hopf structure,
-Hopf pairing, integrals, Frobenius (Radford) pairing, and the modular S and
-T transformations.
+coadjoint module on H*: the bulk object F = H* of `carrier_bimodule`
+restricted along Delta, with its universal dinatural family (iota on a
+pair is a product in H*), Hopf structure, Hopf pairing, integrals,
+Frobenius (Radford) pairing, and the modular S and T transformations.
 
 The structure morphisms are listed once, in STRUCTURE.  Each is solved from
 its defining diagram with X = H (regular module), through the explicit
@@ -30,7 +31,7 @@ from .linalg import Matrix, kron, solve_right, kernel_basis, rank, invert, \
 from . import repcat, diagrams
 from .hopf import Algebra, hopf_axiom_words, check_words
 from .diagrams import (apply_word, identity_columns, columns_matrix,
-                       word_matrix, obj_dual)
+                       word_matrix, obj_dual, _matrix_colfn)
 from .repcat import (ModuleObject, Morphism, trivial_module, regular_module,
                      tensor_obj, dual_obj, direct_sum, hom_basis,
                      simples_data, generating_indices)
@@ -73,6 +74,7 @@ class CoendData:
         self.Delta_minus = None
         self.kappa = None
         self.kappa_copair = None
+        self.delta_Lambda = None
         self.S_transform = None
         self.T_transform = None
         self.sl2z_scalars = None
@@ -90,57 +92,37 @@ class CoendData:
         return Morphism(tensor_obj(dual_obj(x), x), self.carrier,
                         self.iota_matrix(x))
 
-    def iota_pair_colfn(self, x, y):
+    @staticmethod
+    def iota_pair_colfn(x, y):
         """Lazy columns of iota_{X (x) Y} indexed by the flat
-        (X x Y)* (x) (X x Y) basis; never materializes the tensor module."""
-        h = self.h
+        (X x Y)* (x) (X x Y) basis; never materializes the tensor module.
+        Column (xi (x) eta) (x) (v (x) w) is the product in H* of the
+        columns iota_X(xi (x) v) and iota_Y(eta (x) w)."""
+        dual = x.algebra.dual()
+        xcol = _matrix_colfn(CoendData.iota_matrix(x))
+        ycol = _matrix_colfn(CoendData.iota_matrix(y))
         dx, dy = x.dim, y.dim
         d = dx * dy
         cache = {}
 
         def col(idx):
             got = cache.get(idx)
-            if got is not None:
-                return got
-            q, p = divmod(idx, d)
-            i, j = divmod(q, dy)
-            k, l = divmod(p, dy)
-            acc = {}
-            for m_i in range(h.dim):
-                s = None
-                for (m1, m2), c in h.comult[m_i].items():
-                    vx = x.action[m1].data[i * dx + k]
-                    if vx.is_zero():
-                        continue
-                    vy = y.action[m2].data[j * dy + l]
-                    if vy.is_zero():
-                        continue
-                    t = c * vx * vy
-                    s = t if s is None else s + t
-                if s is not None and not s.is_zero():
-                    acc[m_i] = s
-            got = list(acc.items())
-            cache[idx] = got
+            if got is None:
+                q, p = divmod(idx, d)
+                i, j = divmod(q, dy)
+                k, l = divmod(p, dy)
+                prod = dual.tensor_mul({(a,): v for a, v in xcol(i * dx + k)},
+                                       {(b,): v for b, v in ycol(j * dy + l)})
+                got = cache[idx] = sorted((a, v) for (a,), v in prod.items())
             return got
         return col
 
-    def section(self):
-        """The right inverse of iota_H: xi -> xi (x) 1."""
-        return columns_matrix(self.field, self.h.dim ** 2,
-                              self.section_columns())
-
     def section_columns(self):
-        h = self.h
-        n = h.dim
-        cols = []
-        for a in range(n):
-            col = {}
-            for k in range(n):
-                c = h.unit.data[k]
-                if not c.is_zero():
-                    col[a * n + k] = c
-            cols.append(col)
-        return cols
+        """The right inverse xi -> xi (x) 1 of iota_H as sparse columns."""
+        n = self.h.dim
+        one = [(k, c) for k, c in enumerate(self.h.unit.data)
+               if not c.is_zero()]
+        return [{a * n + k: c for k, c in one} for a in range(n)]
 
     def omega_gram(self):
         """omega as the n x n matrix of the pairing."""
@@ -148,23 +130,45 @@ class CoendData:
         return Matrix(self.field, n, n, self.omega.data)
 
 
+def carrier_bimodule(h):
+    """F = H* with the coregular bimodule action (a (x) b) . xi =
+    xi(S(a) . b): the bulk object int^X X* (x) X of C x Cbar, and the one
+    definition of the coend's carrier.  A module over H (x) mirror(H) is a
+    pair of commuting H-module structures, so F is given by its two
+    factors.  Returns (left, right), built once per algebra."""
+    def compute():
+        n = h.dim
+        # left factor: xi -> xi(S(a) . ); right factor: xi -> xi( . b); on
+        # the dual basis these are the transposes of the multiplication
+        # matrices
+        left = ModuleObject(
+            h, n, [h.left_mult_matrix(h.antipode * h.basis_vec(a)).transpose()
+                   for a in range(n)], "L-carrier left")
+        right = ModuleObject(
+            h, n, [h.right_mult_matrix(h.basis_vec(a)).transpose()
+                   for a in range(n)], "L-carrier right")
+        return left, right
+    return h._derived("carrier_bimodule", compute)
+
+
 def coadjoint_module(h):
-    """H* with (h.f)(a) = f(S(h_(1)) a h_(2))."""
-    n = h.dim
-    f = h.field
+    """L: F restricted along Delta, (h . xi)(a) = xi(S(h_(1)) a h_(2)).
+    e_m acts by the sum of c left(e_j1) right(e_j2) over the terms of
+    Delta(e_m), multiplied column by column on sparse columns."""
+    left, right = carrier_bimodule(h)
+    lcol = [_matrix_colfn(a) for a in left.action]
+    rcol = [_matrix_colfn(a) for a in right.action]
     action = []
-    for m in range(n):
-        mat = Matrix.zeros(f, n, n)
-        for (j1, j2), c in h.comult[m].items():
-            s = h.antipode.col_list(j1)  # S(e_j1)
-            for k in range(n):
-                v = h.mul_vec(Matrix.column(f, s), h.basis_vec(k))
-                v = h.mul_vec(v, h.basis_vec(j2))
-                for i in range(n):
-                    if not v.data[i].is_zero():
-                        mat.data[k * n + i] = mat.data[k * n + i] + c * v.data[i]
-        action.append(mat)
-    return ModuleObject(h, n, action, "L")
+    for d in h.comult:
+        cols = [{} for _ in range(h.dim)]
+        for (j1, j2), c in d.items():
+            for i, col in enumerate(cols):
+                for l, y in rcol[j2](i):
+                    cy = c * y
+                    for k, x in lcol[j1](l):
+                        col[k] = col[k] + cy * x if k in col else cy * x
+        action.append(columns_matrix(h.field, h.dim, cols))
+    return ModuleObject(h, h.dim, action, "L")
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +253,7 @@ def build_coend(h):
     """Carrier and dinatural family; certifies that iota_H composed with the
     section is the identity (the surjectivity witness)."""
     cd = CoendData(h)
-    sec = cd.section()
+    sec = columns_matrix(h.field, h.dim ** 2, cd.section_columns())
     ih = cd.iota_matrix(regular_module(h))
     assert ih * sec == Matrix.identity(h.field, h.dim), \
         "section is not a right inverse of iota_H"
@@ -546,9 +550,11 @@ def through_copairing(cd, w, rho, v, copair):
 
 def frobenius_coproduct(cd):
     """Delta_Lambda = (mu x id)(id x copairing): the Frobenius coalgebra
-    structure with counit lambda."""
-    return through_copairing(cd, cd.carrier, cd.mu, cd.carrier,
-                             cd.kappa_copair)
+    structure with counit lambda, evaluated once and kept on cd."""
+    if cd.delta_Lambda is None:
+        cd.delta_Lambda = through_copairing(cd, cd.carrier, cd.mu, cd.carrier,
+                                            cd.kappa_copair)
+    return cd.delta_Lambda
 
 
 def s_t_transforms(cd):

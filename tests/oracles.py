@@ -240,6 +240,59 @@ def group_double_table_z2():
     return table
 
 
+# -- the coend's carrier and iota on a pair as index loops --------------------
+# The contractions over Delta that `mtc.coend` used before it read both off
+# the bimodule F = H* and the dual algebra.
+
+def coadjoint_oracle(h):
+    """The action matrices of H* with (h.f)(a) = f(S(h_(1)) a h_(2)), by
+    multiplying out S(h_(1)) e_k h_(2) for every basis element e_k."""
+    n = h.dim
+    f = h.field
+    action = []
+    for m in range(n):
+        mat = Matrix.zeros(f, n, n)
+        for (j1, j2), c in h.comult[m].items():
+            s = h.antipode.col_list(j1)  # S(e_j1)
+            for k in range(n):
+                v = h.mul_vec(Matrix.column(f, s), h.basis_vec(k))
+                v = h.mul_vec(v, h.basis_vec(j2))
+                for i in range(n):
+                    if not v.data[i].is_zero():
+                        mat.data[k * n + i] = mat.data[k * n + i] + c * v.data[i]
+        action.append(mat)
+    return action
+
+
+def iota_pair_oracle(h, x, y):
+    """Column idx of iota_{X (x) Y} on the flat (X x Y)* (x) (X x Y) basis
+    as a sorted list of nonzero (row, coeff) pairs: entry m is
+    sum_{(m1, m2) in Delta(e_m)} c X(e_m1)[i, k] Y(e_m2)[j, l]."""
+    dx, dy = x.dim, y.dim
+    d = dx * dy
+
+    def col(idx):
+        q, p = divmod(idx, d)
+        i, j = divmod(q, dy)
+        k, l = divmod(p, dy)
+        acc = {}
+        for m_i in range(h.dim):
+            s = None
+            for (m1, m2), c in h.comult[m_i].items():
+                vx = x.action[m1].data[i * dx + k]
+                if vx.is_zero():
+                    continue
+                vy = y.action[m2].data[j * dy + l]
+                if vy.is_zero():
+                    continue
+                t = c * vx * vy
+                s = t if s is None else s + t
+            if s is not None and not s.is_zero():
+                acc[m_i] = s
+        return list(acc.items())
+    return col
+
+
 # -- index formulas of the coend's derived morphisms --------------------------
 # Each takes the flat matrices of the structure it is built from; L has
 # dimension n and X dimension d.

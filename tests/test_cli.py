@@ -10,6 +10,7 @@ import pytest
 from mtc import hopf, repcat
 from mtc.cli import (main, emit, UsageError, EXIT_OK, EXIT_CHECK_FAILED,
                      EXIT_USAGE)
+from mtc.coend import CoendError
 
 
 def run_cli(args, capsys):
@@ -35,6 +36,44 @@ def test_verify_nonmodular_fails_and_skips(capsys):
     stat = {c["name"]: c["status"] for c in payload["checks"]}
     assert stat["modularity (omega non-degenerate)"] == "fail"
     assert stat["cardy certificates"] == "skip"
+
+
+def _raise_coend_error(*args):
+    raise CoendError("injected")
+
+
+@pytest.mark.parametrize("stage, failed, skipped", [
+    ("solve_structure_morphisms", "structure solve",
+     ["integrals", "modularity", "S/T transforms", "characters", "cutting",
+      "cardy certificates"]),
+    ("s_t_transforms", "S/T transforms",
+     ["characters", "cutting", "cardy certificates"]),
+])
+def test_verify_lists_the_stages_after_a_coend_error(stage, failed, skipped,
+                                                      capsys, monkeypatch):
+    """A CoendError in the structure solve or in the S/T transforms fails
+    that stage and reports every later stage as skipped."""
+    monkeypatch.setattr("mtc.coend." + stage, _raise_coend_error)
+    code, out, err = run_cli(["verify", "--builtin", "double_z2",
+                              "--ribbon", "3", "--format", "json"], capsys)
+    assert (code, err) == (EXIT_CHECK_FAILED, "")
+    checks = json.loads(out)["checks"]
+    names = [c["name"] for c in checks]
+    tail = checks[names.index(failed):]
+    assert [(c["name"], c["status"], c["witness"]) for c in tail] == \
+        [(failed, "fail", "injected")] + \
+        [(name, "skip", failed + " failed") for name in skipped]
+
+
+@pytest.mark.parametrize("ribbon", [["--ribbon", "9"], []])
+def test_verify_bad_ribbon_choice_is_usage_error(ribbon, capsys):
+    """D(Z/2) has four ribbon elements: an index out of range, or none
+    picked, is a usage error for verify as for modular-data."""
+    code, out, err = run_cli(["verify", "--builtin", "double_z2"] + ribbon +
+                             ["--format", "json"], capsys)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "ribbon" in err
 
 
 def test_verify_trivial_algebra(capsys):
@@ -416,6 +455,21 @@ def test_unknown_object_is_rejected_before_the_coend(capsys, monkeypatch):
         code, out, err = run_cli(["cardy"] + sub + base, capsys)
         assert (code, out) == (EXIT_USAGE, ""), sub
         assert "'S99'" in err and "S0..S8" in err
+
+
+@pytest.mark.parametrize("flags, message", [
+    ([], "needs --object or --all-pairs"),
+    (["--object", "S0", "--all-pairs"],
+     "needs --object or --all-pairs, not both"),
+])
+def test_cardy_defect_needs_one_target(flags, message, capsys, monkeypatch):
+    """cardy defect takes exactly one of --object and --all-pairs; the
+    check comes before the algebra is loaded."""
+    monkeypatch.setattr(hopf, "builtin", lambda *a: pytest.fail("loaded"))
+    code, out, err = run_cli(["cardy", "defect", "--builtin", "double_z2",
+                              "--ribbon", "3"] + flags, capsys)
+    assert (code, out, err) == (EXIT_USAGE, "",
+                                "error: cardy defect %s\n" % message)
 
 
 def test_cardy_cli(capsys):

@@ -1,5 +1,7 @@
 import copy
+import random
 import time
+from itertools import product
 
 import pytest
 
@@ -27,6 +29,56 @@ def test_carrier_and_iota(dz2_ribbon):
     # iota is an intertwiner on simples
     for s in simples_data(h).simples:
         assert cd.iota(s).is_intertwiner()
+
+
+@pytest.fixture(scope="module", params=["dz2", "dz3", "sweedler", "dsw"])
+def oracle_algebra(request):
+    """D(Z/2), D(Z/3), Sweedler and D(Sweedler): the carrier and iota on
+    pairs need no ribbon element."""
+    return request.getfixturevalue(request.param)
+
+
+def _iota_pairs_agree(x, y, indices):
+    new = coend.CoendData.iota_pair_colfn(x, y)
+    old = oracles.iota_pair_oracle(x.algebra, x, y)
+    return all(new(idx) == old(idx) for idx in indices)
+
+
+def test_carrier_matches_coadjoint_oracle(oracle_algebra):
+    """L, read off the bimodule F along Delta, equals the contraction of
+    S(h_(1)) a h_(2), entry by entry."""
+    h = oracle_algebra
+    assert coend.coadjoint_module(h).action == oracles.coadjoint_oracle(h)
+
+
+def test_iota_pair_matches_oracle(oracle_algebra):
+    """Every column of iota_{X x Y} as a product in H* equals the
+    contraction over Delta, for (H, the faithful witness) and for every
+    pair of simples and projective covers."""
+    h = oracle_algebra
+    sd = simples_data(h)
+    pairs = [(regular_module(h), coend._faithful_witness(h)[0])] + \
+        list(product(list(sd.simples) + list(sd.projectives), repeat=2))
+    for x, y in pairs:
+        assert _iota_pairs_agree(x, y, range((x.dim * y.dim) ** 2)), \
+            (x.name, y.name)
+
+
+@pytest.mark.slow
+def test_carrier_and_iota_pair_match_oracles_slow():
+    """As the tier-1 comparisons, on D(Taft_3) (dim 81): the carrier, and
+    3000 seeded columns of iota on (H, the faithful witness).  Budget:
+    60 s with the simples and the witness."""
+    start = time.perf_counter()
+    h = hopf.builtin("double_taft", [3])
+    assert coend.coadjoint_module(h).action == oracles.coadjoint_oracle(h)
+    reg = regular_module(h)
+    wit, _ = coend._faithful_witness(h)
+    rng = random.Random(0)
+    ncols = (reg.dim * wit.dim) ** 2
+    assert _iota_pairs_agree(reg, wit,
+                             [rng.randrange(ncols) for _ in range(3000)])
+    assert time.perf_counter() - start < 60
 
 
 def test_dinaturality_of_iota(dz2_coend, dz2_simples):
