@@ -27,11 +27,11 @@ from itertools import product
 
 from .scalars import sqrt_adjoin
 from .linalg import Matrix, kron, solve_right, kernel_basis, rank, invert, \
-    NoSolution, rank_factor
+    NoSolution, rank_factor, _matrix_colfn
 from . import repcat, diagrams
 from .hopf import Algebra, hopf_axiom_words, check_words
 from .diagrams import (apply_word, identity_columns, columns_matrix,
-                       word_matrix, obj_dual, _matrix_colfn)
+                       word_matrix, obj_dual)
 from .repcat import (ModuleObject, Morphism, trivial_module, regular_module,
                      tensor_obj, dual_obj, direct_sum, hom_basis,
                      simples_data, generating_indices)
@@ -156,16 +156,15 @@ def coadjoint_module(h):
     e_m acts by the sum of c left(e_j1) right(e_j2) over the terms of
     Delta(e_m), multiplied column by column on sparse columns."""
     left, right = carrier_bimodule(h)
-    lcol = [_matrix_colfn(a) for a in left.action]
-    rcol = [_matrix_colfn(a) for a in right.action]
     action = []
     for d in h.comult:
         cols = [{} for _ in range(h.dim)]
         for (j1, j2), c in d.items():
+            lcol, rcol = left.action_colfn(j1), right.action_colfn(j2)
             for i, col in enumerate(cols):
-                for l, y in rcol[j2](i):
+                for l, y in rcol(i):
                     cy = c * y
-                    for k, x in lcol[j1](l):
+                    for k, x in lcol(l):
                         col[k] = col[k] + cy * x if k in col else cy * x
         action.append(columns_matrix(h.field, h.dim, cols))
     return ModuleObject(h, h.dim, action, "L")

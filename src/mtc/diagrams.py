@@ -12,7 +12,9 @@ Object expressions are compared structurally up to tensor flattening; duals
 of composites stay as-is (the canonical identifications are explicit boxes).
 """
 
-from .linalg import Matrix
+from math import prod
+
+from .linalg import Matrix, _matrix_colfn
 from . import repcat
 
 
@@ -376,24 +378,12 @@ def typecheck(ast, env):
 # -- evaluation -------------------------------------------------------------
 #
 # The one evaluator: a word is normalized into layers of tensored
-# generators and applied column by column to sparse vectors, so the dense
-# matrix of a composite word is never built.  id, ev, coev and box read
-# only dimensions.  tw, twinv, evt, coevt, br and brinv act through the
-# module of their object argument, which Env.module_of builds with
-# tensor_obj and dual_obj when that argument is a tensor product or a dual
-# (tw(X x Y), br(X x Y, Z)).
-
-def _matrix_colfn(matrix):
-    """Column function j -> [(row, Scalar)] of a dense matrix, nonzero
-    entries only."""
-    cols = {}
-    n = matrix.cols
-    for k, v in enumerate(matrix.data):
-        if not v.is_zero():
-            i, j = divmod(k, n)
-            cols.setdefault(j, []).append((i, v))
-    return lambda j: cols.get(j, [])
-
+# generators and applied column by column to sparse vectors, one generator
+# at a time, so the dense matrix of a composite word is never built.  id,
+# ev, coev and box read only dimensions.  tw, twinv, evt, coevt, br and
+# brinv act through the module of their object argument, which
+# Env.module_of builds with tensor_obj and dual_obj when that argument is a
+# tensor product or a dual (tw(X x Y), br(X x Y, Z)).
 
 def _braid_colfn(terms, x, y, inverse):
     """Column function of beta_{X,Y}: X (x) Y -> Y (x) X, x (x) y ->
@@ -401,8 +391,8 @@ def _braid_colfn(terms, x, y, inverse):
     of Y (x) X -> X (x) Y, y (x) x -> sum c r1.x (x) r2.y over the terms
     of R^{-1} = (S (x) id)(R)."""
     dx, dy = x.dim, y.dim
-    xs = {r1: _matrix_colfn(x.action[r1]) for r1, _, _ in terms}
-    ys = {r2: _matrix_colfn(y.action[r2]) for _, r2, _ in terms}
+    xs = {r1: x.action_colfn(r1) for r1, _, _ in terms}
+    ys = {r2: y.action_colfn(r2) for _, r2, _ in terms}
     cache = {}
 
     def col(c):
@@ -421,7 +411,7 @@ def _braid_colfn(terms, x, y, inverse):
                     key = ii * dy + jj if inverse else jj * dx + ii
                     w = cvx * vy
                     acc[key] = acc[key] + w if key in acc else w
-        got = [(p, v) for p, v in acc.items() if not v.is_zero()]
+        got = [(p, v) for p, v in acc.items() if any(v.num)]
         cache[c] = got
         return got
     return dx * dy, dx * dy, col
@@ -494,50 +484,33 @@ def evaluate_applied(ast, env, columns):
             atom_cache[key] = got
         return got
 
+    # f (x) g = (id (x) g)(f (x) id): a layer is applied one atom at a time
+    # from the left, each a step on the flat index pre * sub * post, and an
+    # identity atom is no step.  Left first multiplies the coefficients in
+    # the order of the atoms, as one product per term would.
     cur = columns
     for layer in layers:
         atoms = [atom_data(g, d, c) for g, d, c in layer]
-        dims_in = [a[0] for a in atoms]
-        dims_out = [a[1] for a in atoms]
-        new = []
-        for col in cur:
-            out = {}
-            for flat, val in col.items():
-                idxs = []
-                rest = flat
-                for dd in reversed(dims_in):
-                    idxs.append(rest % dd)
-                    rest //= dd
-                idxs.reverse()
-                parts = []
-                ok = True
-                for (_, _, colfn), sub in zip(atoms, idxs):
-                    if colfn is None:
-                        parts.append([(sub, None)])
-                        continue
-                    hits = colfn(sub)
-                    if not hits:
-                        ok = False
-                        break
-                    parts.append(hits)
-                if not ok:
-                    continue
-                acc = [(0, val)]
-                for hits, dout in zip(parts, dims_out):
-                    nxt = []
-                    for base, v in acc:
-                        for row, w in hits:
-                            nv = v if w is None else v * w
-                            nxt.append((base * dout + row, nv))
-                    acc = nxt
-                for pos, v in acc:
-                    if pos in out:
-                        out[pos] = out[pos] + v
-                    else:
-                        out[pos] = v
-            new.append({p: v for p, v in out.items() if not v.is_zero()})
-        cur = new
+        for k, (din, dout, colfn) in enumerate(atoms):
+            if colfn is not None:
+                post = prod(a[0] for a in atoms[k + 1:])
+                cur = [_step(col, colfn, din, dout, post) for col in cur]
     return cur, env.dim_of(cod)
+
+
+def _step(col, colfn, din, dout, post):
+    """The sparse column `col` under id_pre (x) f (x) id_post, where f is
+    the din -> dout map of `colfn`."""
+    out = {}
+    for flat, val in col.items():
+        top, q = divmod(flat, post)
+        p, sub = divmod(top, din)
+        base = p * dout
+        for row, w in colfn(sub):
+            pos = (base + row) * post + q
+            v = val * w
+            out[pos] = out[pos] + v if pos in out else v
+    return {p: v for p, v in out.items() if any(v.num)}
 
 
 # -- dense view -------------------------------------------------------------

@@ -61,16 +61,14 @@ class Algebra:
 
     def mul_vec(self, a, b):
         out = Matrix.zeros(self.field, self.dim, 1)
-        for i in range(self.dim):
-            x = a.data[i]
-            if x.is_zero():
+        bs = [(j, y) for j, y in enumerate(b.data) if any(y.num)]
+        for i, x in enumerate(a.data):
+            if not any(x.num):
                 continue
-            for j in range(self.dim):
-                y = b.data[j]
-                if y.is_zero():
-                    continue
+            row = self.mult[i]
+            for j, y in bs:
                 xy = x * y
-                for k, c in self.mult[i][j].items():
+                for k, c in row[j].items():
                     out.data[k] = out.data[k] + xy * c
         return out
 

@@ -4,7 +4,8 @@ growing spans with canonical reduction modulo a subspace, minimal
 polynomials, and Kronecker products.
 
 The external contract is dense row-major; the elimination engine works on
-sparse rows internally, and no other module sees its rows or pivots.  One
+sparse rows internally, and no other module sees its rows or pivots.  The
+product and the Kronecker product visit only nonzero entries.  One
 sparse row update serves `_rref` and `IncrementalSpan`, and one promotion
 rule puts the operands of a product or a solve over a common field.
 """
@@ -108,19 +109,38 @@ class Matrix:
         a, b = _one_field(self, other)
         f = a.field
         n, k, m = a.rows, a.cols, b.cols
-        zero = f.zero()
-        out = [zero] * (n * m)
-        for i in range(n):
-            arow = a.data[i * k:(i + 1) * k]
-            orow = i * m
-            for t in range(k):
-                x = arow[t]
-                if x.is_zero():
-                    continue
-                brow = b.data[t * m:(t + 1) * m]
-                for j in range(m):
-                    y = brow[j]
-                    if not y.is_zero():
+        ad, bd = a.data, b.data
+        out = [f.zero()] * (n * m)
+        # Gustavson's row-wise product, scanning the operand with fewer
+        # cells; the other one's rows (or columns) become nonzero lists the
+        # first time a nonzero of the scanned operand needs them.  Either
+        # way entry (i, j) sums a[i, t] * b[t, j] in increasing t.
+        if n <= m:
+            brows = [None] * k
+            for i in range(n):
+                orow = i * m
+                for t, x in enumerate(ad[i * k:(i + 1) * k]):
+                    if not any(x.num):
+                        continue
+                    brow = brows[t]
+                    if brow is None:
+                        brow = brows[t] = [
+                            (j, y) for j, y in enumerate(bd[t * m:(t + 1) * m])
+                            if any(y.num)]
+                    for j, y in brow:
+                        out[orow + j] = out[orow + j] + x * y
+        else:
+            acols = [None] * k
+            for j in range(m):
+                for t, y in enumerate(bd[j::m]):
+                    if not any(y.num):
+                        continue
+                    acol = acols[t]
+                    if acol is None:
+                        acol = acols[t] = [
+                            (i * m, x) for i, x in enumerate(ad[t::k])
+                            if any(x.num)]
+                    for orow, x in acol:
                         out[orow + j] = out[orow + j] + x * y
         return Matrix(f, n, m, out)
 
@@ -131,7 +151,7 @@ class Matrix:
             all(a == b for a, b in zip(self.data, other.data))
 
     def is_zero(self):
-        return all(x.is_zero() for x in self.data)
+        return not any(any(x.num) for x in self.data)
 
     def transpose(self):
         out = Matrix.zeros(self.field, self.cols, self.rows)
@@ -180,39 +200,39 @@ def kron(a, b):
     a, b = _one_field(a, b)
     f = a.field
     r, c = a.rows * b.rows, a.cols * b.cols
-    zero = f.zero()
-    out = [zero] * (r * c)
-    for ia in range(a.rows):
-        for ja in range(a.cols):
-            x = a.data[ia * a.cols + ja]
-            if x.is_zero():
-                continue
-            base_i = ia * b.rows
-            base_j = ja * b.cols
-            for ib in range(b.rows):
-                orow = (base_i + ib) * c + base_j
-                brow = ib * b.cols
-                for jb in range(b.cols):
-                    y = b.data[brow + jb]
-                    if not y.is_zero():
-                        out[orow + jb] = x * y
+    out = [f.zero()] * (r * c)
+    # b's nonzeros as offsets into the block of one entry of a
+    bnz = [((ib // b.cols) * c + ib % b.cols, y) for ib, y in enumerate(b.data)
+           if any(y.num)]
+    for ka, x in enumerate(a.data):
+        if not any(x.num):
+            continue
+        ia, ja = divmod(ka, a.cols)
+        base = ia * b.rows * c + ja * b.cols
+        for off, y in bnz:
+            out[base + off] = x * y
     return Matrix(f, r, c, out)
+
+
+def _matrix_colfn(matrix):
+    """Column function j -> [(row, Scalar)] of a dense matrix, nonzero
+    entries only."""
+    cols = {}
+    n = matrix.cols
+    for k, v in enumerate(matrix.data):
+        if any(v.num):
+            i, j = divmod(k, n)
+            cols.setdefault(j, []).append((i, v))
+    return lambda j: cols.get(j, [])
 
 
 # ---------------------------------------------------------------------------
 # sparse-row elimination engine
 
 def _to_sparse_rows(m):
-    rows = []
-    for i in range(m.rows):
-        row = {}
-        base = i * m.cols
-        for j in range(m.cols):
-            x = m.data[base + j]
-            if not x.is_zero():
-                row[j] = x
-        rows.append(row)
-    return rows
+    c = m.cols
+    return [{j: x for j, x in enumerate(m.data[i * c:(i + 1) * c])
+             if any(x.num)} for i in range(m.rows)]
 
 
 def _sub_row(row, f, pivot_items, skip=None):
@@ -224,7 +244,7 @@ def _sub_row(row, f, pivot_items, skip=None):
             continue
         cur = row.get(j)
         nv = (cur - f * v) if cur is not None else -(f * v)
-        if nv.is_zero():
+        if not any(nv.num):
             row.pop(j, None)
         else:
             row[j] = nv
@@ -331,7 +351,7 @@ class IncrementalSpan:
         self.rows = {}  # pivot index -> reduced sparse row {idx: Scalar}
 
     def _reduce(self, vec):
-        v = {i: x for i, x in enumerate(vec.data) if not x.is_zero()}
+        v = {i: x for i, x in enumerate(vec.data) if any(x.num)}
         for piv in sorted(self.rows):
             if piv in v:
                 _sub_row(v, v.pop(piv), self.rows[piv].items(), piv)

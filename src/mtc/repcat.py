@@ -7,7 +7,8 @@ Grothendieck ring.
 import json
 
 from .scalars import parse_scalar, parse_count, format_scalar
-from .linalg import Matrix, kron, solve_right, kernel_basis, IncrementalSpan
+from .linalg import (Matrix, kron, solve_right, kernel_basis, IncrementalSpan,
+                     _matrix_colfn)
 from .etale import orthogonal_primitive_idempotents, newton_lift_idempotent
 
 
@@ -24,6 +25,7 @@ class ModuleObject:
         self.action = action
         self.name = name
         self._dual = None  # dual_obj(self), built on first use
+        self._action_cols = [None] * len(action)  # see action_colfn
 
     def act(self, a):
         """Action matrix of an arbitrary element a of H."""
@@ -32,6 +34,15 @@ class ModuleObject:
             if not c.is_zero():
                 out = out + self.action[i].scale(c)
         return out
+
+    def action_colfn(self, i):
+        """The sparse columns of action[i], as a column function j ->
+        [(row, Scalar)], built on first use and kept: a module's action
+        never changes after construction."""
+        got = self._action_cols[i]
+        if got is None:
+            got = self._action_cols[i] = _matrix_colfn(self.action[i])
+        return got
 
     def validate(self):
         h = self.algebra
@@ -131,9 +142,9 @@ def tensor_action(t, x, y):
     d = dx * dy
     out = [f.zero()] * (d * d)
     for (i, j), c in t.items():
-        xs = [(a, v) for a, v in enumerate(x.action[i].data) if not v.is_zero()]
+        xs = [(a, v) for a, v in enumerate(x.action[i].data) if any(v.num)]
         ys = [(divmod(b, dy), v) for b, v in enumerate(y.action[j].data)
-              if not v.is_zero()]
+              if any(v.num)]
         for a, xv in xs:
             r1, c1 = divmod(a, dx)
             cx = c * xv

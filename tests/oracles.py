@@ -9,7 +9,7 @@ import sympy
 from mtc import repcat, coend
 from mtc.etale import Subalgebra, orthogonal_primitive_idempotents
 from mtc.scalars import Scalar, poly_squarefree, sqrt_in_field
-from mtc.diagrams import Compose, Tensor, apply_word
+from mtc.diagrams import Compose, Tensor, apply_word, _layers, _gen_colfn
 from mtc.linalg import (Matrix, kernel_basis, kron, invert, IncrementalSpan,
                         solve_right, NoSolution)
 
@@ -69,6 +69,74 @@ def regular_inverse_oracle(s):
                 rhs[r] -= f * rhs[col]
     den = math.lcm(*(v.denominator for v in rhs))
     return Scalar(fld, tuple(int(v * den) for v in rhs), den)
+
+
+def matmul_oracle(a, b):
+    """The product a b by the triple loop that `Matrix.__mul__` ran before
+    it visited only nonzeros: every entry of a is read, and for each
+    nonzero one the whole row of b.  The operands are taken over the
+    extended field when either one is."""
+    f = b.field if b.field.extended else a.field
+    a, b = a.promote(f), b.promote(f)
+    n, k, m = a.rows, a.cols, b.cols
+    out = [f.zero()] * (n * m)
+    for i in range(n):
+        for t in range(k):
+            x = a.data[i * k + t]
+            if x.is_zero():
+                continue
+            for j in range(m):
+                y = b.data[t * m + j]
+                if not y.is_zero():
+                    out[i * m + j] = out[i * m + j] + x * y
+    return Matrix(f, n, m, out)
+
+
+def evaluate_applied_oracle(ast, env, columns):
+    """`diagrams.evaluate_applied` by the layer loop it ran before it
+    applied one generator at a time: each entry of a column is split into
+    one index per atom of the layer, and the product of the atoms' columns
+    is expanded term by term."""
+    layers, _, cod = _layers(ast, env)
+    atom_cache = {}
+    cur = columns
+    for layer in layers:
+        atoms = []
+        for gen, d_expr, c_expr in layer:
+            key = (gen.kind,) + (tuple(gen.args) if gen.kind == "box" else
+                                 (tuple(d_expr), tuple(c_expr)))
+            if key not in atom_cache:
+                atom_cache[key] = _gen_colfn(gen, env)
+            atoms.append(atom_cache[key])
+        dims_in = [a[0] for a in atoms]
+        dims_out = [a[1] for a in atoms]
+        new = []
+        for col in cur:
+            out = {}
+            for flat, val in col.items():
+                idxs = []
+                rest = flat
+                for dd in reversed(dims_in):
+                    idxs.append(rest % dd)
+                    rest //= dd
+                idxs.reverse()
+                parts = []
+                for (_, _, colfn), sub in zip(atoms, idxs):
+                    hits = [(sub, None)] if colfn is None else colfn(sub)
+                    if not hits:
+                        break
+                    parts.append(hits)
+                if len(parts) < len(atoms):
+                    continue
+                acc = [(0, val)]
+                for hits, dout in zip(parts, dims_out):
+                    acc = [(base * dout + row, v if w is None else v * w)
+                           for base, v in acc for row, w in hits]
+                for pos, v in acc:
+                    out[pos] = out[pos] + v if pos in out else v
+            new.append({p: v for p, v in out.items() if not v.is_zero()})
+        cur = new
+    return cur, env.dim_of(cod)
 
 
 def tensor_action_oracle(t, x, y):

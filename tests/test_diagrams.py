@@ -1,11 +1,14 @@
+import random
+import time
+
 import pytest
 
-from mtc import repcat
+from mtc import cli, coend, hopf, repcat
 from mtc.linalg import Matrix
 from mtc.diagrams import (parse, typecheck, evaluate_applied, apply_word,
                           identity_columns, words_agree, Env, Gen, Compose,
                           Tensor, DiagramError, DiagramTypeError, obj_name)
-from oracles import dense_word_oracle
+from oracles import dense_word_oracle, evaluate_applied_oracle, matmul_oracle
 
 
 @pytest.fixture(scope="module")
@@ -184,3 +187,89 @@ def test_structural_relations_via_words(env, dz2_ribbon):
         assert words_agree(env, (
             "(id(%s.dual) * coev(%s)) ; (ev(%s) * id(%s.dual))" % ((xn,) * 4),
             "id(%s.dual)" % xn))
+
+
+def _table_words(table):
+    """Every word of a word table, with the words of its checks at 1."""
+    for _, words, at_one in table:
+        yield from words
+        if at_one is not None:
+            yield from at_one[1]
+
+
+def _matches_layer_loop(env, word, cols=None):
+    """The word on `cols`, or on every basis column of its domain, gives
+    the same sparse columns one generator at a time as by the layer loop."""
+    ast = parse(word)
+    if cols is None:
+        dom, _ = typecheck(ast, env)
+        cols = identity_columns(env.algebra.field, env.dim_of(dom))
+    return evaluate_applied(ast, env, cols) == \
+        evaluate_applied_oracle(ast, env, cols)
+
+
+@pytest.mark.parametrize("name, tables", [
+    ("dz3", [hopf.HOPF_AXIOMS, hopf.QUASITRIANGULAR_AXIOMS]),
+    ("dsw", [hopf.HOPF_AXIOMS, hopf.QUASITRIANGULAR_AXIOMS]),
+])
+def test_hopf_tables_match_layer_loop(name, tables, request):
+    h = request.getfixturevalue(name)
+    env = hopf._structure_env(h)
+    for table in tables:
+        for w in _table_words(table):
+            assert _matches_layer_loop(env, w), w
+
+
+def test_coend_words_match_layer_loop(dz3, dz3_coend, dz3_simples):
+    """D(Z/3): the coend's Hopf table on L, the defining words of
+    STRUCTURE on the regular module, a sum of two simples and on pairs of
+    them, and the hexagon and twist words of `verify`."""
+    cd = dz3_coend
+    env = coend._structure_env(cd)
+    for w in _table_words(coend.HOPF_AXIOMS):
+        assert _matches_layer_loop(env, w), w
+    reg = repcat.regular_module(dz3)
+    s = dz3_simples.simples
+    two = repcat.direct_sum(s[1], s[2])
+    for x in (reg, two):
+        env = coend._object_env(cd, x)
+        for e in coend.STRUCTURE:
+            if e.word is not None and len(e.dom) == 1:
+                assert _matches_layer_loop(env, e.word), (e.check, x.name)
+    for x, y in ((reg, s[1]), (two, s[2]), (s[2], two)):
+        env = coend._pair_env(cd, x, y)
+        for e in coend.STRUCTURE:
+            if e.word is not None and len(e.dom) == 2:
+                assert _matches_layer_loop(env, e.word), \
+                    (e.check, x.name, y.name)
+    for x, y, z in ((s[1], two, reg), (two, s[2], s[1]), (reg, two, two)):
+        env = Env(dz3).bind_object("X", x).bind_object("Y", y)
+        env.bind_object("Z", z)
+        for w in cli.HEXAGON_WORDS + cli.TWIST_WORDS:
+            assert _matches_layer_loop(env, w), (w, x.name, y.name, z.name)
+
+
+@pytest.mark.slow
+def test_product_and_evaluator_match_oracles_slow():
+    """D(Taft_3) (dim 81): each HOPF_AXIOMS word on 2000 seeded basis
+    columns of its domain, one generator at a time against the layer loop,
+    and products of its regular and iota_H matrices, square, wide and
+    tall, against the triple loop.  Budget: 60 s with the double's
+    construction."""
+    start = time.perf_counter()
+    h = hopf.builtin("double_taft", [3])
+    env = hopf._structure_env(h)
+    rng = random.Random(0)
+    for w in _table_words(hopf.HOPF_AXIOMS):
+        dom, _ = typecheck(parse(w), env)
+        dim = env.dim_of(dom)
+        one = h.field.one()
+        cols = [{rng.randrange(dim): one} for _ in range(2000)]
+        assert _matches_layer_loop(env, w, cols), w
+    reg = repcat.regular_module(h)
+    iota = coend.CoendData.iota_matrix(reg)
+    g, k = (reg.action[rng.randrange(h.dim)] for _ in range(2))
+    for a, b in ((g, k), (g, iota), (iota.transpose(), g),
+                 (iota, iota.transpose())):
+        assert a * b == matmul_oracle(a, b)
+    assert time.perf_counter() - start < 60

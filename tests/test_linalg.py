@@ -2,12 +2,13 @@ import random
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mtc.scalars import CycField
+from mtc.scalars import CycField, Scalar
 from mtc.linalg import (Matrix, kron, solve_right, kernel_basis, rank,
                         invert, rank_factor, NoSolution, IncrementalSpan,
                         minimal_polynomial)
-from oracles import rank_oracle_fraction
+from oracles import rank_oracle_fraction, matmul_oracle
 
 F = CycField(4)
 
@@ -199,3 +200,89 @@ def test_span_reduce_is_v_minus_pivot_projection():
         assert all(r.data[p].is_zero() for p in pivots)
         assert span.contains(v - r)
         assert span.reduce(r) == r
+
+
+# Q, Q(zeta_3) and Q(zeta_3)(D) with D^2 = zeta_3
+Q3 = CycField(3)
+PRODUCT_FIELDS = [CycField(1), Q3, Q3.extend_sqrt(Q3.zeta())]
+
+
+@st.composite
+def matrices(draw, field, rows, cols):
+    """A rows x cols matrix over `field` that is all zero, dense (no zero
+    entry) or sparse, with one row and one column cleared in the sparse
+    case."""
+    kind = draw(st.sampled_from(["zero", "dense", "sparse"]))
+    coef = st.integers(-3, 3)
+
+    def entry(nonzero):
+        num = draw(st.tuples(*[coef] * field.dim))
+        if nonzero and not any(num):
+            num = (1,) + num[1:]
+        return Scalar(field, num, draw(st.integers(1, 3)))
+    data = [field.zero() if kind == "zero" else
+            entry(kind == "dense") for _ in range(rows * cols)]
+    if kind == "sparse" and rows and cols:
+        i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+        for k in range(rows * cols):
+            if k // cols == i or k % cols == j:
+                data[k] = field.zero()
+    return Matrix(field, rows, cols, data)
+
+
+@st.composite
+def products(draw, shape):
+    """Operands a, b of a product over one field of PRODUCT_FIELDS, with
+    a.rows < b.cols ("wide"), a.rows > b.cols ("tall") or equal."""
+    field = draw(st.sampled_from(PRODUCT_FIELDS))
+    n, k = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    m = {"wide": draw(st.integers(n + 1, 6)), "square": n,
+         "tall": draw(st.integers(0, max(n - 1, 0)))}[shape]
+    if shape == "tall" and n == 0:
+        n = 1
+    return draw(matrices(field, n, k)), draw(matrices(field, k, m))
+
+
+@pytest.mark.parametrize("shape", ["wide", "square", "tall"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_product_matches_triple_loop(shape, data):
+    """The product that scans the operand with fewer cells equals the
+    triple loop over every entry, exactly, on each shape."""
+    a, b = data.draw(products(shape))
+    assert a * b == matmul_oracle(a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_product_promotes_to_the_extended_field(data):
+    """A base-field operand times a D-extension operand, in either order,
+    is taken over the extension, as the triple loop does."""
+    ext = PRODUCT_FIELDS[2]
+    n, k, m = (data.draw(st.integers(1, 4)) for _ in range(3))
+    a = data.draw(matrices(Q3, n, k))
+    b = data.draw(matrices(ext, k, m))
+    c = data.draw(matrices(Q3, m, n))
+    for x, y in ((a, b), (b, c)):
+        got = x * y
+        assert got.field is ext
+        assert got == matmul_oracle(x, y)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_kron_entries(data):
+    """kron(a, b)[(ia, ib), (ja, jb)] = a[ia, ja] b[ib, jb]."""
+    field = data.draw(st.sampled_from(PRODUCT_FIELDS))
+    a = data.draw(matrices(field, data.draw(st.integers(0, 3)),
+                           data.draw(st.integers(0, 3))))
+    b = data.draw(matrices(field, data.draw(st.integers(0, 3)),
+                           data.draw(st.integers(0, 3))))
+    got = kron(a, b)
+    assert (got.rows, got.cols) == (a.rows * b.rows, a.cols * b.cols)
+    for ia in range(a.rows):
+        for ja in range(a.cols):
+            for ib in range(b.rows):
+                for jb in range(b.cols):
+                    assert got[ia * b.rows + ib, ja * b.cols + jb] == \
+                        a[ia, ja] * b[ib, jb]

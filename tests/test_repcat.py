@@ -3,7 +3,7 @@ import random
 import pytest
 
 from mtc import hopf, repcat
-from mtc.linalg import Matrix, kron, rank, IncrementalSpan
+from mtc.linalg import Matrix, kron, rank, IncrementalSpan, _matrix_colfn
 
 from mtc.repcat import (trivial_module, regular_module, tensor_obj, dual_obj,
                         direct_sum, hom_basis, simples_data, duality,
@@ -102,6 +102,19 @@ def test_dual_is_built_once_per_module(dz2_ribbon):
     fresh = dual_obj(repcat.ModuleObject(h, x.dim, x.action, x.name))
     assert fresh is not d and fresh.action == d.action
     assert dual_obj(d) is dual_obj(d) and dual_obj(d) is not x
+
+
+def test_action_columns_are_kept_per_module(dz3, dz3_simples):
+    """On D(Z/3)'s simples, covers and their duals, action_colfn(i) has
+    the sparse columns of action[i], and is built once."""
+    sd = dz3_simples
+    mods = list(sd.simples) + list(sd.projectives)
+    for x in mods + [dual_obj(m) for m in mods]:
+        for i, act in enumerate(x.action):
+            cols = x.action_colfn(i)
+            fresh = _matrix_colfn(act)
+            assert all(cols(j) == fresh(j) for j in range(x.dim))
+            assert x.action_colfn(i) is cols
 
 
 def test_duality_transport(dz2_ribbon):
