@@ -235,11 +235,14 @@ def products(draw, shape):
     """Operands a, b of a product over one field of PRODUCT_FIELDS, with
     a.rows < b.cols ("wide"), a.rows > b.cols ("tall") or equal."""
     field = draw(st.sampled_from(PRODUCT_FIELDS))
-    n, k = draw(st.integers(0, 5)), draw(st.integers(0, 5))
-    m = {"wide": draw(st.integers(n + 1, 6)), "square": n,
-         "tall": draw(st.integers(0, max(n - 1, 0)))}[shape]
-    if shape == "tall" and n == 0:
-        n = 1
+    n = draw(st.integers(1 if shape == "tall" else 0, 5))
+    k = draw(st.integers(0, 5))
+    if shape == "wide":
+        m = draw(st.integers(n + 1, 6))
+    elif shape == "tall":
+        m = draw(st.integers(0, n - 1))
+    else:
+        m = n
     return draw(matrices(field, n, k)), draw(matrices(field, k, m))
 
 
