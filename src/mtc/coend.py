@@ -24,17 +24,18 @@ action word, and the cocharacter iota_X coev~_X.
 
 from collections import namedtuple
 from itertools import product
+from math import prod
 
 from .scalars import sqrt_adjoin
 from .linalg import Matrix, kron, solve_right, kernel_basis, rank, invert, \
     NoSolution, rank_factor, _matrix_colfn
 from . import repcat, diagrams
 from .hopf import Algebra, hopf_axiom_words, check_words
-from .diagrams import (apply_word, identity_columns, columns_matrix,
-                       word_matrix, obj_dual)
+from .diagrams import (apply_word, columns_matrix, word_matrix, obj_dual,
+                       _step)
 from .repcat import (ModuleObject, Morphism, trivial_module, regular_module,
-                     tensor_obj, dual_obj, direct_sum, hom_basis,
-                     simples_data, generating_indices)
+                     tensor_obj, dual_obj, hom_basis, simples_data,
+                     generating_indices)
 from .report import Report
 
 
@@ -241,8 +242,10 @@ def _pair_env(cd, x, y):
     env = diagrams.Env(cd.h).bind_object("XX", x).bind_object("YY", y)
     env.bind_object("_L", cd.carrier)
     dxy = obj_dual(_XX + _YY)
+    one = cd.field.one()
+    dx, dy = x.dim, y.dim
     # the canonical Y* (x) X* -> (X (x) Y)* is the flip of the factors
-    env.bind_box("kap", repcat.flip_matrix(cd.field, y.dim, x.dim),
+    env.bind_box("kap", lambda p: [((p % dx) * dy + p // dx, one)],
                  obj_dual(_YY) + obj_dual(_XX), dxy)
     env.bind_box("iota_t", cd.iota_pair_colfn(x, y), dxy + _XX + _YY, _LL)
     return env
@@ -264,10 +267,7 @@ def _faithful_witness(h):
     inverse of its iota.  That sum is a progenerator, hence faithful, and
     no smaller sum is: H is Frobenius, so a faithful module contains every
     indecomposable projective as a summand."""
-    covers = simples_data(h).projectives
-    mod = covers[0]
-    for p in covers[1:]:
-        mod = direct_sum(mod, p)
+    mod = repcat.direct_sum(*simples_data(h).projectives)
     tau = solve_right(CoendData.iota_matrix(mod),
                       Matrix.identity(h.field, h.dim))
     return mod, tau
@@ -338,32 +338,51 @@ def verify_hopf_on_coend(cd):
     """Exact Hopf-axiom identities for (mu, eta, Delta, eps, S) on L, as
     the word table HOPF_AXIOMS, plus the check that every entry of
     STRUCTURE intertwines the actions on 1, L and L (x) L, one generator
-    at a time."""
+    at a time: m(g . e_j) = g . (m e_j) on every basis column e_j, with g
+    acting on L (x) L through Delta(g) on sparse columns."""
     rep = Report("Hopf structure of the coend")
     h = cd.h
     L = cd.carrier
     one = trivial_module(h)
+    env = _structure_env(cd)
     ok = dict.fromkeys((e.check for e in STRUCTURE), True)
     for g in generating_indices(h):
-        # the action of g on L^{(x) k}, indexed by k
-        act = (one.action[g], L.action[g],
-               repcat.tensor_action(h.comult[g], L, L))
+        # the action of g on L^{(x) k} as the box g<k>
+        env.bind_box("g0", one.action[g], (), ())
+        env.bind_box("g1", L.action_colfn(g), _L, _L)
+        env.bind_box("g2", repcat.tensor_action_colfn(h.comult[g], L, L),
+                     _L + _L, _L + _L)
         for e in STRUCTURE:
-            m = getattr(cd, e.attr)
-            ok[e.check] = ok[e.check] and \
-                m * act[len(e.dom)] == act[len(e.cod)] * m
+            ok[e.check] = ok[e.check] and diagrams.words_agree(env, (
+                "box(g%d) ; box(%s)" % (len(e.dom), e.box),
+                "box(%s) ; box(g%d)" % (e.box, len(e.cod))))
     for check, good in ok.items():
         rep.add("%s is an intertwiner" % check, good)
-    return check_words(rep, _structure_env(cd), HOPF_AXIOMS)
+    return check_words(rep, env, HOPF_AXIOMS)
+
+
+# The domain columns that dinaturality_certificate evaluates at once.  Each
+# batch gets a fresh environment, so the column caches of iota on pairs and
+# of the braidings stay bounded by it.
+CERT_BLOCK = 4096
 
 
 def dinaturality_certificate(cd):
     """Re-check the defining word of every entry of STRUCTURE on the simples
     and projective covers, one object or a pair as its domain says, plus
-    dinaturality of iota along a basis of every intertwiner space."""
+    dinaturality of iota along a basis of every intertwiner space.
+
+    Each word is evaluated once, on S, the direct sum of those objects, or
+    on the pair (S, S), and only on the basis columns of the diagonal
+    blocks X* (x) X, or X* (x) X (x) Y* (x) Y.  Its values there are split
+    back into one entry per object or pair, and each is compared with
+    m . iota_X, or m . (iota_X (x) iota_Y), built from the sparse columns
+    of the objects' own iotas."""
     rep = Report("dinaturality certificate")
     h = cd.h
     f = h.field
+    n = h.dim
+    one = f.one()
     sd = simples_data(h)
     objects = []
     seen = set()
@@ -372,30 +391,90 @@ def dinaturality_certificate(cd):
             seen.add(m.fingerprint())
             objects.append(m)
 
+    s = repcat.direct_sum(*objects)
+    ss = s.dim * s.dim
+    # block[a]: the basis columns of X_a* (x) X_a inside S* (x) S, in the
+    # order of the columns of iota_{X_a}
+    blocks = []
+    off = 0
+    for x in objects:
+        blocks.append([(off + i) * s.dim + off + k
+                       for i in range(x.dim) for k in range(x.dim)])
+        off += x.dim
+    iotas = [_matrix_colfn(cd.iota_matrix(x)) for x in objects]
+
+    def domain(xs):
+        """The columns of xs's diagonal block in S's domain, and the
+        sparse columns of the tensor product of the iotas of xs."""
+        flat, cols = [0], [{0: one}]
+        for a in xs:
+            flat = [p * ss + q for p in flat for q in blocks[a]]
+            cols = [{r * n + t: v * w for r, v in c.items()
+                     for t, w in iotas[a](q)}
+                    for c in cols for q in range(len(blocks[a]))]
+        return flat, cols
+
     for k in (1, 2):
         entries = [e for e in STRUCTURE if len(e.dom) == k]
-        for xs in product(objects, repeat=k):
-            env = (_object_env if k == 1 else _pair_env)(cd, *xs)
-            iotas = [cd.iota_matrix(x) for x in xs]
-            iota = iotas[0] if k == 1 else kron(*iotas)
-            label = " x ".join("iota_%s" % x.name for x in xs)
-            label = label if k == 1 else "(%s)" % label
-            cols = identity_columns(f, iota.cols)
-            for e in entries:
-                rep.add("%s . %s" % (e.check, label),
-                        getattr(cd, e.attr) * iota ==
-                        apply_word(env, e.word, cols))
+        mcols = [_matrix_colfn(getattr(cd, e.attr)) for e in entries]
+        for batch in _batches(product(range(len(objects)), repeat=k),
+                              lambda xs: prod(len(blocks[a]) for a in xs)):
+            env = _object_env(cd, s) if k == 1 else _pair_env(cd, s, s)
+            doms = [domain(xs) for xs in batch]
+            units = [{p: one} for flat, _ in doms for p in flat]
+            # one word's values are held at a time
+            good = [_agree_by_block(
+                diagrams.evaluate_applied(diagrams.parse(e.word), env,
+                                          units)[0],
+                doms, mcol, n ** k, n ** len(e.cod))
+                for e, mcol in zip(entries, mcols)]
+            for i, xs in enumerate(batch):
+                label = " x ".join("iota_%s" % objects[a].name for a in xs)
+                label = label if k == 1 else "(%s)" % label
+                for e, verdicts in zip(entries, good):
+                    rep.add("%s . %s" % (e.check, label), verdicts[i])
 
-    for x in objects:
-        for y in objects:
-            homs = hom_basis(x, y)
-            for k, fm in enumerate(homs):
-                lhs = cd.iota_matrix(x) * kron(fm.matrix.transpose(),
-                                               Matrix.identity(f, x.dim))
-                rhs = cd.iota_matrix(y) * kron(Matrix.identity(f, y.dim),
-                                               fm.matrix)
-                rep.add("dinaturality %s->%s #%d" % (x.name, y.name, k), lhs == rhs)
+    # iota_X (f^T x id) = iota_Y (id x f) on Y* (x) X for f: X -> Y; column
+    # (j, l) is sum_i f[j, i] iota_X(i, l) = sum_m f[m, l] iota_Y(j, m)
+    for a, x in enumerate(objects):
+        for b, y in enumerate(objects):
+            for k, fm in enumerate(hom_basis(x, y)):
+                fcol = _matrix_colfn(fm.matrix)
+                frow = _matrix_colfn(fm.matrix.transpose())
+                good = all(
+                    _step({i * x.dim + l: v for i, v in frow(j)}, iotas[a],
+                          x.dim * x.dim, n, 1) ==
+                    _step({j * y.dim + m: v for m, v in fcol(l)}, iotas[b],
+                          y.dim * y.dim, n, 1)
+                    for j in range(y.dim) for l in range(x.dim))
+                rep.add("dinaturality %s->%s #%d" % (x.name, y.name, k), good)
     return rep
+
+
+def _agree_by_block(vals, doms, mcol, din, dout):
+    """Per block (flat, cols) of doms, whether m, the din -> dout map with
+    column function mcol, takes each of cols to the word's value in vals,
+    the values of all the blocks in order."""
+    out, start = [], 0
+    for flat, cols in doms:
+        out.append(all(_step(c, mcol, din, dout, 1) == v for c, v in
+                       zip(cols, vals[start:start + len(flat)])))
+        start += len(flat)
+    return out
+
+
+def _batches(items, size):
+    """The items in order, in consecutive lists of total size at most
+    CERT_BLOCK; an item larger than that is a list of its own."""
+    batch, total = [], 0
+    for it in items:
+        if batch and total + size(it) > CERT_BLOCK:
+            yield batch
+            batch, total = [], 0
+        batch.append(it)
+        total += size(it)
+    if batch:
+        yield batch
 
 
 # ---------------------------------------------------------------------------

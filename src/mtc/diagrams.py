@@ -385,38 +385,6 @@ def typecheck(ast, env):
 # Env.module_of builds with tensor_obj and dual_obj when that argument is a
 # tensor product or a dual (tw(X x Y), br(X x Y, Z)).
 
-def _braid_colfn(terms, x, y, inverse):
-    """Column function of beta_{X,Y}: X (x) Y -> Y (x) X, x (x) y ->
-    sum c r2.y (x) r1.x over the terms (r1, r2, c) of R; with `inverse`,
-    of Y (x) X -> X (x) Y, y (x) x -> sum c r1.x (x) r2.y over the terms
-    of R^{-1} = (S (x) id)(R)."""
-    dx, dy = x.dim, y.dim
-    xs = {r1: x.action_colfn(r1) for r1, _, _ in terms}
-    ys = {r2: y.action_colfn(r2) for _, r2, _ in terms}
-    cache = {}
-
-    def col(c):
-        got = cache.get(c)
-        if got is not None:
-            return got
-        if inverse:
-            j, i = divmod(c, dx)
-        else:
-            i, j = divmod(c, dy)
-        acc = {}
-        for r1, r2, coef in terms:
-            for ii, vx in xs[r1](i):
-                cvx = coef * vx
-                for jj, vy in ys[r2](j):
-                    key = ii * dy + jj if inverse else jj * dx + ii
-                    w = cvx * vy
-                    acc[key] = acc[key] + w if key in acc else w
-        got = [(p, v) for p, v in acc.items() if any(v.num)]
-        cache[c] = got
-        return got
-    return dx * dy, dx * dy, col
-
-
 def _gen_colfn(gen, env):
     """(dom_dim, cod_dim, colfn|None); the generators that act through
     their object argument read its module from env.module_of."""
@@ -462,9 +430,15 @@ def _gen_colfn(gen, env):
     if h.rmatrix is None:
         raise DiagramTypeError("%s needs an R-matrix; %s has none"
                                % (k, h.name), gen.pos)
-    r = h.r_inverse() if k == "brinv" else h.rmatrix
-    terms = [(i, j, c) for (i, j), c in r.items()]
-    return _braid_colfn(terms, x, env.module_of(gen.args[1]), k == "brinv")
+    y = env.module_of(gen.args[1])
+    dxy = d * y.dim
+    if k == "br":
+        # beta_{X,Y}: x (x) y -> sum R2 y (x) R1 x
+        return dxy, dxy, repcat.tensor_action_colfn(h.rmatrix, x, y, True)
+    # beta_{X,Y}^{-1}: y (x) x -> sum R1' x (x) R2' y over the terms of
+    # R^{-1} = (S (x) id)(R), the flip followed by the action on X (x) Y
+    act = repcat.tensor_action_colfn(h.r_inverse(), x, y)
+    return dxy, dxy, lambda p: act((p % d) * y.dim + p // d)
 
 
 def evaluate_applied(ast, env, columns):

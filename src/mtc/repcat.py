@@ -132,27 +132,46 @@ def module_from_vectors(h, vectors, name, left_action=None):
     return m
 
 
-def tensor_action(t, x, y):
-    """The action on X (x) Y of the 2-tensor t = {(i, j): c}, an element
-    of H (x) K stored as in `comult[g]` and `rmatrix`: the matrix
-    sum c x.action[i] (x) y.action[j], accumulated in one pass over the
-    nonzero entries."""
-    f = x.algebra.field
+def tensor_action_colfn(t, x, y, flip=False):
+    """The action on X (x) Y of the 2-tensor t = {(i, j): c}, an element of
+    H (x) K stored as in `comult[g]` and `rmatrix`, as a column function
+    p -> [(row, Scalar)] read from the factors' action columns: column
+    a * dim Y + b is the sum of c (x.action[i] e_a) (x) (y.action[j] e_b).
+    With `flip` the rows are indexed in Y (x) X: the action followed by the
+    flip of the factors, which is the braiding when t = R.  Each column is
+    built on first use and kept."""
     dx, dy = x.dim, y.dim
-    d = dx * dy
-    out = [f.zero()] * (d * d)
-    for (i, j), c in t.items():
-        xs = [(a, v) for a, v in enumerate(x.action[i].data) if any(v.num)]
-        ys = [(divmod(b, dy), v) for b, v in enumerate(y.action[j].data)
-              if any(v.num)]
-        for a, xv in xs:
-            r1, c1 = divmod(a, dx)
-            cx = c * xv
-            base = r1 * dy * d + c1 * dy
-            for (r2, c2), yv in ys:
-                k = base + r2 * d + c2
-                out[k] = out[k] + cx * yv
-    return Matrix(f, d, d, out)
+    terms = [(x.action_colfn(i), y.action_colfn(j), c)
+             for (i, j), c in t.items()]
+    cache = {}
+
+    def col(p):
+        got = cache.get(p)
+        if got is not None:
+            return got
+        a, b = divmod(p, dy)
+        acc = {}
+        for xcol, ycol, c in terms:
+            for ra, va in xcol(a):
+                cva = c * va
+                for rb, vb in ycol(b):
+                    key = rb * dx + ra if flip else ra * dy + rb
+                    w = cva * vb
+                    acc[key] = acc[key] + w if key in acc else w
+        got = cache[p] = [(r, v) for r, v in acc.items() if any(v.num)]
+        return got
+    return col
+
+
+def tensor_action(t, x, y, flip=False):
+    """The dense view of `tensor_action_colfn`."""
+    d = x.dim * y.dim
+    col = tensor_action_colfn(t, x, y, flip)
+    out = [x.algebra.field.zero()] * (d * d)
+    for p in range(d):
+        for r, v in col(p):
+            out[r * d + p] = v
+    return Matrix(x.algebra.field, d, d, out)
 
 
 def tensor_obj(x, y):
@@ -174,21 +193,25 @@ def dual_obj(x):
     return x._dual
 
 
-def direct_sum(x, y):
-    h = x.algebra
-    f = h.field
-    dim = x.dim + y.dim
+def direct_sum(*modules):
+    """The direct sum of the modules, in the order given: the action
+    matrices are block diagonal, each summand's block at the sum of the
+    dimensions before it."""
+    h = modules[0].algebra
+    dim = sum(m.dim for m in modules)
     action = []
     for i in range(h.dim):
-        m = Matrix.zeros(f, dim, dim)
-        for a in range(x.dim):
-            for b in range(x.dim):
-                m[a, b] = x.action[i][a, b]
-        for a in range(y.dim):
-            for b in range(y.dim):
-                m[x.dim + a, x.dim + b] = y.action[i][a, b]
-        action.append(m)
-    return ModuleObject(h, dim, action, "(%s + %s)" % (x.name, y.name))
+        data = [h.field.zero()] * (dim * dim)
+        off = 0
+        for m in modules:
+            src = m.action[i].data
+            for a in range(m.dim):
+                row = (off + a) * dim + off
+                data[row:row + m.dim] = src[a * m.dim:(a + 1) * m.dim]
+            off += m.dim
+        action.append(Matrix(h.field, dim, dim, data))
+    return ModuleObject(h, dim, action,
+                        "(%s)" % " + ".join(m.name for m in modules))
 
 
 # ---------------------------------------------------------------------------
@@ -243,22 +266,12 @@ def duality(x):
             ev_tilde_morphism(x), coev_tilde_morphism(x))
 
 
-def flip_matrix(field, dx, dy):
-    m = Matrix.zeros(field, dx * dy, dx * dy)
-    one = field.one()
-    for i in range(dx):
-        for j in range(dy):
-            m.data[(j * dx + i) * dx * dy + (i * dy + j)] = one
-    return m
-
-
 def braiding(x, y):
     """beta_{X,Y} = flip . (action of R): x x y -> R2 y x R1 x."""
     h = x.algebra
     assert h.rmatrix is not None, "braiding needs a quasitriangular structure"
     return Morphism(tensor_obj(x, y), tensor_obj(y, x),
-                    flip_matrix(h.field, x.dim, y.dim) *
-                    tensor_action(h.rmatrix, x, y))
+                    tensor_action(h.rmatrix, x, y, flip=True))
 
 
 def twist_morphism(x):

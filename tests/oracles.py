@@ -6,7 +6,11 @@ from fractions import Fraction
 
 import sympy
 
+from itertools import product
+
 from mtc import repcat, coend
+from mtc.hopf import check_words
+from mtc.report import Report
 from mtc.etale import Subalgebra, orthogonal_primitive_idempotents
 from mtc.scalars import Scalar, poly_squarefree, sqrt_in_field
 from mtc.diagrams import Compose, Tensor, apply_word, _layers, _gen_colfn
@@ -771,6 +775,90 @@ def regular_witness_structure(cd):
             env, cols = coend._pair_env(cd, reg, reg), pair
         out[e.attr] = apply_word(env, e.word, cols)
     return out
+
+
+# -- the coend's two certificates on dense matrices ----------------------------
+# `coend.verify_hopf_on_coend` and `coend.dinaturality_certificate` as they
+# were before they read the action on L (x) L from sparse columns and
+# evaluated each certificate word once on the direct sum of the objects.
+
+def flip_matrix_oracle(field, dx, dy):
+    """The dense matrix of the flip X (x) Y -> Y (x) X."""
+    m = Matrix.zeros(field, dx * dy, dx * dy)
+    one = field.one()
+    for i in range(dx):
+        for j in range(dy):
+            m.data[(j * dx + i) * dx * dy + (i * dy + j)] = one
+    return m
+
+
+def verify_hopf_on_coend_oracle(cd):
+    """The report of `coend.verify_hopf_on_coend`, its intertwiner block
+    by dense products with the action of each generator on 1, L and
+    L (x) L, the last a sum of Kronecker products over Delta(g)."""
+    rep = Report("Hopf structure of the coend")
+    h = cd.h
+    L = cd.carrier
+    one = repcat.trivial_module(h)
+    ok = dict.fromkeys((e.check for e in coend.STRUCTURE), True)
+    for g in repcat.generating_indices(h):
+        act = (one.action[g], L.action[g],
+               tensor_action_oracle(h.comult[g], L, L))
+        for e in coend.STRUCTURE:
+            m = getattr(cd, e.attr)
+            ok[e.check] = ok[e.check] and \
+                m * act[len(e.dom)] == act[len(e.cod)] * m
+    for check, good in ok.items():
+        rep.add("%s is an intertwiner" % check, good)
+    return check_words(rep, coend._structure_env(cd), coend.HOPF_AXIOMS)
+
+
+def dinaturality_certificate_oracle(cd):
+    """The report of `coend.dinaturality_certificate`, one environment per
+    object and per pair, with the dense flip as the box kap: each word on
+    every basis column against the dense m . iota_X or
+    m . kron(iota_X, iota_Y), and dinaturality as dense products with
+    Kronecker products."""
+    rep = Report("dinaturality certificate")
+    h = cd.h
+    f = h.field
+    sd = repcat.simples_data(h)
+    objects = []
+    seen = set()
+    for m in list(sd.simples) + list(sd.projectives):
+        if m.fingerprint() not in seen:
+            seen.add(m.fingerprint())
+            objects.append(m)
+    for k in (1, 2):
+        entries = [e for e in coend.STRUCTURE if len(e.dom) == k]
+        for xs in product(objects, repeat=k):
+            if k == 1:
+                env = coend._object_env(cd, *xs)
+            else:
+                x, y = xs
+                env = coend._pair_env(cd, x, y)
+                _, dom, cod = env.boxes["kap"]
+                env.bind_box("kap", flip_matrix_oracle(f, y.dim, x.dim),
+                             dom, cod)
+            iotas = [cd.iota_matrix(x) for x in xs]
+            iota = iotas[0] if k == 1 else kron(*iotas)
+            label = " x ".join("iota_%s" % x.name for x in xs)
+            label = label if k == 1 else "(%s)" % label
+            cols = [{i: f.one()} for i in range(iota.cols)]
+            for e in entries:
+                rep.add("%s . %s" % (e.check, label),
+                        getattr(cd, e.attr) * iota ==
+                        apply_word(env, e.word, cols))
+    for x in objects:
+        for y in objects:
+            for k, fm in enumerate(repcat.hom_basis(x, y)):
+                lhs = cd.iota_matrix(x) * kron(fm.matrix.transpose(),
+                                               Matrix.identity(f, x.dim))
+                rhs = cd.iota_matrix(y) * kron(Matrix.identity(f, y.dim),
+                                               fm.matrix)
+                rep.add("dinaturality %s->%s #%d" % (x.name, y.name, k),
+                        lhs == rhs)
+    return rep
 
 
 def qpoly_factor_oracle(coeffs):

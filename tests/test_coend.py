@@ -8,7 +8,7 @@ import pytest
 import oracles
 from mtc import hopf, repcat, coend
 from mtc.report import FAIL
-from mtc.linalg import Matrix, kron, rank
+from mtc.linalg import Matrix, kron, rank, solve_right
 from mtc.repcat import (trivial_module, regular_module, tensor_obj, dual_obj,
                         direct_sum, hom_basis, simples_data)
 from mtc.coend import (build_coend, solve_integrals, modularity_test,
@@ -262,6 +262,112 @@ def test_certificate_rederives_omega_bar(dz3_coend):
               if status == FAIL]
     assert failed
     assert all(name.startswith("omega_bar . (iota_S") for name in failed)
+
+
+@pytest.fixture(scope="module")
+def dz4_coend():
+    """The solved coend of D(Z/4) with ribbon element 0: 16 simples, twists
+    of order 4."""
+    h = hopf.builtin("double_group_algebra", [4])
+    cd = build_coend(h.with_ribbon(hopf.solve_ribbon(h)[0]))
+    coend.solve_structure_morphisms(cd)
+    return cd
+
+
+def _certificates_match_oracles(cd):
+    """The two coend certificates report the same checks, in the same
+    order and with the same verdicts, as their dense oracles."""
+    assert coend.verify_hopf_on_coend(cd).checks == \
+        oracles.verify_hopf_on_coend_oracle(cd).checks
+    rep = coend.dinaturality_certificate(cd)
+    assert rep.checks == oracles.dinaturality_certificate_oracle(cd).checks
+    return rep
+
+
+@pytest.mark.parametrize("name", ["dz2_coend", "dz3_coend", "dz4_coend",
+                                  "sweedler_coend"])
+def test_certificates_match_dense_oracles(name, request):
+    """On D(Z/2), D(Z/3), D(Z/4) and the Sweedler algebra, whose objects
+    have dimension 2 and whose covers are not simple."""
+    assert _certificates_match_oracles(request.getfixturevalue(name)).ok
+
+
+@pytest.mark.slow
+def test_certificates_match_dense_oracles_slow():
+    """As the tier-1 comparison, on D(Z/5) with ribbon element 0.  Budget:
+    60 s, for the ribbon solve, the structure solve, both certificates and
+    both oracles."""
+    start = time.perf_counter()
+    h = hopf.builtin("double_group_algebra", [5])
+    cd = build_coend(h.with_ribbon(hopf.solve_ribbon(h)[0]))
+    coend.solve_structure_morphisms(cd)
+    assert _certificates_match_oracles(cd).ok
+    assert time.perf_counter() - start < 60
+
+
+def test_certificate_across_batches(sweedler_coend, monkeypatch):
+    """The words are evaluated a batch of blocks at a time; the report is
+    the same with batches of at most 5 columns, where the blocks of 4 and
+    16 columns of the pairs of covers make batches of their own."""
+    monkeypatch.setattr(coend, "CERT_BLOCK", 5)
+    assert coend.dinaturality_certificate(sweedler_coend).checks == \
+        oracles.dinaturality_certificate_oracle(sweedler_coend).checks
+
+
+def _failed(rep):
+    return {name for name, status, _ in rep.checks if status == FAIL}
+
+
+def test_certificate_fails_only_the_pair_with_a_bumped_mu(dz3_coend):
+    """mu plus e_0 w, with w the functional that is 1 on
+    iota_S1 (x) iota_S2 and 0 on the other pairs of simples (they form a
+    basis of L (x) L on this semisimple double), fails exactly that
+    pair's entry, in the library and in the oracle alike."""
+    cd = dz3_coend
+    f = cd.field
+    simples = simples_data(cd.h).simples
+    iotas = [cd.iota_matrix(x) for x in simples]
+    pairs = [kron(a, b) for a in iotas for b in iotas]
+    target = Matrix.zeros(f, len(pairs), 1)
+    target[1 * len(simples) + 2, 0] = f.one()
+    w = solve_right(pairs[0].hstack(*pairs[1:]).transpose(), target)
+    bumped = copy.copy(cd)
+    bumped.mu = cd.mu.copy()
+    for c in range(w.rows):
+        bumped.mu[0, c] = bumped.mu[0, c] + w[c, 0]
+    rep = _certificates_match_oracles(bumped)
+    assert _failed(rep) == {"mu . (iota_S1 x iota_S2)"}
+
+
+def test_certificate_catches_a_shifted_block(dz3_coend, monkeypatch):
+    """A direct sum whose summands sit one block further on than the
+    certificate reads them: each object's entries then read the words on
+    the next object, which differ from m . iota_X on the one-object
+    words and on the pairs."""
+    real = repcat.direct_sum
+    monkeypatch.setattr(repcat, "direct_sum",
+                        lambda *ms: real(*ms[1:], ms[0]))
+    failed = _failed(coend.dinaturality_certificate(dz3_coend))
+    assert {"Delta . iota_S0", "S . iota_S0",
+            "mu . (iota_S0 x iota_S1)"} <= failed
+
+
+def test_certificate_catches_a_kap_that_does_not_flip(dz3_coend,
+                                                     monkeypatch):
+    """The identity in place of the flip Y* (x) X* -> (X (x) Y)* fails the
+    words of mu on the pairs of distinct simples, whose blocks in the one
+    direct sum it swaps, though each of them has dimension 1."""
+    real = coend._pair_env
+
+    def no_flip(cd, x, y):
+        env = real(cd, x, y)
+        _, dom, cod = env.boxes["kap"]
+        one = cd.field.one()
+        return env.bind_box("kap", lambda p: [(p, one)], dom, cod)
+    monkeypatch.setattr(coend, "_pair_env", no_flip)
+    failed = _failed(coend.dinaturality_certificate(dz3_coend))
+    assert "mu . (iota_S0 x iota_S1)" in failed
+    assert "mu . (iota_S0 x iota_S0)" not in failed
 
 
 def _objects(cd):

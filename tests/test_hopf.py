@@ -370,7 +370,7 @@ def test_truncated_file_errors(tmp_path, z2):
 
 
 # every builtin but double_taft (dim 81), whose "R invertible" solve is
-# on a dense 6561 x 6561 matrix in the library and in the oracle alike
+# on a dense 6561 x 6561 matrix in the oracle
 BUILTINS = [("trivial", None), ("group_algebra", [2, 2]), ("sweedler", None),
             ("double_group_algebra", [3]), ("double_z2", None),
             ("double_sweedler", None), ("taft", [3])]

@@ -10,7 +10,8 @@ from mtc.repcat import (trivial_module, regular_module, tensor_obj, dual_obj,
                         braiding, twist_morphism, composition_factors,
                         grothendieck_ring, module_to_json_dict,
                         module_from_json_dict)
-from oracles import tensor_action_oracle, radical_filtration_factors
+from oracles import (tensor_action_oracle, radical_filtration_factors,
+                     flip_matrix_oracle)
 
 
 def all_test_objects(h):
@@ -181,8 +182,18 @@ def test_tensor_action_matches_dense_sum(name, request):
             for g in range(h.dim):
                 assert xy.action[g] == tensor_action_oracle(h.comult[g], x, y)
             assert braiding(x, y).matrix == \
-                repcat.flip_matrix(h.field, x.dim, y.dim) * \
+                flip_matrix_oracle(h.field, x.dim, y.dim) * \
                 tensor_action_oracle(h.rmatrix, x, y)
+
+
+def test_direct_sum_of_several_modules(sweedler):
+    """The n-ary sum, built in one pass, equals the nested pairwise sums."""
+    sd = simples_data(sweedler)
+    a, b, c = sd.simples[0], sd.projectives[1], sd.simples[1]
+    s = direct_sum(a, b, c)
+    assert s.action == direct_sum(direct_sum(a, b), c).action
+    assert s.name == "(S0 + P1 + S1)"
+    assert s.validate()
 
 
 def test_composition_factors(sweedler):
