@@ -7,9 +7,9 @@ and emit machine- and human-readable reports.
 Subcommands: verify, simples, cartan, fusion, modular-data, diagram eval,
 cardy <boundary-state|annulus|torus|defect|sf>.  The structural checks of
 `verify` (snake, hexagon, twist of a product) are equalities of diagram
-words, and `diagram eval` runs the same evaluator as the coend.
-MTC_THREADS bounds the parallelism of independent leaf checks.  Exit codes:
-0 all pass, 1 check failure, 2 usage/parse error, 3 internal inconsistency.
+words, and `diagram eval` runs the same evaluator as the coend.  Exit
+codes: 0 all pass, 1 check failure, 2 usage/parse error, 3 internal
+inconsistency.
 """
 
 import argparse
@@ -158,20 +158,9 @@ def _skip_from(rep, stage, reason):
         rep.skip(name, reason)
 
 
-def _threads():
-    """MTC_THREADS as a worker count of at least 1 (default 1); text that
-    is not an integer is a usage error."""
-    text = os.environ.get("MTC_THREADS", "1")
-    try:
-        return max(1, int(text))
-    except ValueError:
-        raise UsageError("MTC_THREADS must be an integer, got %r" % text)
-
-
 def run_suite(config):
     """Dependency-ordered pipeline with skip-propagation."""
     rep = Report("verification suite")
-    threads = _threads()
     # an unreadable or malformed spec is a usage error; the Hopf axioms are
     # checked once, and a failure fails the load
     h = _read_algebra(config)
@@ -207,7 +196,7 @@ def run_suite(config):
             return rep
 
     with rep.timed("category structure"):
-        _structural_checks(h, sd, rep, have_ribbon, threads)
+        _structural_checks(h, sd, rep, have_ribbon)
 
     if not have_ribbon:
         _skip_from(rep, "coend build", "no ribbon element")
@@ -281,8 +270,8 @@ def run_suite(config):
 
 # The structural identities of the category, as diagram words: all the
 # words of an entry must evaluate to the same matrix.  The snake words
-# range over the simples and projective covers, the hexagon and the twist
-# words over the simples.
+# range over the simples and projective covers; the hexagon and the twist
+# words are checked once, on the direct sum of the simples.
 SNAKE_WORDS = (
     ("(coev(X) * id(X)) ; (id(X) * ev(X))", "id(X)"),
     ("(id(X.dual) * coev(X)) ; (ev(X) * id(X.dual))", "id(X.dual)"),
@@ -295,7 +284,7 @@ HEXAGON_WORDS = ("br(X x Y, Z)", "(id(X) * br(Y, Z)) ; (br(X, Z) * id(Y))")
 TWIST_WORDS = ("tw(X x Y)", "(tw(X) * tw(Y)) ; br(X, Y) ; br(Y, X)")
 
 
-def _structural_checks(h, sd, rep, have_ribbon, threads):
+def _structural_checks(h, sd, rep, have_ribbon):
     snakes = SNAKE_WORDS + (RIBBON_SNAKE_WORDS if have_ribbon else ())
 
     def holds(entries, **objects):
@@ -304,19 +293,22 @@ def _structural_checks(h, sd, rep, have_ribbon, threads):
             env.bind_object(name, x)
         return all(diagrams.words_agree(env, words) for words in entries)
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    # one worker: the benchmark harness's tests pin the span stack of a
+    # worker thread, and only a change to the benchmark may drop the pool
+    with ThreadPoolExecutor(max_workers=1) as pool:
         results = list(pool.map(lambda x: holds(snakes, X=x),
                                 list(sd.simples) + list(sd.projectives)))
     rep.add("snake identities", all(results))
 
-    simples = sd.simples
+    # H acts on a tensor product through Delta and the braiding is tau R
+    # there, both natural and additive in each factor: on the sum S of the
+    # simples a word is the direct sum of its values on the triples (pairs)
+    # of simples, so it holds on S exactly when it holds on each of them.
+    s = repcat.direct_sum(*sd.simples)
     if h.rmatrix is not None:
-        rep.add("hexagon on simples", all(
-            holds([HEXAGON_WORDS], X=x, Y=y, Z=z)
-            for x in simples for y in simples for z in simples))
+        rep.add("hexagon on simples", holds([HEXAGON_WORDS], X=s, Y=s, Z=s))
     if have_ribbon:
-        rep.add("twist of a product", all(
-            holds([TWIST_WORDS], X=x, Y=y) for x in simples for y in simples))
+        rep.add("twist of a product", holds([TWIST_WORDS], X=s, Y=s))
 
 
 def _character_checks(h, sd, cd, rep):

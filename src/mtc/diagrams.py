@@ -14,7 +14,7 @@ of composites stay as-is (the canonical identifications are explicit boxes).
 
 from math import prod
 
-from .linalg import Matrix, _matrix_colfn
+from .linalg import Matrix, _matrix_colfn, columns_matrix
 from . import repcat
 
 
@@ -381,9 +381,11 @@ def typecheck(ast, env):
 # generators and applied column by column to sparse vectors, one generator
 # at a time, so the dense matrix of a composite word is never built.  id,
 # ev, coev and box read only dimensions.  tw, twinv, evt, coevt, br and
-# brinv act through the module of their object argument, which
-# Env.module_of builds with tensor_obj and dual_obj when that argument is a
-# tensor product or a dual (tw(X x Y), br(X x Y, Z)).
+# brinv read only the action columns of their object argument's module,
+# which for a product (tw(X x Y), br(X x Y, Z)) Env.module_of builds with
+# tensor_obj from the factors' columns, with no dense matrix.  A dual of a
+# product, (X x Y).dual, still densifies through dual_obj; no library word
+# has one.
 
 def _gen_colfn(gen, env):
     """(dom_dim, cod_dim, colfn|None); the generators that act through
@@ -409,20 +411,15 @@ def _gen_colfn(gen, env):
         return 1, d * d, coev_col
     x = env.module_of(gen.args[0])
     if k in ("tw", "twinv"):
-        el = h.ribbon_inv() if k == "tw" else h.ribbon
-        return d, d, _matrix_colfn(x.act(el))
+        return d, d, x.act_colfn(h.ribbon_inv() if k == "tw" else h.ribbon)
     if k == "evt":
-        g = x.act(h.pivot())
-        def evt_col(j):
-            b, a = divmod(j, d)
-            v = g.data[a * d + b]
-            return [] if v.is_zero() else [(0, v)]
-        return d * d, 1, evt_col
+        # v (x) xi -> xi(g v): column b * d + a is the entry g[a, b]
+        g = x.act_colfn(h.pivot())
+        cols = {b * d + a: [(0, v)] for b in range(d) for a, v in g(b)}
+        return d * d, 1, lambda j: cols.get(j, [])
     if k == "coevt":
-        ginv = x.act(h.pivot_inv())
-        col = [(i * d + j, ginv.data[j * d + i])
-               for i in range(d) for j in range(d)
-               if not ginv.data[j * d + i].is_zero()]
+        ginv = x.act_colfn(h.pivot_inv())
+        col = [(i * d + j, v) for i in range(d) for j, v in ginv(i)]
         def coevt_col(j):
             assert j == 0
             return col
@@ -494,20 +491,12 @@ def identity_columns(field, dim):
     return [{i: one} for i in range(dim)]
 
 
-def columns_matrix(field, rows, cols):
-    """The dense rows x len(cols) matrix of sparse columns."""
-    m = Matrix.zeros(field, rows, len(cols))
-    for j, col in enumerate(cols):
-        for i, v in col.items():
-            m.data[i * len(cols) + j] = v
-    return m
-
-
 def apply_word(env, word, cols):
     """Evaluate a diagram word on sparse columns; returns the dense result
     matrix (cod_dim x len(cols))."""
     out, cod_dim = evaluate_applied(parse(word), env, cols)
-    return columns_matrix(env.algebra.field, cod_dim, out)
+    return columns_matrix(env.algebra.field, cod_dim, len(out),
+                          lambda j: out[j].items())
 
 
 def word_matrix(env, word):

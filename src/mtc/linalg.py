@@ -226,6 +226,16 @@ def _matrix_colfn(matrix):
     return lambda j: cols.get(j, [])
 
 
+def columns_matrix(field, rows, ncols, col):
+    """The dense rows x ncols matrix of the column function col: j ->
+    [(row, Scalar)]; the inverse of `_matrix_colfn`."""
+    out = [field.zero()] * (rows * ncols)
+    for j in range(ncols):
+        for i, v in col(j):
+            out[i * ncols + j] = v
+    return Matrix(field, rows, ncols, out)
+
+
 # ---------------------------------------------------------------------------
 # sparse-row elimination engine
 

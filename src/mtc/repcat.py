@@ -8,56 +8,74 @@ import json
 
 from .scalars import parse_scalar, parse_count, format_scalar
 from .linalg import (Matrix, kron, solve_right, kernel_basis, IncrementalSpan,
-                     _matrix_colfn)
+                     _matrix_colfn, columns_matrix)
 from .etale import orthogonal_primitive_idempotents, newton_lift_idempotent
 
 
 class ModuleObject:
-    """A finite-dimensional H-module: one action matrix per basis element of
-    H."""
+    """A finite-dimensional H-module.  The action of each basis element of H
+    has two forms, dense matrices (`action`) and column functions j ->
+    [(row, Scalar)] (`columns`, with action=None), each built from the other
+    on first use and kept: a module's action never changes."""
 
-    def __init__(self, algebra, dim, action, name="X"):
-        assert len(action) == algebra.dim
-        for m in action:
-            assert m.rows == dim and m.cols == dim
+    def __init__(self, algebra, dim, action, name="X", columns=None):
+        assert all(m.rows == dim == m.cols for m in action or ())
         self.algebra = algebra
         self.dim = dim
-        self.action = action
+        self._action = action
         self.name = name
         self._dual = None  # dual_obj(self), built on first use
-        self._action_cols = [None] * len(action)  # see action_colfn
+        self._action_cols = columns or [None] * len(action)
+        assert len(self._action_cols) == algebra.dim
+
+    @property
+    def action(self):
+        """One dense action matrix per basis element of H."""
+        if self._action is None:
+            f, d = self.algebra.field, self.dim
+            self._action = [columns_matrix(f, d, d, c)
+                            for c in self._action_cols]
+        return self._action
 
     def act(self, a):
-        """Action matrix of an arbitrary element a of H."""
-        out = Matrix.zeros(self.algebra.field, self.dim, self.dim)
-        for i, c in enumerate(a.data):
-            if not c.is_zero():
-                out = out + self.action[i].scale(c)
-        return out
+        """Action matrix of an element a of H, the dense view of act_colfn."""
+        return columns_matrix(self.algebra.field, self.dim, self.dim,
+                              self.act_colfn(a))
+
+    def act_colfn(self, a):
+        """The action of an element a of H as a column function j ->
+        [(row, Scalar)], the sum of the a_i action[i] read from the action
+        columns.  Each column is built on first use and kept."""
+        terms = [(self.action_colfn(i), c) for i, c in enumerate(a.data)
+                 if any(c.num)]
+        cache = {}
+
+        def col(j):
+            got = cache.get(j)
+            if got is None:
+                acc = {}
+                for colfn, c in terms:
+                    for r, v in colfn(j):
+                        acc[r] = acc[r] + c * v if r in acc else c * v
+                got = cache[j] = [(r, v) for r, v in acc.items()
+                                  if any(v.num)]
+            return got
+        return col
 
     def action_colfn(self, i):
         """The sparse columns of action[i], as a column function j ->
-        [(row, Scalar)], built on first use and kept: a module's action
-        never changes after construction."""
+        [(row, Scalar)]."""
         got = self._action_cols[i]
         if got is None:
-            got = self._action_cols[i] = _matrix_colfn(self.action[i])
+            got = self._action_cols[i] = _matrix_colfn(self._action[i])
         return got
 
     def validate(self):
         h = self.algebra
-        f = h.field
-        if self.act(h.unit) != Matrix.identity(f, self.dim):
-            return False
-        for i in range(h.dim):
-            for j in range(h.dim):
-                lhs = self.action[i] * self.action[j]
-                rhs = Matrix.zeros(f, self.dim, self.dim)
-                for k, c in h.mult[i][j].items():
-                    rhs = rhs + self.action[k].scale(c)
-                if lhs != rhs:
-                    return False
-        return True
+        return self.act(h.unit) == Matrix.identity(h.field, self.dim) and all(
+            self.action[i] * self.action[j] ==
+            self.act(h.mul_vec(h.basis_vec(i), h.basis_vec(j)))
+            for i in range(h.dim) for j in range(h.dim))
 
     def fingerprint(self):
         key = []
@@ -166,20 +184,18 @@ def tensor_action_colfn(t, x, y, flip=False):
 def tensor_action(t, x, y, flip=False):
     """The dense view of `tensor_action_colfn`."""
     d = x.dim * y.dim
-    col = tensor_action_colfn(t, x, y, flip)
-    out = [x.algebra.field.zero()] * (d * d)
-    for p in range(d):
-        for r, v in col(p):
-            out[r * d + p] = v
-    return Matrix(x.algebra.field, d, d, out)
+    return columns_matrix(x.algebra.field, d, d,
+                          tensor_action_colfn(t, x, y, flip))
 
 
 def tensor_obj(x, y):
-    """Tensor product module via the comultiplication."""
+    """Tensor product module via the comultiplication, given by its action
+    columns, read from the factors' columns: no dense matrix is built until
+    a caller reads `.action`."""
     h = x.algebra
-    return ModuleObject(h, x.dim * y.dim,
-                        [tensor_action(t, x, y) for t in h.comult],
-                        "(%s x %s)" % (x.name, y.name))
+    return ModuleObject(h, x.dim * y.dim, None,
+                        "(%s x %s)" % (x.name, y.name),
+                        [tensor_action_colfn(t, x, y) for t in h.comult])
 
 
 def dual_obj(x):

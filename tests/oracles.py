@@ -8,12 +8,13 @@ import sympy
 
 from itertools import product
 
-from mtc import repcat, coend
+from mtc import repcat, coend, cli
 from mtc.hopf import check_words
 from mtc.report import Report
 from mtc.etale import Subalgebra, orthogonal_primitive_idempotents
 from mtc.scalars import Scalar, poly_squarefree, sqrt_in_field
-from mtc.diagrams import Compose, Tensor, apply_word, _layers, _gen_colfn
+from mtc.diagrams import (Compose, Tensor, Env, apply_word, words_agree,
+                          _layers, _gen_colfn)
 from mtc.linalg import (Matrix, kernel_basis, kron, invert, IncrementalSpan,
                         solve_right, NoSolution)
 
@@ -154,11 +155,46 @@ def tensor_action_oracle(t, x, y):
     return m
 
 
+def dense_act_oracle(x, a):
+    """The action of the element a of H on X as the dense sum of the
+    a_i x.action[i]."""
+    m = Matrix.zeros(x.algebra.field, x.dim, x.dim)
+    for i, c in enumerate(a.data):
+        if not c.is_zero():
+            m = m + x.action[i].scale(c)
+    return m
+
+
+def dense_module_oracle(env, expr):
+    """The module of an object expression of env on dense matrices: a
+    product through tensor_action_oracle over the comultiplication, a dual
+    as rho(S(e_i))^T by dense_act_oracle."""
+    h = env.algebra
+    if len(expr) != 1:
+        m = dense_module_oracle(env, expr[:1]) if expr else \
+            repcat.trivial_module(h)
+        for k in range(1, len(expr)):
+            y = dense_module_oracle(env, expr[k:k + 1])
+            m = repcat.ModuleObject(
+                h, m.dim * y.dim,
+                [tensor_action_oracle(t, m, y) for t in h.comult])
+        return m
+    kind, payload = expr[0]
+    if kind == "name":
+        return env.objects[payload]
+    x = dense_module_oracle(env, payload)
+    return repcat.ModuleObject(h, x.dim, [
+        dense_act_oracle(x, Matrix.column(h.field, h.antipode.col_list(i)))
+        .transpose() for i in range(h.dim)])
+
+
 def dense_word_oracle(ast, env, boxes=None):
-    """The matrix of a parsed diagram word composed densely from repcat's
-    morphisms on materialized modules: kron for '*', matrix products for
-    ';', brinv as the inverse of the braiding matrix and twinv as the
-    inverse of the twist.  `boxes` maps box names to their matrices."""
+    """The matrix of a parsed diagram word composed densely on modules
+    that dense_module_oracle materializes: kron for '*', matrix products
+    for ';', the braiding as the flip after the dense R action, brinv as
+    the inverse of the braiding matrix, the twist as the dense action of
+    v^{-1} and twinv as its inverse.  `boxes` maps box names to their
+    matrices."""
     if isinstance(ast, (Tensor, Compose)):
         ms = [dense_word_oracle(p, env, boxes) for p in ast.parts]
         m = ms[0]
@@ -168,18 +204,50 @@ def dense_word_oracle(ast, env, boxes=None):
     k = ast.kind
     if k == "box":
         return boxes[ast.args[0]]
-    x = env.module_of(ast.args[0])
+    h = env.algebra
+    f = h.field
+    x = dense_module_oracle(env, ast.args[0])
+    d = x.dim
     if k == "id":
-        return Matrix.identity(x.algebra.field, x.dim)
+        return Matrix.identity(f, d)
     if k in ("tw", "twinv"):
-        m = repcat.twist_morphism(x).matrix
+        m = dense_act_oracle(x, h.ribbon_inv())
         return m if k == "tw" else invert(m)
     if k in ("br", "brinv"):
-        m = repcat.braiding(x, env.module_of(ast.args[1])).matrix
+        y = dense_module_oracle(env, ast.args[1])
+        m = flip_matrix_oracle(f, d, y.dim) * \
+            tensor_action_oracle(h.rmatrix, x, y)
         return m if k == "br" else invert(m)
-    return {"ev": repcat.ev_morphism, "coev": repcat.coev_morphism,
-            "evt": repcat.ev_tilde_morphism,
-            "coevt": repcat.coev_tilde_morphism}[k](x).matrix
+    # ev, coev: the pairing xi (x) v -> xi(v) and its copairing; evt,
+    # coevt: the same with the pivot g = u v^{-1} on X
+    g = Matrix.identity(f, d) if k in ("ev", "coev") else \
+        dense_act_oracle(x, h.pivot() if k == "evt" else h.pivot_inv())
+    if k in ("ev", "evt"):
+        return Matrix.row(f, [g[a, b] for b in range(d) for a in range(d)])
+    return Matrix.column(f, [g[b, a] for a in range(d) for b in range(d)])
+
+
+def structural_checks_oracle(h, sd, have_ribbon):
+    """The verdicts of the hexagon and twist checks of
+    `cli._structural_checks` by the loops it ran before it checked each
+    word once on the sum of the simples: the hexagon words on every triple
+    of simples, the twist words on every pair.  {check name: verdict}."""
+    def holds(words, **objects):
+        env = Env(h)
+        for name, x in objects.items():
+            env.bind_object(name, x)
+        return words_agree(env, words)
+
+    ss = sd.simples
+    out = {}
+    if h.rmatrix is not None:
+        out["hexagon on simples"] = all(
+            holds(cli.HEXAGON_WORDS, X=x, Y=y, Z=z)
+            for x in ss for y in ss for z in ss)
+    if have_ribbon:
+        out["twist of a product"] = all(
+            holds(cli.TWIST_WORDS, X=x, Y=y) for x in ss for y in ss)
+    return out
 
 
 def sub_module(x, basis):

@@ -9,8 +9,10 @@ import pytest
 
 from mtc import hopf, repcat
 from mtc.cli import (main, emit, UsageError, EXIT_OK, EXIT_CHECK_FAILED,
-                     EXIT_USAGE)
+                     EXIT_USAGE, _structural_checks)
 from mtc.coend import CoendError
+from mtc.report import Report
+from oracles import structural_checks_oracle
 
 
 def run_cli(args, capsys):
@@ -524,19 +526,34 @@ def test_csv_cartan_rows(capsys):
     assert len(rows) == 4  # number of simples of D(sweedler)
 
 
-def test_thread_count_does_not_change_output(capsys, monkeypatch):
-    outs = []
-    for threads in ["1", "4"]:
-        monkeypatch.setenv("MTC_THREADS", threads)
-        code, out, err = run_cli(["verify", "--builtin", "double_z2",
-                                  "--ribbon", "3", "--format", "json"], capsys)
-        assert code == EXIT_OK
-        outs.append(out)
-    assert outs[0] == outs[1]
+def test_structural_checks_on_the_sum_match_the_loops(dz3, dsw):
+    """The hexagon and twist words, checked once on the sum of the simples,
+    give the verdicts of the per-triple and per-pair loops: on D(Z/3) and
+    D(Sweedler), where both pass, and on two mutants of D(Z/3), one R
+    coefficient bumped and the ribbon element doubled, where the hexagon
+    and the twist fail."""
+    f = dz3.field
+    rmatrix = dict(dz3.rmatrix)
+    rmatrix[(1, 3)] = rmatrix[(1, 3)] + f.one()
+    bumped_r = hopf.HopfAlgebraData(
+        f, dz3.dim, dz3.basis_labels, dz3.mult, dz3.unit, dz3.comult,
+        dz3.counit, dz3.antipode, rmatrix, dz3.ribbon, dz3.name)
+    doubled_v = dz3.with_ribbon(dz3.ribbon.scale(f.from_rational(2)))
+    cases = [(dz3, True, True, True), (dsw, False, True, None),
+             (bumped_r, False, False, None), (doubled_v, True, True, False)]
+    for h, have_ribbon, hexagon, twist in cases:
+        sd = repcat.simples_data(h)
+        rep = Report()
+        _structural_checks(h, sd, rep, have_ribbon)
+        on_sum = {n: st == "pass" for n, st, _ in rep.checks
+                  if n != "snake identities"}
+        want = {"hexagon on simples": hexagon}
+        if twist is not None:
+            want["twist of a product"] = twist
+        assert on_sum == structural_checks_oracle(h, sd, have_ribbon) == want
 
 
-def test_unwritable_out_and_bad_thread_count_are_usage_errors(
-        tmp_path, capsys, monkeypatch):
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, monkeypatch):
     # the path is checked before any algebra is loaded, with the line that
     # writing the output would print
     blocker = tmp_path / "file"
@@ -563,10 +580,6 @@ def test_unwritable_out_and_bad_thread_count_are_usage_errors(
         assert (code, out) == (EXIT_USAGE, "")
         assert err.startswith("error: --ribbon 9 out of range")
     assert blocker.read_text() == "kept" and not fresh.exists()
-    monkeypatch.setenv("MTC_THREADS", "two")
-    code, out, err = run_cli(["verify", "--builtin", "sweedler"], capsys)
-    assert (code, out) == (EXIT_USAGE, "")
-    assert err == "error: MTC_THREADS must be an integer, got 'two'\n"
 
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -640,6 +653,21 @@ def test_golden_cartan_double_taft_slow(capsys):
     assert time.perf_counter() - start < 60
     assert (code, err) == (EXIT_OK, "")
     assert out == (GOLDEN / "cartan_double_taft_n3.json").read_text()
+
+
+@pytest.mark.slow
+def test_golden_verify_double_z6_slow(capsys):
+    """The report of verify on D(Z/6) with --ribbon 0 (dim 36 and 36
+    simples, so the hexagon word runs on a sum of dimension 36), as
+    recorded in tests/golden, within a 60 s budget."""
+    start = time.perf_counter()
+    code, out, err = run_cli(["verify", "--builtin", "double_group_algebra",
+                              "--param", "orders=6", "--ribbon", "0",
+                              "--format", "json"], capsys)
+    assert time.perf_counter() - start < 60
+    assert (code, err) == (EXIT_CHECK_FAILED, "")
+    assert out == (GOLDEN / "verify_double_group_algebra_orders6_ribbon0.json"
+                   ).read_text()
 
 
 # D(Z/3) spec files with the coefficient of one structure-constant entry

@@ -144,9 +144,9 @@ def test_interchange_law(env, dz2_ribbon):
 
 
 def test_applied_matches_dense(env3, dz3):
-    """Every generator, on simples of D(Z/3) that are not self-dual and on
-    its regular module, against the dense composition of repcat's
-    morphisms."""
+    """Every generator, on simples of D(Z/3) that are not self-dual, on
+    its regular module and on products and a dual of a product of them,
+    against the dense composition of the oracle's own modules."""
     g = repcat.regular_module(dz3).action[1]
     env3.bind_box("g", g, (("name", "H"),), (("name", "H"),))
     words = [
@@ -163,10 +163,34 @@ def test_applied_matches_dense(env3, dz3):
         "(id(X.dual) * br(Y.dual, X) * id(Y)) ; (ev(X) * ev(Y))",
         "(coevt(H) * id(H.dual)) ; (id(H.dual) * evt(H))",
         "(coev(H) * box(g)) ; (id(H) * ev(H))",
+        # each generator that reads its object, on a product argument; the
+        # factors of H x H both have dimension > 1, so that an error in the
+        # order of the product's indices shows
+        "tw(X x Y)",
+        "twinv(X x H)",
+        "evt(X x Y)",
+        "coevt(Y x X.dual)",
+        "br(X, Y x H)",
+        "brinv(X x Y, H)",
+        "tw(X x Y x H)",
+        "tw((X x Y).dual)",
+        "twinv(H x H)",
     ]
     for w in words:
         assert word_matrix(env3, w) == \
             dense_word_oracle(parse(w), env3, {"g": g}), w
+
+
+def test_product_arguments_build_no_dense_action(env3):
+    """tw and br on a product argument read the product's action columns
+    from its factors': its dense action stays unbuilt."""
+    env = Env(env3.algebra)
+    for name, x in env3.objects.items():
+        env.bind_object(name, x)
+    word_matrix(env, "tw(X x Y)")
+    word_matrix(env, "br(X x Y, H)")
+    xy = env.module_of(typecheck(parse("id(X x Y)"), env)[0])
+    assert xy._action is None
 
 
 def test_word_check_can_fail(env3):
