@@ -14,7 +14,7 @@ from .hopf import (Algebra, HopfAlgebraData, HopfError, verify_hopf_axioms,
 from .repcat import (ModuleObject, Morphism, trivial_module, regular_module,
                      tensor_obj, dual_obj, direct_sum, hom_basis,
                      simples_data, composition_factors, grothendieck_ring,
-                     braiding, twist_morphism, duality, SimplesData)
+                     SimplesData)
 from .etale import NonSplitError
 from .coend import (CoendData, CoendError, NotModularError, build_coend,
                     build_full, solve_structure_morphisms, integrals_and_zeta,

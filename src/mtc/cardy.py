@@ -109,11 +109,14 @@ def torus_partition(h, with_coend=None):
     left, right = coend_mod.carrier_bimodule(h)
     ok = True
     # both factors are H-modules with commuting actions: the module axioms
-    # on T
+    # on T.  Once validate() has shown both to be algebra maps, their
+    # images commute when the images of the generators do
+    gens = repcat.generating_indices(h)
     if rep.add("carrier bimodule is a T-module",
                left.validate() and right.validate() and
-               all(a1 * a2 == a2 * a1
-                   for a1 in left.action for a2 in right.action)):
+               all(left.action[g] * right.action[k] ==
+                   right.action[k] * left.action[g]
+                   for g in gens for k in gens)):
         dual_perm = sd.dual_permutation()
         lefts = [left.act(e) for e in sd.idempotents]
         rights = [right.act(e) for e in sd.idempotents]

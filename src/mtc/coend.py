@@ -34,7 +34,7 @@ from .hopf import Algebra, hopf_axiom_words, check_words
 from .diagrams import apply_word, word_matrix, obj_dual, _step
 from .repcat import (ModuleObject, Morphism, trivial_module, regular_module,
                      tensor_obj, dual_obj, hom_basis, simples_data,
-                     generating_indices)
+                     generating_indices, _sparse_columns)
 from .report import Report
 
 
@@ -138,16 +138,18 @@ def carrier_bimodule(h):
     factors.  Returns (left, right), built once per algebra."""
     def compute():
         n = h.dim
-        # left factor: xi -> xi(S(a) . ); right factor: xi -> xi( . b); on
-        # the dual basis these are the transposes of the multiplication
-        # matrices
-        left = ModuleObject(
-            h, n, [h.left_mult_matrix(h.antipode * h.basis_vec(a)).transpose()
-                   for a in range(n)], "L-carrier left")
-        right = ModuleObject(
-            h, n, [h.right_mult_matrix(h.basis_vec(a)).transpose()
-                   for a in range(n)], "L-carrier right")
-        return left, right
+        # left factor: xi -> xi(S(a) . ), the dual of the regular module;
+        # right factor: xi -> xi( . b), on the dual basis the transpose of
+        # the right multiplication: column k of e_b has (e_i e_b)_k at row i
+        right = []
+        for b in range(n):
+            cols = [{} for _ in range(n)]
+            for i in range(n):
+                for k, c in h.mult[i][b].items():
+                    cols[k][i] = c
+            right.append(_sparse_columns(cols))
+        return (dual_obj(regular_module(h)),
+                ModuleObject(h, n, right, "H* right"))
     return h._derived("carrier_bimodule", compute)
 
 
@@ -168,7 +170,7 @@ def coadjoint_module(h):
                         col[k] = col[k] + cy * x if k in col else cy * x
         columns.append([[(k, v) for k, v in col.items() if any(v.num)]
                         for col in cols].__getitem__)
-    return ModuleObject(h, h.dim, None, "L", columns)
+    return ModuleObject(h, h.dim, columns, "L")
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +234,7 @@ def _object_env(cd, x):
                  _LL)
     # the curl in the antipode diagram: the canonical X -> X** built from
     # braiding and duality alone acts by S(u)^{-1} (u the Drinfeld element)
-    env.bind_box("piv", x.act(h.antipode_u_inv()), _XX, obj_dual(dxx))
+    env.bind_box("piv", x.act_colfn(h.antipode_u_inv()), _XX, obj_dual(dxx))
     return env
 
 
@@ -349,7 +351,7 @@ def verify_hopf_on_coend(cd):
     ok = dict.fromkeys((e.check for e in STRUCTURE), True)
     for g in generating_indices(h):
         # the action of g on L^{(x) k} as the box g<k>
-        env.bind_box("g0", one.action[g], (), ())
+        env.bind_box("g0", one.action_colfn(g), (), ())
         env.bind_box("g1", L.action_colfn(g), _L, _L)
         env.bind_box("g2", repcat.tensor_action_colfn(h.comult[g], L, L),
                      _L + _L, _L + _L)

@@ -377,15 +377,15 @@ def typecheck(ast, env):
 
 # -- evaluation -------------------------------------------------------------
 #
-# The one evaluator: a word is normalized into layers of tensored
-# generators and applied column by column to sparse vectors, one generator
-# at a time, so the dense matrix of a composite word is never built.  id,
-# ev, coev and box read only dimensions.  tw, twinv, evt, coevt, br and
-# brinv read only the action columns of their object argument's module,
-# which for a product (tw(X x Y), br(X x Y, Z)) Env.module_of builds with
-# tensor_obj from the factors' columns, with no dense matrix.  A dual of a
-# product, (X x Y).dual, still densifies through dual_obj; no library word
-# has one.
+# The one evaluator, and the one implementation of the category's
+# structure maps: a word is normalized into layers of tensored generators
+# and applied column by column to sparse vectors, one generator at a time,
+# so the dense matrix of a composite word is never built; `word_matrix` is
+# the dense view.  id, ev, coev and box read only dimensions.  tw, twinv,
+# evt, coevt, br and brinv read only the action columns of their object
+# argument's module, which Env.module_of builds for a product with
+# tensor_obj and for a dual with dual_obj, from the factors' columns, with
+# no dense matrix.
 
 def _gen_colfn(gen, env):
     """(dom_dim, cod_dim, colfn|None); the generators that act through

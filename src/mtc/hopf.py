@@ -23,7 +23,7 @@ import json
 from .scalars import (CycField, parse_scalar, parse_count, format_scalar,
                       poly_squarefree)
 from .linalg import (Matrix, kron, solve_right, NoSolution, invert,
-                     IncrementalSpan)
+                     IncrementalSpan, columns_matrix)
 from .etale import corner_subalgebra, orthogonal_primitive_idempotents
 from . import diagrams, repcat
 from .report import Report
@@ -448,8 +448,10 @@ def verify_quasitriangular(h):
         # a left inverse in the finite-dimensional H (x) H is two-sided
         if not h.sparse_eq(h.tensor_mul(h.r_inverse(), h.rmatrix),
                            _outer_sparse(h, h.unit, h.unit)):
-            solve_right(repcat.tensor_action(h.rmatrix, reg, reg),
-                        kron(h.unit, h.unit))
+            solve_right(columns_matrix(
+                h.field, h.dim ** 2, h.dim ** 2,
+                repcat.tensor_action_colfn(h.rmatrix, reg, reg)),
+                kron(h.unit, h.unit))
     except NoSolution:
         rep.add("R invertible", False)
         return rep

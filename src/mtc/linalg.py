@@ -3,8 +3,9 @@ row reduction with deterministic pivoting, right-hand solves, kernel bases,
 growing spans with canonical reduction modulo a subspace, minimal
 polynomials, and Kronecker products.
 
-The external contract is dense row-major; the elimination engine works on
-sparse rows internally, and no other module sees its rows or pivots.  The
+The external contract is dense row-major, except that `sparse_kernel` takes
+the sparse rows {col: Scalar} that the elimination engine works on; no
+other module sees its pivots.  The
 product and the Kronecker product visit only nonzero entries.  One
 sparse row update serves `_rref` and `IncrementalSpan`, and one promotion
 rule puts the operands of a product or a solve over a common field.
@@ -323,21 +324,26 @@ def solve_right(a, b):
 
 def kernel_basis(a):
     """Basis of {x : A x = 0} as column vectors, ordered by free column."""
-    rows = _to_sparse_rows(a)
-    pivots = _rref(rows, a.cols)
-    pivot_cols = {c: r for r, c in pivots}
-    free_cols = [j for j in range(a.cols) if j not in pivot_cols]
-    zero = a.field.zero()
-    one = a.field.one()
+    return [Matrix(a.field, a.cols, 1, vec)
+            for vec in sparse_kernel(_to_sparse_rows(a), a.cols, a.field)]
+
+
+def sparse_kernel(rows, ncols, field):
+    """Basis of the kernel of the matrix whose rows are the sparse rows
+    {col: Scalar} given, with no zero entries (they are reduced in place),
+    as dense coordinate lists ordered by free column."""
+    pivot_cols = {c: r for r, c in _rref(rows, ncols)}
+    zero, one = field.zero(), field.one()
     basis = []
-    for fc in free_cols:
-        vec = [zero] * a.cols
-        vec[fc] = one
-        for c, r in pivot_cols.items():
-            v = rows[r].get(fc)
-            if v is not None:
-                vec[c] = -v
-        basis.append(Matrix.column(a.field, vec))
+    for fc in range(ncols):
+        if fc not in pivot_cols:
+            vec = [zero] * ncols
+            vec[fc] = one
+            for c, r in pivot_cols.items():
+                v = rows[r].get(fc)
+                if v is not None:
+                    vec[c] = -v
+            basis.append(vec)
     return basis
 
 

@@ -1,40 +1,43 @@
-"""The module category of a Hopf algebra H: objects with per-basis-element
-action matrices, intertwiner spaces, monoidal / rigid / braided / ribbon
-structure, simples with projective covers, the Cartan matrix, and the
-Grothendieck ring.
+"""The module category of a Hopf algebra H: modules stored as the sparse
+action columns of the basis elements of H, tensor products and duals,
+intertwiner spaces solved from those columns, simples with projective
+covers, the Cartan matrix, and the Grothendieck ring.  The structure maps
+ev, coev, their tilde versions, the braiding and the twist are generators
+of the one diagram evaluator, `mtc.diagrams`.
 """
 
 import json
 
 from .scalars import parse_scalar, parse_count, format_scalar
-from .linalg import (Matrix, kron, solve_right, kernel_basis, IncrementalSpan,
-                     _matrix_colfn, columns_matrix)
+from .linalg import (Matrix, solve_right, kernel_basis, sparse_kernel,
+                     IncrementalSpan, columns_matrix)
+# unused here; mtcbench's tracer tests check that the binding is patched
+from .linalg import kron  # noqa: F401
 from .etale import orthogonal_primitive_idempotents, newton_lift_idempotent
 
 
 class ModuleObject:
-    """A finite-dimensional H-module.  The action of each basis element of H
-    has two forms, dense matrices (`action`) and column functions j ->
-    [(row, Scalar)] (`columns`, with action=None), each built from the other
-    on first use and kept: a module's action never changes."""
+    """A finite-dimensional H-module, stored as its action columns: for
+    each basis element e_i of H a column function j -> [(row, Scalar)] of
+    the action of e_i, with no zero entries.  The dense matrices
+    (`action`) are a view built on first read and kept: a module's action
+    never changes."""
 
-    def __init__(self, algebra, dim, action, name="X", columns=None):
-        assert all(m.rows == dim == m.cols for m in action or ())
+    def __init__(self, algebra, dim, columns, name="X"):
+        assert len(columns) == algebra.dim
         self.algebra = algebra
         self.dim = dim
-        self._action = action
+        self._columns = columns
         self.name = name
+        self._action = None
         self._dual = None  # dual_obj(self), built on first use
-        self._action_cols = columns or [None] * len(action)
-        assert len(self._action_cols) == algebra.dim
 
     @property
     def action(self):
         """One dense action matrix per basis element of H."""
         if self._action is None:
             f, d = self.algebra.field, self.dim
-            self._action = [columns_matrix(f, d, d, c)
-                            for c in self._action_cols]
+            self._action = [columns_matrix(f, d, d, c) for c in self._columns]
         return self._action
 
     def act(self, a):
@@ -65,10 +68,7 @@ class ModuleObject:
     def action_colfn(self, i):
         """The sparse columns of action[i], as a column function j ->
         [(row, Scalar)]."""
-        got = self._action_cols[i]
-        if got is None:
-            got = self._action_cols[i] = _matrix_colfn(self._action[i])
-        return got
+        return self._columns[i]
 
     def validate(self):
         h = self.algebra
@@ -78,11 +78,11 @@ class ModuleObject:
             for i in range(h.dim) for j in range(h.dim))
 
     def fingerprint(self):
-        key = []
-        for m in self.action:
-            for x in m.data:
-                key.append(x.sort_key())
-        return (self.dim, tuple(key))
+        """The sort keys of every entry of every action matrix, row by row,
+        from dense views that are not kept."""
+        f, d = self.algebra.field, self.dim
+        return (d, tuple(x.sort_key() for c in self._columns
+                         for x in columns_matrix(f, d, d, c).data))
 
     def __repr__(self):
         return "ModuleObject(%s, dim=%d)" % (self.name, self.dim)
@@ -122,32 +122,43 @@ class Morphism:
 # ---------------------------------------------------------------------------
 # basic objects
 
+def _sparse_columns(cols):
+    """The column function of stored columns, each a dict {row: Scalar},
+    with the zero entries dropped and the rows in increasing order."""
+    cols = [sorted((r, v) for r, v in c.items() if any(v.num)) for c in cols]
+    return cols.__getitem__
+
+
 def trivial_module(h):
-    f = h.field
-    action = [Matrix.from_rows(f, [[h.counit.data[i]]]) for i in range(h.dim)]
-    return ModuleObject(h, 1, action, "1")
+    return ModuleObject(h, 1, [_sparse_columns([{0: c}])
+                               for c in h.counit.data], "1")
 
 
 def regular_module(h):
-    action = [h.left_regular(i) for i in range(h.dim)]
-    return ModuleObject(h, h.dim, action, "H")
+    """H acting on itself by left multiplication: column j of the action of
+    e_i is the product e_i e_j.  Not cached on h: the module refers to h,
+    and that cycle would keep an algebra that `with_ribbon` replaced alive
+    until the cyclic garbage collector runs."""
+    return ModuleObject(h, h.dim, [_sparse_columns(row) for row in h.mult],
+                        "H")
 
 
 def module_from_vectors(h, vectors, name, left_action=None):
     """Module spanned by coordinate vectors closed under the given left
-    action (default: left multiplication in the regular module)."""
+    action (default: left multiplication in the regular module).  The
+    action of every basis element of H on every basis vector comes out of
+    one solve against the span."""
     if left_action is None:
         left_action = lambda i, v: h.mul_vec(h.basis_vec(i), v)
     span = IncrementalSpan(h.field, h.dim)
     basis = [v for v in vectors if span.add(v)]
-    stack = basis[0].hstack(*basis[1:])
-    action = []
-    for i in range(h.dim):
-        img = [left_action(i, b) for b in basis]
-        action.append(solve_right(stack, img[0].hstack(*img[1:])))
-    m = ModuleObject(h, len(basis), action, name)
-    m.embedding = stack  # basis vectors inside the ambient coordinates
-    return m
+    d = len(basis)
+    img = [left_action(i, b) for i in range(h.dim) for b in basis]
+    # column i * d + j of the solution is column j of the action of e_i
+    sol = solve_right(basis[0].hstack(*basis[1:]), img[0].hstack(*img[1:]))
+    return ModuleObject(h, d, [_sparse_columns(
+        [{r: sol[r, i * d + j] for r in range(d)} for j in range(d)])
+        for i in range(h.dim)], name)
 
 
 def tensor_action_colfn(t, x, y, flip=False):
@@ -181,123 +192,48 @@ def tensor_action_colfn(t, x, y, flip=False):
     return col
 
 
-def tensor_action(t, x, y, flip=False):
-    """The dense view of `tensor_action_colfn`."""
-    d = x.dim * y.dim
-    return columns_matrix(x.algebra.field, d, d,
-                          tensor_action_colfn(t, x, y, flip))
-
-
 def tensor_obj(x, y):
     """Tensor product module via the comultiplication, given by its action
     columns, read from the factors' columns: no dense matrix is built until
     a caller reads `.action`."""
     h = x.algebra
-    return ModuleObject(h, x.dim * y.dim, None,
-                        "(%s x %s)" % (x.name, y.name),
-                        [tensor_action_colfn(t, x, y) for t in h.comult])
+    return ModuleObject(h, x.dim * y.dim,
+                        [tensor_action_colfn(t, x, y) for t in h.comult],
+                        "(%s x %s)" % (x.name, y.name))
 
 
 def dual_obj(x):
-    """Left dual: rho*(a) = rho(S(a))^T.  Built once per module and kept on
-    it: a module's action never changes after construction."""
+    """Left dual: rho*(a) = rho(S(a))^T, whose column j is row j of
+    rho(S(a)).  Built once per module and kept on it: a module's action
+    never changes after construction."""
     if x._dual is None:
         h = x.algebra
-        action = [x.act(Matrix.column(h.field, h.antipode.col_list(i)))
-                  .transpose() for i in range(h.dim)]
-        x._dual = ModuleObject(h, x.dim, action, "%s*" % x.name)
+        columns = []
+        for i in range(h.dim):
+            act = x.act_colfn(Matrix.column(h.field, h.antipode.col_list(i)))
+            rows = [{} for _ in range(x.dim)]
+            for j in range(x.dim):
+                for r, v in act(j):
+                    rows[r][j] = v
+            columns.append(_sparse_columns(rows))
+        x._dual = ModuleObject(h, x.dim, columns, "%s*" % x.name)
     return x._dual
 
 
 def direct_sum(*modules):
-    """The direct sum of the modules, in the order given: the action
-    matrices are block diagonal, each summand's block at the sum of the
-    dimensions before it."""
+    """The direct sum of the modules, in the order given: each summand's
+    action columns shifted by the sum of the dimensions before it."""
     h = modules[0].algebra
-    dim = sum(m.dim for m in modules)
-    action = []
+    columns = []
     for i in range(h.dim):
-        data = [h.field.zero()] * (dim * dim)
-        off = 0
+        cols, off = [], 0
         for m in modules:
-            src = m.action[i].data
-            for a in range(m.dim):
-                row = (off + a) * dim + off
-                data[row:row + m.dim] = src[a * m.dim:(a + 1) * m.dim]
+            act = m.action_colfn(i)
+            cols += [[(r + off, v) for r, v in act(j)] for j in range(m.dim)]
             off += m.dim
-        action.append(Matrix(h.field, dim, dim, data))
-    return ModuleObject(h, dim, action,
+        columns.append(cols.__getitem__)
+    return ModuleObject(h, sum(m.dim for m in modules), columns,
                         "(%s)" % " + ".join(m.name for m in modules))
-
-
-# ---------------------------------------------------------------------------
-# rigid structure
-
-def ev_morphism(x):
-    """ev: X* x X -> 1, xi x v -> xi(v)."""
-    h = x.algebra
-    f = h.field
-    m = Matrix.zeros(f, 1, x.dim * x.dim)
-    one = f.one()
-    for a in range(x.dim):
-        m.data[a * x.dim + a] = one
-    return Morphism(tensor_obj(dual_obj(x), x), trivial_module(h), m)
-
-
-def coev_morphism(x):
-    """coev: 1 -> X x X*."""
-    h = x.algebra
-    f = h.field
-    m = Matrix.zeros(f, x.dim * x.dim, 1)
-    one = f.one()
-    for a in range(x.dim):
-        m.data[a * x.dim + a] = one
-    return Morphism(trivial_module(h), tensor_obj(x, dual_obj(x)), m)
-
-
-def ev_tilde_morphism(x):
-    """ev~: X x X* -> 1, v x xi -> xi(g v), with g the pivot u v^{-1}."""
-    h = x.algebra
-    g = x.act(h.pivot())
-    m = Matrix.zeros(h.field, 1, x.dim * x.dim)
-    for b in range(x.dim):
-        for a in range(x.dim):
-            m.data[b * x.dim + a] = g.data[a * x.dim + b]
-    return Morphism(tensor_obj(x, dual_obj(x)), trivial_module(h), m)
-
-
-def coev_tilde_morphism(x):
-    """coev~: 1 -> X* x X, 1 -> sum xi^i x g^{-1} e_i."""
-    h = x.algebra
-    ginv = x.act(h.pivot_inv())
-    m = Matrix.zeros(h.field, x.dim * x.dim, 1)
-    for i in range(x.dim):
-        for j in range(x.dim):
-            m.data[i * x.dim + j] = ginv.data[j * x.dim + i]
-    return Morphism(trivial_module(h), tensor_obj(dual_obj(x), x), m)
-
-
-def duality(x):
-    return (ev_morphism(x), coev_morphism(x),
-            ev_tilde_morphism(x), coev_tilde_morphism(x))
-
-
-def braiding(x, y):
-    """beta_{X,Y} = flip . (action of R): x x y -> R2 y x R1 x."""
-    h = x.algebra
-    assert h.rmatrix is not None, "braiding needs a quasitriangular structure"
-    return Morphism(tensor_obj(x, y), tensor_obj(y, x),
-                    tensor_action(h.rmatrix, x, y, flip=True))
-
-
-def twist_morphism(x):
-    """theta_X = action of v^{-1}: the categorical twist matching the
-    braiding convention (see ledger: the monodromy acts by R21 R, so the
-    element satisfying Delta(v) = (R21 R)^{-1}(v x v) acts as the inverse
-    twist)."""
-    h = x.algebra
-    assert h.ribbon is not None, "twist needs a ribbon element"
-    return Morphism(x, x, x.act(h.ribbon_inv()))
 
 
 # ---------------------------------------------------------------------------
@@ -337,25 +273,34 @@ def _generating_indices(h):
 
 
 def hom_basis(x, y):
-    """Basis of Hom_H(X, Y), deterministic ordering.
+    """Basis of Hom_H(X, Y), deterministic ordering: the kernel of the
+    equations f X_g - Y_g f = 0 on the dim Y x dim X unknowns f[r, k], at
+    index r * dim X + k, written as sparse rows from the action columns.
 
     Intertwining is imposed only against the basis elements that
     `generating_indices` picks, which is equivalent to the full set of
     basis constraints."""
     h = x.algebra
-    f = h.field
-    pairs = [(x.action[g], y.action[g]) for g in generating_indices(h)]
     dx, dy = x.dim, y.dim
-    iy = Matrix.identity(f, dy)
-    ix = Matrix.identity(f, dx)
-    blocks = [kron(iy, ax.transpose()) - kron(ay, ix) for ax, ay in pairs] \
-        or [Matrix.zeros(f, 1, dx * dy)]
-    stack = blocks[0].vstack(*blocks[1:])
-    basis = []
-    for vec in kernel_basis(stack):
-        m = Matrix(f, dy, dx, vec.data)
-        basis.append(Morphism(x, y, m))
-    return basis
+    rows = []
+    for g in generating_indices(h):
+        xg, yg = x.action_colfn(g), y.action_colfn(g)
+        yrows = [[] for _ in range(dy)]
+        for k in range(dy):
+            for r, v in yg(k):
+                yrows[r].append((k, v))
+        # equation (r, c): X_g[k, c] at unknown (r, k), -Y_g[r, k] at (k, c)
+        for r in range(dy):
+            for c in range(dx):
+                row = {r * dx + k: v for k, v in xg(c)}
+                for k, v in yrows[r]:
+                    p = k * dx + c
+                    row[p] = row[p] - v if p in row else -v
+                row = {p: v for p, v in row.items() if any(v.num)}
+                if row:
+                    rows.append(row)
+    return [Morphism(x, y, Matrix(h.field, dy, dx, vec))
+            for vec in sparse_kernel(rows, dx * dy, h.field)]
 
 
 def is_isomorphic_simple(x, y):
@@ -401,23 +346,19 @@ class SimplesData:
 
 def radical_basis(h):
     """Jacobson radical via the trace form of the regular representation
-    (valid in characteristic zero)."""
+    (valid in characteristic zero): tr(L_i L_j) is the sum over a, b of
+    (e_i e_b)_a (e_j e_a)_b, read from the structure constants."""
     f = h.field
     n = h.dim
-    sparse = []
-    for i in range(n):
-        li = h.left_regular(i)
-        sparse.append([(a, b, li.data[a * n + b]) for a in range(n)
-                       for b in range(n) if not li.data[a * n + b].is_zero()])
     gram = Matrix.zeros(f, n, n)
     for i in range(n):
         for j in range(n):
-            lj = h.left_regular(j)
             t = f.zero()
-            for a, b, v in sparse[i]:
-                w = lj.data[b * n + a]
-                if not w.is_zero():
-                    t = t + v * w
+            for b in range(n):
+                for a, v in h.mult[i][b].items():
+                    w = h.mult[j][a].get(b)
+                    if w is not None:
+                        t = t + v * w
             gram.data[i * n + j] = t
     return kernel_basis(gram)
 
@@ -522,10 +463,9 @@ def module_to_json_dict(x):
     return {
         "name": x.name,
         "dim": x.dim,
-        "action": sorted([k, i, j, format_scalar(x.action[k][i, j])]
-                         for k in range(x.algebra.dim)
-                         for i in range(x.dim) for j in range(x.dim)
-                         if not x.action[k][i, j].is_zero()),
+        "action": sorted([k, i, j, format_scalar(v)]
+                         for k in range(x.algebra.dim) for j in range(x.dim)
+                         for i, v in x.action_colfn(k)(j)),
     }
 
 
@@ -542,16 +482,19 @@ def module_from_json_dict(h, d):
             if fieldname not in d:
                 raise ValueError("missing field %r" % fieldname)
         dim = parse_count(d["dim"], "dim", 0)
-        action = [Matrix.zeros(h.field, dim, dim) for _ in range(h.dim)]
+        # columns[k][j] = {i: entry (i, j) of the action of e_k}: a
+        # repeated entry overwrites, and an explicit 0 clears the entry
+        columns = [[{} for _ in range(dim)] for _ in range(h.dim)]
         for k, i, j, c in d["action"]:
             if not (all(type(t) is int for t in (k, i, j))
                     and 0 <= k < h.dim and 0 <= i < dim and 0 <= j < dim):
                 raise ValueError("action entry (%s, %s, %s) out of range"
                                  % (k, i, j))
-            action[k][i, j] = parse_scalar(h.field, c)
+            columns[k][j][i] = parse_scalar(h.field, c)
     except (ValueError, TypeError, KeyError) as e:
         raise ModuleFormatError("malformed module spec: %s" % e)
-    m = ModuleObject(h, dim, action, str(d["name"]))
+    m = ModuleObject(h, dim, [_sparse_columns(cols) for cols in columns],
+                     str(d["name"]))
     if not m.validate():
         raise ModuleFormatError(
             "module action does not respect the algebra structure")

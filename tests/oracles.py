@@ -12,11 +12,11 @@ from mtc import repcat, coend, cli
 from mtc.hopf import check_words
 from mtc.report import Report
 from mtc.etale import Subalgebra, orthogonal_primitive_idempotents
-from mtc.scalars import Scalar, poly_squarefree, sqrt_in_field
+from mtc.scalars import Scalar, poly_squarefree, sqrt_in_field, parse_scalar
 from mtc.diagrams import (Compose, Tensor, Env, apply_word, words_agree,
-                          _layers, _gen_colfn)
+                          word_matrix, _layers, _gen_colfn)
 from mtc.linalg import (Matrix, kernel_basis, kron, invert, IncrementalSpan,
-                        solve_right, NoSolution)
+                        solve_right, NoSolution, _matrix_colfn)
 
 
 def rank_oracle_fraction(rows):
@@ -165,6 +165,13 @@ def dense_act_oracle(x, a):
     return m
 
 
+def module_of_matrices(h, action, name="X"):
+    """The module whose action of each basis element of H is the given
+    dense matrix, stored as the matrices' sparse columns."""
+    return repcat.ModuleObject(h, action[0].rows,
+                               [_matrix_colfn(m) for m in action], name)
+
+
 def dense_module_oracle(env, expr):
     """The module of an object expression of env on dense matrices: a
     product through tensor_action_oracle over the comultiplication, a dual
@@ -175,17 +182,27 @@ def dense_module_oracle(env, expr):
             repcat.trivial_module(h)
         for k in range(1, len(expr)):
             y = dense_module_oracle(env, expr[k:k + 1])
-            m = repcat.ModuleObject(
-                h, m.dim * y.dim,
-                [tensor_action_oracle(t, m, y) for t in h.comult])
+            m = module_of_matrices(
+                h, [tensor_action_oracle(t, m, y) for t in h.comult])
         return m
     kind, payload = expr[0]
     if kind == "name":
         return env.objects[payload]
     x = dense_module_oracle(env, payload)
-    return repcat.ModuleObject(h, x.dim, [
+    return module_of_matrices(h, [
         dense_act_oracle(x, Matrix.column(h.field, h.antipode.col_list(i)))
         .transpose() for i in range(h.dim)])
+
+
+def word_matrix_on(h, word, **objects):
+    """The library's matrix of a diagram word, with the given modules bound
+    by name: `diagrams.word_matrix`, the one implementation of ev, coev,
+    evt, coevt, br, brinv, tw and twinv.  Not an oracle; dense_word_oracle
+    is its independent counterpart."""
+    env = Env(h)
+    for name, x in objects.items():
+        env.bind_object(name, x)
+    return word_matrix(env, word)
 
 
 def dense_word_oracle(ast, env, boxes=None):
@@ -250,13 +267,83 @@ def structural_checks_oracle(h, sd, have_ribbon):
     return out
 
 
+# -- modules and Hom spaces on dense matrices ---------------------------------
+# The constructions `mtc.repcat` ran before a module stored only its action
+# columns.
+
+def hom_basis_oracle(x, y):
+    """Basis of Hom_H(X, Y), deterministic ordering.
+
+    Intertwining is imposed only against the basis elements that
+    `generating_indices` picks, which is equivalent to the full set of
+    basis constraints."""
+    h = x.algebra
+    f = h.field
+    pairs = [(x.action[g], y.action[g])
+             for g in repcat.generating_indices(h)]
+    dx, dy = x.dim, y.dim
+    iy = Matrix.identity(f, dy)
+    ix = Matrix.identity(f, dx)
+    blocks = [kron(iy, ax.transpose()) - kron(ay, ix) for ax, ay in pairs] \
+        or [Matrix.zeros(f, 1, dx * dy)]
+    stack = blocks[0].vstack(*blocks[1:])
+    basis = []
+    for vec in kernel_basis(stack):
+        m = Matrix(f, dy, dx, vec.data)
+        basis.append(repcat.Morphism(x, y, m))
+    return basis
+
+
+def module_from_vectors_oracle(h, vectors, left_action=None):
+    """The action matrices of the module spanned by the vectors, one solve
+    per basis element of H."""
+    if left_action is None:
+        left_action = lambda i, v: h.mul_vec(h.basis_vec(i), v)
+    span = IncrementalSpan(h.field, h.dim)
+    basis = [v for v in vectors if span.add(v)]
+    stack = basis[0].hstack(*basis[1:])
+    action = []
+    for i in range(h.dim):
+        img = [left_action(i, b) for b in basis]
+        action.append(solve_right(stack, img[0].hstack(*img[1:])))
+    return action
+
+
+def direct_sum_oracle(*modules):
+    """The action matrices of the direct sum, each summand's dense block
+    copied at the sum of the dimensions before it."""
+    h = modules[0].algebra
+    dim = sum(m.dim for m in modules)
+    action = []
+    for i in range(h.dim):
+        data = [h.field.zero()] * (dim * dim)
+        off = 0
+        for m in modules:
+            src = m.action[i].data
+            for a in range(m.dim):
+                row = (off + a) * dim + off
+                data[row:row + m.dim] = src[a * m.dim:(a + 1) * m.dim]
+            off += m.dim
+        action.append(Matrix(h.field, dim, dim, data))
+    return action
+
+
+def module_file_oracle(h, d):
+    """The action matrices of a module-file dict, entry by entry into
+    zero matrices: a repeated entry overwrites, an explicit 0 clears."""
+    action = [Matrix.zeros(h.field, d["dim"], d["dim"]) for _ in range(h.dim)]
+    for k, i, j, c in d["action"]:
+        action[k][i, j] = parse_scalar(h.field, c)
+    return action
+
+
 def sub_module(x, basis):
     """The submodule of X spanned by the given independent vectors, in that
     basis."""
     h = x.algebra
     stack = basis[0].hstack(*basis[1:])
     action = [solve_right(stack, x.action[i] * stack) for i in range(h.dim)]
-    return repcat.ModuleObject(h, len(basis), action, "%s'" % x.name)
+    return module_of_matrices(h, action, "%s'" % x.name)
 
 
 def quotient_module(x, span):
@@ -270,7 +357,7 @@ def quotient_module(x, span):
                 for j in free]
         action.append(Matrix(h.field, len(free), len(free),
                              [c.data[r] for r in free for c in cols]))
-    return repcat.ModuleObject(h, len(free), action, "%s/." % x.name)
+    return module_of_matrices(h, action, "%s/." % x.name)
 
 
 def radical_filtration_factors(x, sd):

@@ -15,9 +15,8 @@ import pytest
 
 from mtc import hopf, repcat, coend, cardy
 from mtc.linalg import Matrix, kron, rank, invert
-from mtc.repcat import (trivial_module, tensor_obj, hom_basis,
-                        simples_data, braiding, twist_morphism)
-from oracles import brute_ribbon_elements
+from mtc.repcat import trivial_module, tensor_obj, hom_basis, simples_data
+from oracles import brute_ribbon_elements, word_matrix_on
 
 DSW_OBSTRUCTION = ("unattainable: D(Sweedler) has no ribbon element "
                    "(Kauffman-Radford: Taft doubles are ribbon iff the order "
@@ -59,29 +58,34 @@ def test_criterion_1_structural_suite():
         snake_ok = True
         hex_ok = True
         twist_ok = True
+        def braiding(x, y):
+            return word_matrix_on(h, "br(X, Y)", X=x, Y=y)
+
+        def twist(x):
+            return word_matrix_on(h, "tw(X)", X=x)
+
         for x in list(sd.simples) + list(sd.projectives):
             eye = Matrix.identity(f, x.dim)
-            ev, coev, evt, coevt = (None,) * 4
-            ev = repcat.ev_morphism(x).matrix
-            coev = repcat.coev_morphism(x).matrix
+            ev = word_matrix_on(h, "ev(X)", X=x)
+            coev = word_matrix_on(h, "coev(X)", X=x)
             snake_ok &= kron(eye, ev) * kron(coev, eye) == eye
             snake_ok &= kron(ev, eye) * kron(eye, coev) == eye
             if h.ribbon is not None:
-                evt = repcat.ev_tilde_morphism(x).matrix
-                coevt = repcat.coev_tilde_morphism(x).matrix
+                evt = word_matrix_on(h, "evt(X)", X=x)
+                coevt = word_matrix_on(h, "coevt(X)", X=x)
                 snake_ok &= kron(evt, eye) * kron(eye, coevt) == eye
                 snake_ok &= kron(eye, evt) * kron(coevt, eye) == eye
         for x in sd.simples:
             for y in sd.simples:
                 for z in sd.simples[:2]:
-                    lhs = braiding(tensor_obj(x, y), z).matrix
-                    rhs = kron(braiding(x, z).matrix, Matrix.identity(f, y.dim)) * \
-                        kron(Matrix.identity(f, x.dim), braiding(y, z).matrix)
+                    lhs = braiding(tensor_obj(x, y), z)
+                    rhs = kron(braiding(x, z), Matrix.identity(f, y.dim)) * \
+                        kron(Matrix.identity(f, x.dim), braiding(y, z))
                     hex_ok &= lhs == rhs
                 if h.ribbon is not None:
-                    lhs = twist_morphism(tensor_obj(x, y)).matrix
-                    rhs = braiding(y, x).matrix * braiding(x, y).matrix * \
-                        kron(twist_morphism(x).matrix, twist_morphism(y).matrix)
+                    lhs = twist(tensor_obj(x, y))
+                    rhs = braiding(y, x) * braiding(x, y) * \
+                        kron(twist(x), twist(y))
                     twist_ok &= lhs == rhs
         ok &= _line("1 snakes %s" % name, snake_ok)
         ok &= _line("1 hexagons %s" % name, hex_ok)

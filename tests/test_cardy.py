@@ -3,7 +3,7 @@ import random
 import pytest
 
 from mtc import hopf, repcat, coend, cardy
-from mtc.linalg import Matrix, kron
+from mtc.linalg import Matrix, kron, _matrix_colfn
 from mtc.coend import carrier_bimodule
 from mtc.repcat import (trivial_module, regular_module, tensor_obj, dual_obj,
                         direct_sum, hom_basis, simples_data,
@@ -122,7 +122,7 @@ def test_torus_double_z4():
 
 
 def test_torus_certificate_fails_on_a_bimodule_with_the_wrong_duals(
-        dz3):
+        dz3, monkeypatch):
     """Without S in the left factor the carrier is still a bimodule, since
     D(Z/3) is commutative, but it holds S_U x S_U where the certificate
     wants S_{U*} x S_U.  Eight of the nine simples are not self-dual, so
@@ -130,9 +130,11 @@ def test_torus_certificate_fails_on_a_bimodule_with_the_wrong_duals(
     bimodule is cached on its algebra, so the broken one is built on a
     fresh copy of D(Z/3)."""
     h = dz3.with_ribbon(dz3.ribbon)
-    left = h.left_mult_matrix
+    left, right = carrier_bimodule(h)
     # S^2 = 1 on D(Z/3), so this cancels the antipode of the left factor
-    h.left_mult_matrix = lambda a: left(h.antipode * a)
+    bad = repcat.ModuleObject(h, h.dim, [
+        left.act_colfn(h.antipode * h.basis_vec(a)) for a in range(h.dim)])
+    monkeypatch.setattr(coend, "carrier_bimodule", lambda a: (bad, right))
     with pytest.raises(CardyError) as exc:
         torus_partition(h)
     report = str(exc.value).splitlines()
@@ -143,13 +145,15 @@ def test_torus_certificate_fails_on_a_bimodule_with_the_wrong_duals(
         == 16
 
 
-def test_torus_fails_fast_on_a_carrier_that_is_no_module():
+def test_torus_fails_fast_on_a_carrier_that_is_no_module(monkeypatch):
     """With the right factor untransposed, the carrier is not a module over
     H (x) H and its multiplicities mean nothing: the certificate is
     skipped and the factor check fails."""
     h = hopf.sweedler()
-    right = h.right_mult_matrix
-    h.right_mult_matrix = lambda a: right(a).transpose()
+    left, right = carrier_bimodule(h)
+    bad = repcat.ModuleObject(h, h.dim, [_matrix_colfn(m.transpose())
+                                         for m in right.action])
+    monkeypatch.setattr(coend, "carrier_bimodule", lambda a: (left, bad))
     cartan, rep = torus_partition(h)
     assert cartan == [[1, 1], [1, 1]]
     checks = {name: (status, w) for name, status, w in rep.checks}
@@ -159,10 +163,35 @@ def test_torus_fails_fast_on_a_carrier_that_is_no_module():
     assert not rep.ok
 
 
-def test_carrier_bimodule(dz2):
-    left, right = carrier_bimodule(dz2)
-    assert left.validate() and right.validate()
-    assert all(a * b == b * a for a in left.action for b in right.action)
+def test_carrier_bimodule(dz2, dsw):
+    """On D(Z/2) and on the non-commutative D(Sweedler): the factors'
+    columns against the transposed multiplication matrices, xi ->
+    xi(S(e_a) . ) on the left and xi -> xi( . e_a) on the right."""
+    for h in (dz2, dsw):
+        left, right = carrier_bimodule(h)
+        assert left.validate() and right.validate()
+        assert all(a * b == b * a for a in left.action for b in right.action)
+        for a in range(h.dim):
+            e = h.basis_vec(a)
+            assert left.action[a] == \
+                h.left_mult_matrix(h.antipode * e).transpose()
+            assert right.action[a] == h.right_mult_matrix(e).transpose()
+
+
+def test_torus_factor_check_fails_on_factors_that_do_not_commute(
+        dsw, monkeypatch):
+    """D(Sweedler) is not commutative, so a carrier whose right factor is
+    its left factor is a module over each factor but not over H (x) H:
+    the check on the generators fails, as the check on all pairs of basis
+    elements does."""
+    h = dsw
+    left, _ = carrier_bimodule(h)
+    assert not all(a * b == b * a for a in left.action for b in left.action)
+    monkeypatch.setattr(coend, "carrier_bimodule", lambda a: (left, left))
+    cartan, rep = torus_partition(h)
+    checks = {name: (status, w) for name, status, w in rep.checks}
+    assert checks["carrier bimodule is a T-module"] == ("fail", None)
+    assert not rep.ok
 
 
 def test_defect_operators(dz2_coend, dz2_simples):

@@ -15,6 +15,7 @@ from mtc.coend import (build_coend, solve_integrals, modularity_test,
                        canonical_action, canonical_coaction, characters,
                        cocharacter, cutting_decomposition)
 from mtc.cardy import cardy_action, delta_lambda_coaction
+from mtc.diagrams import Env, parse
 
 
 def test_carrier_and_iota(dz2_ribbon):
@@ -422,8 +423,9 @@ def test_action_words_match_index_formulas(any_coend):
         ginv = x.act(h.inv_vec(h.pivot()))
         assert characters(cd, x)[0].matrix == \
             oracles.character_oracle(rho, ginv, d, n)
-        assert cocharacter(cd, x).matrix == \
-            cd.iota_matrix(x) * repcat.coev_tilde_morphism(x).matrix
+        env = Env(h).bind_object("X", x)
+        assert cocharacter(cd, x).matrix == cd.iota_matrix(x) * \
+            oracles.dense_word_oracle(parse("coevt(X)"), env)
         xbar = objs[1]
         assert cardy_action(cd, x, xbar).matrix == \
             oracles.mirror_action_oracle(
@@ -467,7 +469,8 @@ def test_t_transform_eigenvalues(dz2_coend, dz2_simples):
     # oracle: iota_X (id x theta_X) over the 4 simples
     cd = dz2_coend
     for s in dz2_simples.simples:
-        theta = repcat.twist_morphism(s).matrix.data[0]
+        env = Env(cd.h).bind_object("X", s)
+        theta = oracles.dense_word_oracle(parse("tw(X)"), env).data[0]
         chk = cocharacter(cd, s).matrix
         assert cd.T_transform * chk == chk.scale(theta)
 

@@ -8,7 +8,8 @@ from mtc.linalg import Matrix
 from mtc.diagrams import (parse, typecheck, evaluate_applied, apply_word,
                           identity_columns, words_agree, Env, Gen, Compose,
                           Tensor, DiagramError, DiagramTypeError, obj_name)
-from oracles import dense_word_oracle, evaluate_applied_oracle, matmul_oracle
+from oracles import (dense_word_oracle, evaluate_applied_oracle,
+                     matmul_oracle, word_matrix_on)
 
 
 @pytest.fixture(scope="module")
@@ -30,8 +31,8 @@ def env3(dz3, dz3_simples):
     odd = [s for i, s in enumerate(sd.simples) if perm[i] != i]
     eye = Matrix.identity(dz3.field, 1)
     x, y = next((x, y) for x in odd for y in odd
-                if repcat.braiding(y, x).matrix *
-                repcat.braiding(x, y).matrix != eye)
+                if word_matrix_on(dz3, "br(X, Y) ; br(Y, X)", X=x, Y=y)
+                != eye)
     e = Env(dz3)
     e.bind_object("X", x)
     e.bind_object("Y", y)

@@ -13,7 +13,7 @@ from mtc.hopf import (verify_hopf_axioms, verify_ribbon, verify_all,
 from oracles import (brute_ribbon_elements, sqrt_branch_ribbon_elements,
                      group_double_table_z2,
                      hopf_axioms_oracle, quasitriangular_oracle,
-                     invert_tensor2_oracle)
+                     invert_tensor2_oracle, word_matrix_on)
 
 
 def test_z2_axioms_by_hand(z2):
@@ -94,7 +94,7 @@ def test_solve_ribbon_dz2_matches_brute_oracle(dz2, dz2_ribbons):
     h = dz2.with_ribbon(dz2_ribbons[0])
     sd = repcat.simples_data(h)
     for s in sd.simples:
-        t = repcat.twist_morphism(s).matrix.data[0]
+        t = word_matrix_on(h, "tw(X)", X=s).data[0]
         assert t == h.field.one() or t == -h.field.one()
 
 
@@ -245,9 +245,9 @@ def test_mirror(dz2, dz2_ribbons):
     from mtc import repcat
     sd = repcat.simples_data(h)
     sdm = repcat.simples_data(m)
-    thetas = sorted(repcat.twist_morphism(s).matrix.data[0].sort_key()
+    thetas = sorted(word_matrix_on(h, "tw(X)", X=s).data[0].sort_key()
                     for s in sd.simples)
-    thetas_m = sorted(repcat.twist_morphism(s).matrix.data[0].inv().sort_key()
+    thetas_m = sorted(word_matrix_on(m, "tw(X)", X=s).data[0].inv().sort_key()
                       for s in sdm.simples)
     assert thetas == thetas_m
 

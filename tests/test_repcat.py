@@ -6,12 +6,13 @@ from mtc import hopf, repcat
 from mtc.linalg import Matrix, kron, rank, IncrementalSpan, _matrix_colfn
 
 from mtc.repcat import (trivial_module, regular_module, tensor_obj, dual_obj,
-                        direct_sum, hom_basis, simples_data, duality,
-                        braiding, twist_morphism, composition_factors,
-                        grothendieck_ring, module_to_json_dict,
-                        module_from_json_dict)
+                        direct_sum, hom_basis, simples_data,
+                        composition_factors, grothendieck_ring,
+                        module_to_json_dict, module_from_json_dict)
 from oracles import (tensor_action_oracle, radical_filtration_factors,
-                     flip_matrix_oracle)
+                     flip_matrix_oracle, word_matrix_on, hom_basis_oracle,
+                     module_from_vectors_oracle, direct_sum_oracle,
+                     module_file_oracle, dense_act_oracle)
 
 
 def all_test_objects(h):
@@ -23,8 +24,9 @@ def test_module_validation(sweedler):
     reg = regular_module(sweedler)
     assert reg.validate()
     assert trivial_module(sweedler).validate()
-    bad = repcat.ModuleObject(sweedler, 1,
-                              [Matrix.identity(sweedler.field, 1)] * 4, "bad")
+    bad = repcat.ModuleObject(
+        sweedler, 1, [_matrix_colfn(Matrix.identity(sweedler.field, 1))] * 4,
+        "bad")
     assert not bad.validate()
 
 
@@ -35,6 +37,81 @@ def test_hom_basis_examples(z2):
     assert len(hom_basis(s0, s1)) == 0  # trivial vs sign: 0-dimensional
     reg = regular_module(z2)
     assert len(hom_basis(reg, reg)) == 2
+
+
+HOM_ALGEBRAS = {"dz3": ("double_group_algebra", [3]),
+                "dsw": ("double_sweedler", None),
+                "dz22": ("double_group_algebra", [2, 2])}
+
+
+@pytest.fixture(scope="module", params=sorted(HOM_ALGEBRAS))
+def hom_objects(request):
+    """D(Z/3), D(Sweedler) and D(Z/2 x Z/2) with the simples, the
+    projective covers, the regular module, a tensor product, a dual and a
+    direct sum."""
+    h = hopf.builtin(*HOM_ALGEBRAS[request.param])
+    sd = simples_data(h)
+    p, q = sd.projectives[-1], sd.projectives[1]
+    return h, list(sd.simples) + list(sd.projectives) + [
+        regular_module(h), tensor_obj(p, q), dual_obj(p),
+        direct_sum(sd.simples[0], p)]
+
+
+def test_hom_basis_matches_kron_oracle(hom_objects):
+    """hom_basis, solved from sparse rows written from the action columns,
+    gives the ordered basis of the dense Kronecker construction exactly,
+    on every ordered pair of objects."""
+    h, objs = hom_objects
+    for x in objs:
+        for y in objs:
+            got = [m.matrix for m in hom_basis(x, y)]
+            assert got == [m.matrix for m in hom_basis_oracle(x, y)], \
+                (x.name, y.name)
+
+
+def test_grothendieck_ring_builds_no_dense_tensor_action(monkeypatch):
+    """The Hom spaces of the fusion rules read a product's action columns
+    from its factors: no product densifies its action."""
+    h = hopf.builtin("double_group_algebra", [3])
+    made = []
+    tensor = repcat.tensor_obj
+    monkeypatch.setattr(repcat, "tensor_obj",
+                        lambda x, y: made.append(tensor(x, y)) or made[-1])
+    grothendieck_ring(h)
+    assert len(made) == 81
+    assert all(m._action is None for m in made)
+
+
+def test_constructors_match_dense_oracles(hom_objects):
+    """Each constructor's action columns against the dense construction
+    it replaced: the regular module against left multiplication, the
+    trivial module against the counit, the direct sum against the copied
+    blocks, a dual against rho(S(a))^T, module_from_vectors against one
+    solve per basis element, and a module file with a repeated entry and
+    an explicit 0 against entry-by-entry assignment."""
+    h, objs = hom_objects
+    f = h.field
+    assert regular_module(h).action == [h.left_regular(i)
+                                        for i in range(h.dim)]
+    assert trivial_module(h).action == [
+        Matrix.from_rows(f, [[c]]) for c in h.counit.data]
+    sd = simples_data(h)
+    x = direct_sum(sd.simples[0], sd.projectives[-1], sd.simples[-1])
+    assert x.action == direct_sum_oracle(sd.simples[0], sd.projectives[-1],
+                                         sd.simples[-1])
+    for y in objs[-3:]:
+        assert dual_obj(y).action == [
+            dense_act_oracle(y, Matrix.column(f, h.antipode.col_list(i)))
+            .transpose() for i in range(h.dim)]
+    for e in sd.idempotents:
+        vectors = [h.mul_vec(h.basis_vec(i), e) for i in range(h.dim)]
+        assert repcat.module_from_vectors(h, vectors, "P").action == \
+            module_from_vectors_oracle(h, vectors)
+    d = module_to_json_dict(x)
+    k, i, j, c = d["action"][0]
+    d["action"] = [[k, i, j, "5"]] + d["action"] + [
+        [k, i, j, "0"], [k, i, j, c], [k, i, (j + 1) % x.dim, "0"]]
+    assert module_from_json_dict(h, d).action == module_file_oracle(h, d)
 
 
 def test_simples_z2(z2):
@@ -80,12 +157,13 @@ def test_snake_identities(dz2_ribbon):
     h = dz2_ribbon
     f = h.field
     for x in all_test_objects(h) + [regular_module(h)]:
-        ev, coev, evt, coevt = duality(x)
+        ev, coev, evt, coevt = (word_matrix_on(h, w + "(X)", X=x)
+                                for w in ("ev", "coev", "evt", "coevt"))
         eye = Matrix.identity(f, x.dim)
-        assert kron(eye, ev.matrix) * kron(coev.matrix, eye) == eye
-        assert kron(ev.matrix, eye) * kron(eye, coev.matrix) == eye
-        assert kron(evt.matrix, eye) * kron(eye, coevt.matrix) == eye
-        assert kron(eye, evt.matrix) * kron(coevt.matrix, eye) == eye
+        assert kron(eye, ev) * kron(coev, eye) == eye
+        assert kron(ev, eye) * kron(eye, coev) == eye
+        assert kron(evt, eye) * kron(eye, coevt) == eye
+        assert kron(eye, evt) * kron(coevt, eye) == eye
 
 
 def test_dual_of_trivial(z2):
@@ -100,7 +178,8 @@ def test_dual_is_built_once_per_module(dz2_ribbon):
     d = dual_obj(x)
     assert dual_obj(x) is d and d.name == x.name + "*"
     # the cached dual is the rho(S(a))^T of a fresh module with x's action
-    fresh = dual_obj(repcat.ModuleObject(h, x.dim, x.action, x.name))
+    fresh = dual_obj(repcat.ModuleObject(
+        h, x.dim, [x.action_colfn(i) for i in range(h.dim)], x.name))
     assert fresh is not d and fresh.action == d.action
     assert dual_obj(d) is dual_obj(d) and dual_obj(d) is not x
 
@@ -132,26 +211,33 @@ def test_braiding_and_twist(dz2_ribbon):
     f = h.field
     sd = simples_data(h)
     one = trivial_module(h)
+
+    def braiding(x, y):
+        return word_matrix_on(h, "br(X, Y)", X=x, Y=y)
+
+    def twist(x):
+        return word_matrix_on(h, "tw(X)", X=x)
+
     for x in sd.simples:
         # beta on 1 (x) X is the identity under the unitor identification
         b = braiding(one, x)
-        assert b.matrix == Matrix.identity(f, x.dim)
-        assert b.is_intertwiner()
-    assert twist_morphism(one).matrix == Matrix.identity(f, 1)
+        assert b == Matrix.identity(f, x.dim)
+        assert repcat.Morphism(tensor_obj(one, x), tensor_obj(x, one),
+                               b).is_intertwiner()
+    assert twist(one) == Matrix.identity(f, 1)
     # hexagons as matrix identities on pairs
     for x in sd.simples:
         for y in sd.simples:
             for z in sd.simples:
-                lhs = braiding(tensor_obj(x, y), z).matrix
-                rhs = kron(braiding(x, z).matrix, Matrix.identity(f, y.dim)) * \
-                    kron(Matrix.identity(f, x.dim), braiding(y, z).matrix)
+                lhs = braiding(tensor_obj(x, y), z)
+                rhs = kron(braiding(x, z), Matrix.identity(f, y.dim)) * \
+                    kron(Matrix.identity(f, x.dim), braiding(y, z))
                 assert lhs == rhs
     # theta_{X (x) Y} = beta beta (theta x theta)
     for x in sd.simples:
         for y in sd.simples:
-            lhs = twist_morphism(tensor_obj(x, y)).matrix
-            rhs = braiding(y, x).matrix * braiding(x, y).matrix * \
-                kron(twist_morphism(x).matrix, twist_morphism(y).matrix)
+            lhs = twist(tensor_obj(x, y))
+            rhs = braiding(y, x) * braiding(x, y) * kron(twist(x), twist(y))
             assert lhs == rhs
     # naturality of the braiding on intertwiners
     rng = random.Random(13)
@@ -160,13 +246,12 @@ def test_braiding_and_twist(dz2_ribbon):
         x, y = rng.choice(objs), rng.choice(objs)
         for fm in hom_basis(x, y):
             for z in objs[:2]:
-                lhs = braiding(y, z).matrix * kron(fm.matrix, Matrix.identity(f, z.dim))
-                rhs = kron(Matrix.identity(f, z.dim), fm.matrix) * braiding(x, z).matrix
+                lhs = braiding(y, z) * kron(fm.matrix, Matrix.identity(f, z.dim))
+                rhs = kron(Matrix.identity(f, z.dim), fm.matrix) * braiding(x, z)
                 assert lhs == rhs
     # (theta_X)* = theta_{X*}
     for x in sd.simples:
-        assert twist_morphism(x).matrix.transpose() == \
-            twist_morphism(dual_obj(x)).matrix
+        assert twist(x).transpose() == twist(dual_obj(x))
 
 
 @pytest.mark.parametrize("name", ["dz2", "dsw"])
@@ -181,7 +266,7 @@ def test_tensor_action_matches_dense_sum(name, request):
             xy = tensor_obj(x, y)
             for g in range(h.dim):
                 assert xy.action[g] == tensor_action_oracle(h.comult[g], x, y)
-            assert braiding(x, y).matrix == \
+            assert word_matrix_on(h, "br(X, Y)", X=x, Y=y) == \
                 flip_matrix_oracle(h.field, x.dim, y.dim) * \
                 tensor_action_oracle(h.rmatrix, x, y)
 
