@@ -12,7 +12,7 @@ them.
 from itertools import accumulate, repeat
 
 from .scalars import CycField, poly_squarefree
-from .linalg import Matrix, kron, rank, minimal_polynomial
+from .linalg import Matrix, kron, rank, minimal_polynomial, columns_matrix
 from .hopf import Algebra
 from . import repcat, diagrams, coend as coend_mod
 from .repcat import (Morphism, trivial_module, tensor_obj, dual_obj,
@@ -107,19 +107,20 @@ def torus_partition(h, with_coend=None):
     cartan = [row[:] for row in sd.cartan]
 
     left, right = coend_mod.carrier_bimodule(h)
+    f, n = h.field, h.dim
     ok = True
     # both factors are H-modules with commuting actions: the module axioms
-    # on T.  Once validate() has shown both to be algebra maps, their
-    # images commute when the images of the generators do
+    # on T.  Once validate() has shown both to be algebra maps, their images
+    # commute when each right generator intertwines the left factor
     gens = repcat.generating_indices(h)
     if rep.add("carrier bimodule is a T-module",
                left.validate() and right.validate() and
-               all(left.action[g] * right.action[k] ==
-                   right.action[k] * left.action[g]
-                   for g in gens for k in gens)):
+               all(Morphism(left, left, columns_matrix(
+                   f, n, n, right.action_colfn(k))).is_intertwiner(gens)
+                   for k in gens)):
         dual_perm = sd.dual_permutation()
-        lefts = [left.act(e) for e in sd.idempotents]
-        rights = [right.act(e) for e in sd.idempotents]
+        lefts, rights = ([columns_matrix(f, n, n, m.act_colfn(e))
+                          for e in sd.idempotents] for m in (left, right))
         mults = [[rank(a * b) for b in rights] for a in lefts]
         for u in range(sd.count):
             for v in range(sd.count):

@@ -28,10 +28,10 @@ from math import prod
 
 from .scalars import sqrt_adjoin
 from .linalg import Matrix, kron, solve_right, kernel_basis, rank, invert, \
-    NoSolution, rank_factor, _matrix_colfn, columns_matrix
+    NoSolution, rank_factor, _matrix_colfn, columns_matrix, _step
 from . import repcat, diagrams
 from .hopf import Algebra, hopf_axiom_words, check_words
-from .diagrams import apply_word, word_matrix, obj_dual, _step
+from .diagrams import apply_word, word_matrix, obj_dual
 from .repcat import (ModuleObject, Morphism, trivial_module, regular_module,
                      tensor_obj, dual_obj, hom_basis, simples_data,
                      generating_indices, _sparse_columns)
@@ -81,16 +81,18 @@ class CoendData:
 
     # -- dinatural family -------------------------------------------------
     @staticmethod
-    def iota_matrix(x):
-        """The n x dim(X)^2 matrix of iota_X: (xi (x) v) -> (h -> xi(h v));
-        row k is the action of e_k, flattened."""
-        return Matrix(x.algebra.field, len(x.action), x.dim * x.dim,
-                      [v for act in x.action for v in act.data])
-
-    def iota(self, x):
-        """iota_X as a Morphism (materializes the small domain module)."""
-        return Morphism(tensor_obj(dual_obj(x), x), self.carrier,
-                        self.iota_matrix(x))
+    def iota_columns(x):
+        """iota_X: (xi (x) v) -> (h -> xi(h v)) as a column function on
+        X* (x) X -> L: column i * dim X + k holds (g, entry (i, k) of the
+        action of e_g), with the rows g increasing."""
+        d = x.dim
+        cols = [[] for _ in range(d * d)]
+        for g in range(x.algebra.dim):
+            act = x.action_colfn(g)
+            for k in range(d):
+                for i, v in act(k):
+                    cols[i * d + k].append((g, v))
+        return cols.__getitem__
 
     @staticmethod
     def iota_pair_colfn(x, y):
@@ -99,8 +101,7 @@ class CoendData:
         Column (xi (x) eta) (x) (v (x) w) is the product in H* of the
         columns iota_X(xi (x) v) and iota_Y(eta (x) w)."""
         dual = x.algebra.dual()
-        xcol = _matrix_colfn(CoendData.iota_matrix(x))
-        ycol = _matrix_colfn(CoendData.iota_matrix(y))
+        xcol, ycol = CoendData.iota_columns(x), CoendData.iota_columns(y)
         dx, dy = x.dim, y.dim
         d = dx * dy
         cache = {}
@@ -229,8 +230,8 @@ def _object_env(cd, x):
     h = cd.h
     env = diagrams.Env(h).bind_object("XX", x).bind_object("_L", cd.carrier)
     dxx = obj_dual(_XX)
-    env.bind_box("iota_x", cd.iota_matrix(x), dxx + _XX, _LL)
-    env.bind_box("iota_d", cd.iota_matrix(dual_obj(x)), obj_dual(dxx) + dxx,
+    env.bind_box("iota_x", cd.iota_columns(x), dxx + _XX, _LL)
+    env.bind_box("iota_d", cd.iota_columns(dual_obj(x)), obj_dual(dxx) + dxx,
                  _LL)
     # the curl in the antipode diagram: the canonical X -> X** built from
     # braiding and duality alone acts by S(u)^{-1} (u the Drinfeld element)
@@ -254,13 +255,12 @@ def _pair_env(cd, x, y):
 
 
 def build_coend(h):
-    """Carrier and dinatural family; certifies that iota_H composed with the
-    section is the identity (the surjectivity witness)."""
+    """Carrier and dinatural family; certifies that iota_H takes each
+    section column to the unit column (the surjectivity witness)."""
     cd = CoendData(h)
-    cols = cd.section_columns()
-    sec = columns_matrix(h.field, h.dim ** 2, h.dim, lambda j: cols[j].items())
-    ih = cd.iota_matrix(regular_module(h))
-    assert ih * sec == Matrix.identity(h.field, h.dim), \
+    ih, one = cd.iota_columns(regular_module(h)), h.field.one()
+    assert all(_step(c, ih, h.dim ** 2, h.dim, 1) == {a: one}
+               for a, c in enumerate(cd.section_columns())), \
         "section is not a right inverse of iota_H"
     return cd
 
@@ -271,8 +271,9 @@ def _faithful_witness(h):
     no smaller sum is: H is Frobenius, so a faithful module contains every
     indecomposable projective as a summand."""
     mod = repcat.direct_sum(*simples_data(h).projectives)
-    tau = solve_right(CoendData.iota_matrix(mod),
-                      Matrix.identity(h.field, h.dim))
+    iota = columns_matrix(h.field, h.dim, mod.dim ** 2,
+                          CoendData.iota_columns(mod))
+    tau = solve_right(iota, Matrix.identity(h.field, h.dim))
     return mod, tau
 
 
@@ -387,12 +388,11 @@ def dinaturality_certificate(cd):
     n = h.dim
     one = f.one()
     sd = simples_data(h)
-    objects = []
-    seen = set()
+    # each action once, in order (a cover equal to its simple is skipped)
+    firsts = {}
     for m in list(sd.simples) + list(sd.projectives):
-        if m.fingerprint() not in seen:
-            seen.add(m.fingerprint())
-            objects.append(m)
+        firsts.setdefault(m.fingerprint(), m)
+    objects = list(firsts.values())
 
     s = repcat.direct_sum(*objects)
     ss = s.dim * s.dim
@@ -404,7 +404,7 @@ def dinaturality_certificate(cd):
         blocks.append([(off + i) * s.dim + off + k
                        for i in range(x.dim) for k in range(x.dim)])
         off += x.dim
-    iotas = [_matrix_colfn(cd.iota_matrix(x)) for x in objects]
+    iotas = [cd.iota_columns(x) for x in objects]
 
     def domain(xs):
         """The columns of xs's diagonal block in S's domain, and the
@@ -500,7 +500,9 @@ def solve_integrals(cd):
 
     # Lambda: invariant, and mu(e_a x Lambda) = eps(e_a) Lambda =
     # mu(Lambda x e_a)
-    rows = [L.action[g] - eye.scale(h.counit.data[g]) for g in gens]
+    invariant = [columns_matrix(f, n, n, L.action_colfn(g)) -
+                 eye.scale(h.counit.data[g]) for g in gens]
+    rows = list(invariant)
     for i, eps_a in enumerate(cd.eps.data):
         rows += [a.left_regular(i) - eye.scale(eps_a),
                  a.right_mult_matrix(basis[i]) - eye.scale(eps_a)]
@@ -512,7 +514,7 @@ def solve_integrals(cd):
 
     # lambda (as a column): invariant, with (e^a x lambda) Delta =
     # eta_a lambda = (lambda x e^a) Delta
-    rows = [L.action[g].transpose() - eye.scale(h.counit.data[g]) for g in gens]
+    rows = [m.transpose() for m in invariant]
     for e, eta_a in zip(basis, cd.eta.data):
         e = e.transpose()
         rows += [(kron(e, eye) * cd.delta).transpose() - eye.scale(eta_a),
@@ -724,7 +726,7 @@ def _object_word(cd, x, word):
     as L, x as X, iota_X as iota_x and, once solved, the Hopf pairing as
     omega."""
     env = diagrams.Env(cd.h).bind_object("L", cd.carrier).bind_object("X", x)
-    env.bind_box("iota_x", cd.iota_matrix(x), obj_dual(_X) + _X, _L)
+    env.bind_box("iota_x", cd.iota_columns(x), obj_dual(_X) + _X, _L)
     if cd.omega is not None:
         env.bind_box("omega", cd.omega, _L + _L, ())
     return word_matrix(env, word)

@@ -14,7 +14,7 @@ of composites stay as-is (the canonical identifications are explicit boxes).
 
 from math import prod
 
-from .linalg import Matrix, _matrix_colfn, columns_matrix
+from .linalg import Matrix, _matrix_colfn, columns_matrix, _step
 from . import repcat
 
 
@@ -467,21 +467,6 @@ def evaluate_applied(ast, env, columns):
                 post = prod(a[0] for a in atoms[k + 1:])
                 cur = [_step(col, colfn, din, dout, post) for col in cur]
     return cur, env.dim_of(cod)
-
-
-def _step(col, colfn, din, dout, post):
-    """The sparse column `col` under id_pre (x) f (x) id_post, where f is
-    the din -> dout map of `colfn`."""
-    out = {}
-    for flat, val in col.items():
-        top, q = divmod(flat, post)
-        p, sub = divmod(top, din)
-        base = p * dout
-        for row, w in colfn(sub):
-            pos = (base + row) * post + q
-            v = val * w
-            out[pos] = out[pos] + v if pos in out else v
-    return {p: v for p, v in out.items() if any(v.num)}
 
 
 # -- dense view -------------------------------------------------------------

@@ -3,12 +3,14 @@ row reduction with deterministic pivoting, right-hand solves, kernel bases,
 growing spans with canonical reduction modulo a subspace, minimal
 polynomials, and Kronecker products.
 
-The external contract is dense row-major, except that `sparse_kernel` takes
-the sparse rows {col: Scalar} that the elimination engine works on; no
-other module sees its pivots.  The
-product and the Kronecker product visit only nonzero entries.  One
-sparse row update serves `_rref` and `IncrementalSpan`, and one promotion
-rule puts the operands of a product or a solve over a common field.
+The external contract is dense row-major, except for two sparse forms:
+`sparse_kernel` takes the sparse rows {col: Scalar} that the elimination
+engine works on (no other module sees its pivots), and a column function
+j -> [(row, Scalar)] is read by `columns_matrix`, its dense view, and by
+`_step`, which applies it to a sparse column.  The product and the
+Kronecker product visit only nonzero entries.  One sparse row update
+serves `_rref` and `IncrementalSpan`, and one promotion rule puts the
+operands of a product or a solve over a common field.
 """
 
 from .scalars import Scalar
@@ -235,6 +237,21 @@ def columns_matrix(field, rows, ncols, col):
         for i, v in col(j):
             out[i * ncols + j] = v
     return Matrix(field, rows, ncols, out)
+
+
+def _step(col, colfn, din, dout, post):
+    """The sparse column `col` under id_pre (x) f (x) id_post, where f is
+    the din -> dout map of `colfn`."""
+    out = {}
+    for flat, val in col.items():
+        top, q = divmod(flat, post)
+        p, sub = divmod(top, din)
+        base = p * dout
+        for row, w in colfn(sub):
+            pos = (base + row) * post + q
+            v = val * w
+            out[pos] = out[pos] + v if pos in out else v
+    return {p: v for p, v in out.items() if any(v.num)}
 
 
 # ---------------------------------------------------------------------------

@@ -1,27 +1,26 @@
-"""The module category of a Hopf algebra H: modules stored as the sparse
-action columns of the basis elements of H, tensor products and duals,
-intertwiner spaces solved from those columns, simples with projective
-covers, the Cartan matrix, and the Grothendieck ring.  The structure maps
-ev, coev, their tilde versions, the braiding and the twist are generators
-of the one diagram evaluator, `mtc.diagrams`.
+"""The module category of a Hopf algebra H: modules read only as the sparse
+action columns of the basis elements of H, tensor products and duals, one
+statement of the intertwining equations as sparse rows, simples with
+projective covers, the Cartan matrix, and the Grothendieck ring.  The
+structure maps ev, coev, their tilde versions, the braiding and the twist
+are generators of the one diagram evaluator, `mtc.diagrams`.
 """
 
 import json
 
 from .scalars import parse_scalar, parse_count, format_scalar
 from .linalg import (Matrix, solve_right, kernel_basis, sparse_kernel,
-                     IncrementalSpan, columns_matrix)
+                     IncrementalSpan, columns_matrix, _step)
 # unused here; mtcbench's tracer tests check that the binding is patched
 from .linalg import kron  # noqa: F401
 from .etale import orthogonal_primitive_idempotents, newton_lift_idempotent
 
 
 class ModuleObject:
-    """A finite-dimensional H-module, stored as its action columns: for
-    each basis element e_i of H a column function j -> [(row, Scalar)] of
-    the action of e_i, with no zero entries.  The dense matrices
-    (`action`) are a view built on first read and kept: a module's action
-    never changes."""
+    """A finite-dimensional H-module, given and read only as its action
+    columns: for each basis element e_i of H a column function j ->
+    [(row, Scalar)] of the action of e_i, with no zero entries.  A
+    module's action never changes, and it has no dense form."""
 
     def __init__(self, algebra, dim, columns, name="X"):
         assert len(columns) == algebra.dim
@@ -29,26 +28,12 @@ class ModuleObject:
         self.dim = dim
         self._columns = columns
         self.name = name
-        self._action = None
         self._dual = None  # dual_obj(self), built on first use
-
-    @property
-    def action(self):
-        """One dense action matrix per basis element of H."""
-        if self._action is None:
-            f, d = self.algebra.field, self.dim
-            self._action = [columns_matrix(f, d, d, c) for c in self._columns]
-        return self._action
-
-    def act(self, a):
-        """Action matrix of an element a of H, the dense view of act_colfn."""
-        return columns_matrix(self.algebra.field, self.dim, self.dim,
-                              self.act_colfn(a))
 
     def act_colfn(self, a):
         """The action of an element a of H as a column function j ->
-        [(row, Scalar)], the sum of the a_i action[i] read from the action
-        columns.  Each column is built on first use and kept."""
+        [(row, Scalar)], the sum of the a_i times the action columns of
+        e_i.  Each column is built on first use and kept."""
         terms = [(self.action_colfn(i), c) for i, c in enumerate(a.data)
                  if any(c.num)]
         cache = {}
@@ -66,16 +51,21 @@ class ModuleObject:
         return col
 
     def action_colfn(self, i):
-        """The sparse columns of action[i], as a column function j ->
-        [(row, Scalar)]."""
+        """The sparse columns of the action of e_i, as a column function
+        j -> [(row, Scalar)]."""
         return self._columns[i]
 
     def validate(self):
-        h = self.algebra
-        return self.act(h.unit) == Matrix.identity(h.field, self.dim) and all(
-            self.action[i] * self.action[j] ==
-            self.act(h.mul_vec(h.basis_vec(i), h.basis_vec(j)))
-            for i in range(h.dim) for j in range(h.dim))
+        """Whether 1 acts as the identity and e_i (e_j v) = (e_i e_j) v,
+        compared column by column on the basis vectors v."""
+        h, d = self.algebra, self.dim
+        unit, one = self.act_colfn(h.unit), h.field.one()
+        prods = ((self.action_colfn(i), self.action_colfn(j),
+                  self.act_colfn(h.mul_vec(h.basis_vec(i), h.basis_vec(j))))
+                 for i in range(h.dim) for j in range(h.dim))
+        return all(unit(k) == [(k, one)] for k in range(d)) and all(
+            _step(dict(ej(k)), ei, d, d, 1) == dict(eij(k))
+            for ei, ej, eij in prods for k in range(d))
 
     def fingerprint(self):
         """The sort keys of every entry of every action matrix, row by row,
@@ -101,12 +91,13 @@ class Morphism:
         self.matrix = matrix
 
     def is_intertwiner(self, generators=None):
-        h = self.dom.algebra
-        idxs = generators if generators is not None else range(h.dim)
-        for i in idxs:
-            if self.matrix * self.dom.action[i] != self.cod.action[i] * self.matrix:
-                return False
-        return True
+        """Whether f X_g = Y_g f for every basis element g of H, or for the
+        given ones: the equations of `hom_basis` evaluated at f, whose
+        unknown r * dim X + k is the flat index of f[r, k]."""
+        f, zero = self.matrix.data, self.dom.algebra.field.zero()
+        gens = range(self.dom.algebra.dim) if generators is None else generators
+        return all(sum((v * f[p] for p, v in row.items()), zero).is_zero()
+                   for row in _intertwining_rows(self.dom, self.cod, gens))
 
     def __mul__(self, other):
         assert other.cod.dim == self.dom.dim
@@ -165,7 +156,7 @@ def tensor_action_colfn(t, x, y, flip=False):
     """The action on X (x) Y of the 2-tensor t = {(i, j): c}, an element of
     H (x) K stored as in `comult[g]` and `rmatrix`, as a column function
     p -> [(row, Scalar)] read from the factors' action columns: column
-    a * dim Y + b is the sum of c (x.action[i] e_a) (x) (y.action[j] e_b).
+    a * dim Y + b is the sum of c (e_i . x_a) (x) (e_j . y_b).
     With `flip` the rows are indexed in Y (x) X: the action followed by the
     flip of the factors, which is the braiding when t = R.  Each column is
     built on first use and kept."""
@@ -194,8 +185,7 @@ def tensor_action_colfn(t, x, y, flip=False):
 
 def tensor_obj(x, y):
     """Tensor product module via the comultiplication, given by its action
-    columns, read from the factors' columns: no dense matrix is built until
-    a caller reads `.action`."""
+    columns, read from the factors' columns."""
     h = x.algebra
     return ModuleObject(h, x.dim * y.dim,
                         [tensor_action_colfn(t, x, y) for t in h.comult],
@@ -272,18 +262,13 @@ def _generating_indices(h):
     return gens
 
 
-def hom_basis(x, y):
-    """Basis of Hom_H(X, Y), deterministic ordering: the kernel of the
-    equations f X_g - Y_g f = 0 on the dim Y x dim X unknowns f[r, k], at
-    index r * dim X + k, written as sparse rows from the action columns.
-
-    Intertwining is imposed only against the basis elements that
-    `generating_indices` picks, which is equivalent to the full set of
-    basis constraints."""
-    h = x.algebra
+def _intertwining_rows(x, y, gens):
+    """The equations f X_g - Y_g f = 0 for g in gens on the dim Y x dim X
+    unknowns f[r, k], at index r * dim X + k, as sparse rows {index:
+    Scalar} with no zero entries, written from the action columns."""
     dx, dy = x.dim, y.dim
     rows = []
-    for g in generating_indices(h):
+    for g in gens:
         xg, yg = x.action_colfn(g), y.action_colfn(g)
         yrows = [[] for _ in range(dy)]
         for k in range(dy):
@@ -299,8 +284,17 @@ def hom_basis(x, y):
                 row = {p: v for p, v in row.items() if any(v.num)}
                 if row:
                     rows.append(row)
-    return [Morphism(x, y, Matrix(h.field, dy, dx, vec))
-            for vec in sparse_kernel(rows, dx * dy, h.field)]
+    return rows
+
+
+def hom_basis(x, y):
+    """Basis of Hom_H(X, Y), deterministic ordering: the kernel of
+    `_intertwining_rows` on the basis elements that `generating_indices`
+    picks, which is equivalent to the full set of basis constraints."""
+    h = x.algebra
+    rows = _intertwining_rows(x, y, generating_indices(h))
+    return [Morphism(x, y, Matrix(h.field, y.dim, x.dim, vec))
+            for vec in sparse_kernel(rows, x.dim * y.dim, h.field)]
 
 
 def is_isomorphic_simple(x, y):

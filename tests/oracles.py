@@ -2,13 +2,15 @@
 deliberately avoid the library's own computation paths."""
 
 import math
+import sys
+import weakref
 from fractions import Fraction
 
 import sympy
 
 from itertools import product
 
-from mtc import repcat, coend, cli
+from mtc import repcat, coend, cli, linalg
 from mtc.hopf import check_words
 from mtc.report import Report
 from mtc.etale import Subalgebra, orthogonal_primitive_idempotents
@@ -16,7 +18,53 @@ from mtc.scalars import Scalar, poly_squarefree, sqrt_in_field, parse_scalar
 from mtc.diagrams import (Compose, Tensor, Env, apply_word, words_agree,
                           word_matrix, _layers, _gen_colfn)
 from mtc.linalg import (Matrix, kernel_basis, kron, invert, IncrementalSpan,
-                        solve_right, NoSolution, _matrix_colfn)
+                        solve_right, NoSolution, _matrix_colfn, columns_matrix)
+
+
+# a module's action never changes, so its dense forms are built once per
+# module and dropped with it
+_DENSE_ACTION = weakref.WeakKeyDictionary()
+_IOTA_MATRIX = weakref.WeakKeyDictionary()
+
+
+def dense_action(x):
+    """The dense action matrices of a module, one per basis element of H,
+    written from its action columns."""
+    got = _DENSE_ACTION.get(x)
+    if got is None:
+        f, d = x.algebra.field, x.dim
+        got = _DENSE_ACTION[x] = [columns_matrix(f, d, d, x.action_colfn(i))
+                                  for i in range(x.algebra.dim)]
+    return got
+
+
+def count_columns_matrix(monkeypatch):
+    """Record every call of `linalg.columns_matrix`, the one dense view of
+    a column function, through each binding of it in the mtc package; the
+    returned list gets the (rows, cols) of each call."""
+    calls = []
+    orig = linalg.columns_matrix
+
+    def counted(field, rows, ncols, col):
+        calls.append((rows, ncols))
+        return orig(field, rows, ncols, col)
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("mtc") and \
+                getattr(mod, "columns_matrix", None) is orig:
+            monkeypatch.setattr(mod, "columns_matrix", counted)
+    return calls
+
+
+def iota_matrix_oracle(x):
+    """The n x dim(X)^2 matrix of iota_X: (xi (x) v) -> (h -> xi(h v)),
+    whose row g is the dense action of e_g, flattened."""
+    got = _IOTA_MATRIX.get(x)
+    if got is None:
+        act = dense_action(x)
+        got = _IOTA_MATRIX[x] = Matrix(x.algebra.field, len(act),
+                                       x.dim * x.dim,
+                                       [v for a in act for v in a.data])
+    return got
 
 
 def rank_oracle_fraction(rows):
@@ -146,22 +194,24 @@ def evaluate_applied_oracle(ast, env, columns):
 
 def tensor_action_oracle(t, x, y):
     """The action on X (x) Y of the 2-tensor t = {(i, j): c} in H (x) H as
-    the dense sum of c kron(x.action[i], y.action[j]), one Kronecker
-    product and one matrix addition per term."""
+    the dense sum of c kron(X(e_i), Y(e_j)) over the dense actions, one
+    Kronecker product and one matrix addition per term."""
     d = x.dim * y.dim
     m = Matrix.zeros(x.algebra.field, d, d)
+    xa, ya = dense_action(x), dense_action(y)
     for (i, j), c in t.items():
-        m = m + kron(x.action[i], y.action[j]).scale(c)
+        m = m + kron(xa[i], ya[j]).scale(c)
     return m
 
 
 def dense_act_oracle(x, a):
     """The action of the element a of H on X as the dense sum of the
-    a_i x.action[i]."""
+    a_i times the dense action of e_i."""
     m = Matrix.zeros(x.algebra.field, x.dim, x.dim)
+    xa = dense_action(x)
     for i, c in enumerate(a.data):
         if not c.is_zero():
-            m = m + x.action[i].scale(c)
+            m = m + xa[i].scale(c)
     return m
 
 
@@ -279,8 +329,8 @@ def hom_basis_oracle(x, y):
     basis constraints."""
     h = x.algebra
     f = h.field
-    pairs = [(x.action[g], y.action[g])
-             for g in repcat.generating_indices(h)]
+    xa, ya = dense_action(x), dense_action(y)
+    pairs = [(xa[g], ya[g]) for g in repcat.generating_indices(h)]
     dx, dy = x.dim, y.dim
     iy = Matrix.identity(f, dy)
     ix = Matrix.identity(f, dx)
@@ -319,7 +369,7 @@ def direct_sum_oracle(*modules):
         data = [h.field.zero()] * (dim * dim)
         off = 0
         for m in modules:
-            src = m.action[i].data
+            src = dense_action(m)[i].data
             for a in range(m.dim):
                 row = (off + a) * dim + off
                 data[row:row + m.dim] = src[a * m.dim:(a + 1) * m.dim]
@@ -342,7 +392,7 @@ def sub_module(x, basis):
     basis."""
     h = x.algebra
     stack = basis[0].hstack(*basis[1:])
-    action = [solve_right(stack, x.action[i] * stack) for i in range(h.dim)]
+    action = [solve_right(stack, a * stack) for a in dense_action(x)]
     return module_of_matrices(h, action, "%s'" % x.name)
 
 
@@ -352,8 +402,8 @@ def quotient_module(x, span):
     h = x.algebra
     free = span.free_indices()
     action = []
-    for i in range(h.dim):
-        cols = [span.reduce(Matrix.column(h.field, x.action[i].col_list(j)))
+    for a in dense_action(x):
+        cols = [span.reduce(Matrix.column(h.field, a.col_list(j)))
                 for j in free]
         action.append(Matrix(h.field, len(free), len(free),
                              [c.data[r] for r in free for c in cols]))
@@ -371,7 +421,7 @@ def radical_filtration_factors(x, sd):
     while cur.dim > 0:
         vecs = []
         for r in rad:
-            act = cur.act(r)
+            act = dense_act_oracle(cur, r)
             for j in range(cur.dim):
                 v = Matrix.column(f, act.col_list(j))
                 if not v.is_zero():
@@ -497,6 +547,7 @@ def iota_pair_oracle(h, x, y):
     sum_{(m1, m2) in Delta(e_m)} c X(e_m1)[i, k] Y(e_m2)[j, l]."""
     dx, dy = x.dim, y.dim
     d = dx * dy
+    xa, ya = dense_action(x), dense_action(y)
 
     def col(idx):
         q, p = divmod(idx, d)
@@ -506,10 +557,10 @@ def iota_pair_oracle(h, x, y):
         for m_i in range(h.dim):
             s = None
             for (m1, m2), c in h.comult[m_i].items():
-                vx = x.action[m1].data[i * dx + k]
+                vx = xa[m1].data[i * dx + k]
                 if vx.is_zero():
                     continue
-                vy = y.action[m2].data[j * dy + l]
+                vy = ya[m2].data[j * dy + l]
                 if vy.is_zero():
                     continue
                 t = c * vx * vy
@@ -957,7 +1008,7 @@ def verify_hopf_on_coend_oracle(cd):
     one = repcat.trivial_module(h)
     ok = dict.fromkeys((e.check for e in coend.STRUCTURE), True)
     for g in repcat.generating_indices(h):
-        act = (one.action[g], L.action[g],
+        act = (dense_action(one)[g], dense_action(L)[g],
                tensor_action_oracle(h.comult[g], L, L))
         for e in coend.STRUCTURE:
             m = getattr(cd, e.attr)
@@ -995,7 +1046,7 @@ def dinaturality_certificate_oracle(cd):
                 _, dom, cod = env.boxes["kap"]
                 env.bind_box("kap", flip_matrix_oracle(f, y.dim, x.dim),
                              dom, cod)
-            iotas = [cd.iota_matrix(x) for x in xs]
+            iotas = [iota_matrix_oracle(x) for x in xs]
             iota = iotas[0] if k == 1 else kron(*iotas)
             label = " x ".join("iota_%s" % x.name for x in xs)
             label = label if k == 1 else "(%s)" % label
@@ -1007,10 +1058,10 @@ def dinaturality_certificate_oracle(cd):
     for x in objects:
         for y in objects:
             for k, fm in enumerate(repcat.hom_basis(x, y)):
-                lhs = cd.iota_matrix(x) * kron(fm.matrix.transpose(),
-                                               Matrix.identity(f, x.dim))
-                rhs = cd.iota_matrix(y) * kron(Matrix.identity(f, y.dim),
-                                               fm.matrix)
+                lhs = iota_matrix_oracle(x) * kron(fm.matrix.transpose(),
+                                                   Matrix.identity(f, x.dim))
+                rhs = iota_matrix_oracle(y) * kron(Matrix.identity(f, y.dim),
+                                                   fm.matrix)
                 rep.add("dinaturality %s->%s #%d" % (x.name, y.name, k),
                         lhs == rhs)
     return rep

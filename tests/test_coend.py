@@ -8,7 +8,8 @@ import pytest
 import oracles
 from mtc import hopf, repcat, coend
 from mtc.report import FAIL
-from mtc.linalg import Matrix, kron, rank, solve_right
+from mtc.linalg import (Matrix, kron, rank, solve_right, _matrix_colfn,
+                        columns_matrix)
 from mtc.repcat import (trivial_module, regular_module, tensor_obj, dual_obj,
                         direct_sum, hom_basis, simples_data)
 from mtc.coend import (build_coend, solve_integrals, modularity_test,
@@ -23,13 +24,16 @@ def test_carrier_and_iota(dz2_ribbon):
     h = dz2_ribbon
     assert cd.carrier.dim == h.dim  # dim L = dim H
     assert cd.carrier.validate()
+
+    def iota(x):
+        return repcat.Morphism(tensor_obj(dual_obj(x), x), cd.carrier,
+                               columns_matrix(h.field, h.dim, x.dim ** 2,
+                                              cd.iota_columns(x)))
     # iota_1 factors through a 1-dim image and equals the counit vector
-    one = trivial_module(h)
-    i1 = cd.iota(one)
-    assert i1.matrix == h.counit.transpose()
+    assert iota(trivial_module(h)).matrix == h.counit.transpose()
     # iota is an intertwiner on simples
     for s in simples_data(h).simples:
-        assert cd.iota(s).is_intertwiner()
+        assert iota(s).is_intertwiner()
 
 
 @pytest.fixture(scope="module", params=["dz2", "dz3", "sweedler", "dsw"])
@@ -45,11 +49,31 @@ def _iota_pairs_agree(x, y, indices):
     return all(new(idx) == old(idx) for idx in indices)
 
 
+def _iota_columns_agree(x, indices):
+    new = coend.CoendData.iota_columns(x)
+    old = _matrix_colfn(oracles.iota_matrix_oracle(x))
+    return all(new(j) == old(j) for j in indices)
+
+
+def test_iota_columns_match_oracle(oracle_algebra):
+    """iota_X's column function, read from the action columns, has the
+    columns of the matrix that flattens the dense action, rows in order,
+    on every simple and projective cover, the regular module, a dual and a
+    tensor product."""
+    h = oracle_algebra
+    sd = simples_data(h)
+    p = sd.projectives[-1]
+    for x in list(sd.simples) + list(sd.projectives) + [
+            regular_module(h), dual_obj(p), tensor_obj(p, sd.simples[-1])]:
+        assert _iota_columns_agree(x, range(x.dim * x.dim)), x.name
+
+
 def test_carrier_matches_coadjoint_oracle(oracle_algebra):
     """L, read off the bimodule F along Delta, equals the contraction of
     S(h_(1)) a h_(2), entry by entry."""
     h = oracle_algebra
-    assert coend.coadjoint_module(h).action == oracles.coadjoint_oracle(h)
+    assert oracles.dense_action(coend.coadjoint_module(h)) == \
+        oracles.coadjoint_oracle(h)
 
 
 def test_iota_pair_matches_oracle(oracle_algebra):
@@ -67,18 +91,22 @@ def test_iota_pair_matches_oracle(oracle_algebra):
 
 @pytest.mark.slow
 def test_carrier_and_iota_pair_match_oracles_slow():
-    """As the tier-1 comparisons, on D(Taft_3) (dim 81): the carrier, and
-    3000 seeded columns of iota on (H, the faithful witness).  Budget:
-    60 s with the simples and the witness."""
+    """As the tier-1 comparisons, on D(Taft_3) (dim 81): the carrier,
+    3000 seeded columns of iota on (H, the faithful witness), and 3000
+    seeded columns of iota_H.  Budget: 60 s with the simples and the
+    witness."""
     start = time.perf_counter()
     h = hopf.builtin("double_taft", [3])
-    assert coend.coadjoint_module(h).action == oracles.coadjoint_oracle(h)
+    assert oracles.dense_action(coend.coadjoint_module(h)) == \
+        oracles.coadjoint_oracle(h)
     reg = regular_module(h)
     wit, _ = coend._faithful_witness(h)
     rng = random.Random(0)
     ncols = (reg.dim * wit.dim) ** 2
     assert _iota_pairs_agree(reg, wit,
                              [rng.randrange(ncols) for _ in range(3000)])
+    assert _iota_columns_agree(
+        reg, [rng.randrange(reg.dim * reg.dim) for _ in range(3000)])
     assert time.perf_counter() - start < 60
 
 
@@ -88,10 +116,10 @@ def test_dinaturality_of_iota(dz2_coend, dz2_simples):
     for x in dz2_simples.simples:
         for y in dz2_simples.projectives:
             for fm in hom_basis(x, y):
-                lhs = cd.iota_matrix(x) * kron(fm.matrix.transpose(),
-                                               Matrix.identity(h.field, x.dim))
-                rhs = cd.iota_matrix(y) * kron(Matrix.identity(h.field, y.dim),
-                                               fm.matrix)
+                lhs = oracles.iota_matrix_oracle(x) * kron(
+                    fm.matrix.transpose(), Matrix.identity(h.field, x.dim))
+                rhs = oracles.iota_matrix_oracle(y) * kron(
+                    Matrix.identity(h.field, y.dim), fm.matrix)
                 assert lhs == rhs
 
 
@@ -327,7 +355,7 @@ def test_certificate_fails_only_the_pair_with_a_bumped_mu(dz3_coend):
     cd = dz3_coend
     f = cd.field
     simples = simples_data(cd.h).simples
-    iotas = [cd.iota_matrix(x) for x in simples]
+    iotas = [oracles.iota_matrix_oracle(x) for x in simples]
     pairs = [kron(a, b) for a in iotas for b in iotas]
     target = Matrix.zeros(f, len(pairs), 1)
     target[1 * len(simples) + 2, 0] = f.one()
@@ -417,14 +445,15 @@ def test_action_words_match_index_formulas(any_coend):
     for x in objs:
         d = x.dim
         dlt = canonical_coaction(cd, x).matrix
-        assert dlt == oracles.coaction_oracle(cd.iota_matrix(x), d, n)
+        assert dlt == oracles.coaction_oracle(oracles.iota_matrix_oracle(x),
+                                              d, n)
         rho = canonical_action(cd, x).matrix
         assert rho == oracles.action_oracle(dlt, cd.omega, d, n)
-        ginv = x.act(h.inv_vec(h.pivot()))
+        ginv = oracles.dense_act_oracle(x, h.inv_vec(h.pivot()))
         assert characters(cd, x)[0].matrix == \
             oracles.character_oracle(rho, ginv, d, n)
         env = Env(h).bind_object("X", x)
-        assert cocharacter(cd, x).matrix == cd.iota_matrix(x) * \
+        assert cocharacter(cd, x).matrix == oracles.iota_matrix_oracle(x) * \
             oracles.dense_word_oracle(parse("coevt(X)"), env)
         xbar = objs[1]
         assert cardy_action(cd, x, xbar).matrix == \
@@ -456,10 +485,10 @@ def test_faithful_witness_above_desk_scale():
     y, tau = coend._faithful_witness(h)
     covers = simples_data(h).projectives
     assert y.dim == sum(p.dim for p in covers) < h.dim
-    iy = coend.CoendData.iota_matrix(y)
+    iy = oracles.iota_matrix_oracle(y)
     assert rank(iy) == h.dim  # faithful
     assert iy * tau == Matrix.identity(h.field, h.dim)
-    iotas = [coend.CoendData.iota_matrix(p) for p in covers]
+    iotas = [oracles.iota_matrix_oracle(p) for p in covers]
     for i in range(len(covers)):
         rest = iotas[:i] + iotas[i + 1:]
         assert rank(rest[0].hstack(*rest[1:])) < h.dim

@@ -9,7 +9,8 @@ from mtc.diagrams import (parse, typecheck, evaluate_applied, apply_word,
                           identity_columns, words_agree, Env, Gen, Compose,
                           Tensor, DiagramError, DiagramTypeError, obj_name)
 from oracles import (dense_word_oracle, evaluate_applied_oracle,
-                     matmul_oracle, word_matrix_on)
+                     matmul_oracle, word_matrix_on, dense_action,
+                     iota_matrix_oracle, count_columns_matrix)
 
 
 @pytest.fixture(scope="module")
@@ -148,7 +149,7 @@ def test_applied_matches_dense(env3, dz3):
     """Every generator, on simples of D(Z/3) that are not self-dual, on
     its regular module and on products and a dual of a product of them,
     against the dense composition of the oracle's own modules."""
-    g = repcat.regular_module(dz3).action[1]
+    g = dense_action(repcat.regular_module(dz3))[1]
     env3.bind_box("g", g, (("name", "H"),), (("name", "H"),))
     words = [
         "(coev(X) * id(X)) ; (id(X) * ev(X))",
@@ -182,16 +183,19 @@ def test_applied_matches_dense(env3, dz3):
             dense_word_oracle(parse(w), env3, {"g": g}), w
 
 
-def test_product_arguments_build_no_dense_action(env3):
+def test_product_arguments_build_no_dense_action(env3, monkeypatch):
     """tw and br on a product argument read the product's action columns
-    from its factors': its dense action stays unbuilt."""
+    from its factors': the only dense views built are the two words'
+    own matrices."""
     env = Env(env3.algebra)
     for name, x in env3.objects.items():
         env.bind_object(name, x)
+    calls = count_columns_matrix(monkeypatch)
     word_matrix(env, "tw(X x Y)")
     word_matrix(env, "br(X x Y, H)")
-    xy = env.module_of(typecheck(parse("id(X x Y)"), env)[0])
-    assert xy._action is None
+    dxy = env.dim_of(typecheck(parse("id(X x Y)"), env)[0])
+    dh = env.objects["H"].dim
+    assert calls == [(dxy, dxy), (dxy * dh, dxy * dh)]
 
 
 def test_word_check_can_fail(env3):
@@ -292,8 +296,8 @@ def test_product_and_evaluator_match_oracles_slow():
         cols = [{rng.randrange(dim): one} for _ in range(2000)]
         assert _matches_layer_loop(env, w, cols), w
     reg = repcat.regular_module(h)
-    iota = coend.CoendData.iota_matrix(reg)
-    g, k = (reg.action[rng.randrange(h.dim)] for _ in range(2))
+    iota = iota_matrix_oracle(reg)
+    g, k = (dense_action(reg)[rng.randrange(h.dim)] for _ in range(2))
     for a, b in ((g, k), (g, iota), (iota.transpose(), g),
                  (iota, iota.transpose())):
         assert a * b == matmul_oracle(a, b)

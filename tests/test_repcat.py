@@ -12,7 +12,8 @@ from mtc.repcat import (trivial_module, regular_module, tensor_obj, dual_obj,
 from oracles import (tensor_action_oracle, radical_filtration_factors,
                      flip_matrix_oracle, word_matrix_on, hom_basis_oracle,
                      module_from_vectors_oracle, direct_sum_oracle,
-                     module_file_oracle, dense_act_oracle)
+                     module_file_oracle, dense_act_oracle, dense_action,
+                     count_columns_matrix)
 
 
 def all_test_objects(h):
@@ -69,17 +70,47 @@ def test_hom_basis_matches_kron_oracle(hom_objects):
                 (x.name, y.name)
 
 
+def _dense_intertwines(m):
+    """f X_g = Y_g f for every basis element g, on the dense actions."""
+    return all(m.matrix * a == b * m.matrix for a, b in
+               zip(dense_action(m.dom), dense_action(m.cod)))
+
+
+@pytest.mark.parametrize("name", ["dz3", "sweedler"])
+def test_is_intertwiner_can_fail(name, request):
+    """On D(Z/3) and Sweedler's algebra: every basis map of End(H) is an
+    intertwiner, the same map with one entry bumped is not, and neither is
+    a nonzero map between two non-isomorphic simples, against all of H and
+    against the generators alike; the dense products agree each time."""
+    h = request.getfixturevalue(name)
+    gens = repcat.generating_indices(h)
+    reg = regular_module(h)
+    ends = hom_basis(reg, reg)
+    assert all(m.is_intertwiner() and _dense_intertwines(m) for m in ends)
+    bumped = ends[0].matrix.copy()
+    bumped[0, 1] = bumped[0, 1] + h.field.one()
+    s0, s1 = simples_data(h).simples[:2]
+    for bad in (repcat.Morphism(reg, reg, bumped),
+                repcat.Morphism(s0, s1, Matrix.identity(h.field, 1))):
+        assert not _dense_intertwines(bad)
+        assert not bad.is_intertwiner()
+        assert not bad.is_intertwiner(gens)
+
+
 def test_grothendieck_ring_builds_no_dense_tensor_action(monkeypatch):
     """The Hom spaces of the fusion rules read a product's action columns
-    from its factors: no product densifies its action."""
+    from its factors: no product densifies its action, and no dense view
+    of a column function is built at all once the simples are known."""
     h = hopf.builtin("double_group_algebra", [3])
+    simples_data(h)  # the fingerprints that order the simples are dense
+    calls = count_columns_matrix(monkeypatch)
     made = []
     tensor = repcat.tensor_obj
     monkeypatch.setattr(repcat, "tensor_obj",
                         lambda x, y: made.append(tensor(x, y)) or made[-1])
     grothendieck_ring(h)
     assert len(made) == 81
-    assert all(m._action is None for m in made)
+    assert calls == []
 
 
 def test_constructors_match_dense_oracles(hom_objects):
@@ -91,27 +122,28 @@ def test_constructors_match_dense_oracles(hom_objects):
     an explicit 0 against entry-by-entry assignment."""
     h, objs = hom_objects
     f = h.field
-    assert regular_module(h).action == [h.left_regular(i)
-                                        for i in range(h.dim)]
-    assert trivial_module(h).action == [
+    assert dense_action(regular_module(h)) == [h.left_regular(i)
+                                               for i in range(h.dim)]
+    assert dense_action(trivial_module(h)) == [
         Matrix.from_rows(f, [[c]]) for c in h.counit.data]
     sd = simples_data(h)
     x = direct_sum(sd.simples[0], sd.projectives[-1], sd.simples[-1])
-    assert x.action == direct_sum_oracle(sd.simples[0], sd.projectives[-1],
-                                         sd.simples[-1])
+    assert dense_action(x) == direct_sum_oracle(
+        sd.simples[0], sd.projectives[-1], sd.simples[-1])
     for y in objs[-3:]:
-        assert dual_obj(y).action == [
+        assert dense_action(dual_obj(y)) == [
             dense_act_oracle(y, Matrix.column(f, h.antipode.col_list(i)))
             .transpose() for i in range(h.dim)]
     for e in sd.idempotents:
         vectors = [h.mul_vec(h.basis_vec(i), e) for i in range(h.dim)]
-        assert repcat.module_from_vectors(h, vectors, "P").action == \
-            module_from_vectors_oracle(h, vectors)
+        assert dense_action(repcat.module_from_vectors(h, vectors, "P")) \
+            == module_from_vectors_oracle(h, vectors)
     d = module_to_json_dict(x)
     k, i, j, c = d["action"][0]
     d["action"] = [[k, i, j, "5"]] + d["action"] + [
         [k, i, j, "0"], [k, i, j, c], [k, i, (j + 1) % x.dim, "0"]]
-    assert module_from_json_dict(h, d).action == module_file_oracle(h, d)
+    assert dense_action(module_from_json_dict(h, d)) == \
+        module_file_oracle(h, d)
 
 
 def test_simples_z2(z2):
@@ -169,7 +201,7 @@ def test_snake_identities(dz2_ribbon):
 def test_dual_of_trivial(z2):
     one = trivial_module(z2)
     d = dual_obj(one)
-    assert d.action == one.action
+    assert dense_action(d) == dense_action(one)
 
 
 def test_dual_is_built_once_per_module(dz2_ribbon):
@@ -180,17 +212,18 @@ def test_dual_is_built_once_per_module(dz2_ribbon):
     # the cached dual is the rho(S(a))^T of a fresh module with x's action
     fresh = dual_obj(repcat.ModuleObject(
         h, x.dim, [x.action_colfn(i) for i in range(h.dim)], x.name))
-    assert fresh is not d and fresh.action == d.action
+    assert fresh is not d and dense_action(fresh) == dense_action(d)
     assert dual_obj(d) is dual_obj(d) and dual_obj(d) is not x
 
 
 def test_action_columns_are_kept_per_module(dz3, dz3_simples):
     """On D(Z/3)'s simples, covers and their duals, action_colfn(i) has
-    the sparse columns of action[i], and is built once."""
+    the sparse columns of its dense view: the rows increasing and no zero
+    entries.  It is built once."""
     sd = dz3_simples
     mods = list(sd.simples) + list(sd.projectives)
     for x in mods + [dual_obj(m) for m in mods]:
-        for i, act in enumerate(x.action):
+        for i, act in enumerate(dense_action(x)):
             cols = x.action_colfn(i)
             fresh = _matrix_colfn(act)
             assert all(cols(j) == fresh(j) for j in range(x.dim))
@@ -265,7 +298,8 @@ def test_tensor_action_matches_dense_sum(name, request):
         for y in objs:
             xy = tensor_obj(x, y)
             for g in range(h.dim):
-                assert xy.action[g] == tensor_action_oracle(h.comult[g], x, y)
+                assert dense_action(xy)[g] == \
+                    tensor_action_oracle(h.comult[g], x, y)
             assert word_matrix_on(h, "br(X, Y)", X=x, Y=y) == \
                 flip_matrix_oracle(h.field, x.dim, y.dim) * \
                 tensor_action_oracle(h.rmatrix, x, y)
@@ -276,7 +310,7 @@ def test_direct_sum_of_several_modules(sweedler):
     sd = simples_data(sweedler)
     a, b, c = sd.simples[0], sd.projectives[1], sd.simples[1]
     s = direct_sum(a, b, c)
-    assert s.action == direct_sum(direct_sum(a, b), c).action
+    assert dense_action(s) == dense_action(direct_sum(direct_sum(a, b), c))
     assert s.name == "(S0 + P1 + S1)"
     assert s.validate()
 
@@ -341,7 +375,7 @@ def test_module_serialization(dz2, tmp_path):
         d = module_to_json_dict(x)
         x2 = module_from_json_dict(dz2, d)
         assert x2.dim == x.dim
-        assert all(a == b for a, b in zip(x2.action, x.action))
+        assert dense_action(x2) == dense_action(x)
 
 
 def test_nonsplit_detection():
