@@ -164,9 +164,10 @@ def defect_operator(cd, d_obj, check=True):
     o = a.left_mult_matrix(coend_mod.cocharacter(cd, d_obj).matrix)
     if check:
         chi, _ = coend_mod.characters(cd, d_obj)
-        delta_lambda = coend_mod.frobenius_coproduct(cd)
-        alt = kron(chi.matrix * cd.S_transform,
-                   Matrix.identity(cd.field, a.dim)) * delta_lambda
+        alt = coend_mod.structure_word(
+            cd, "box(dLam) ; (box(chiS) * id(L))",
+            dLam=(coend_mod.frobenius_coproduct(cd), 1, 2),
+            chiS=(chi.matrix * cd.S_transform, 1, 0))
         if o != alt:
             raise CardyError("the two defect-operator formulas disagree for %s"
                              % d_obj.name)

@@ -21,7 +21,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 from .scalars import format_scalar
-from .linalg import Matrix, kron, rank
+from .linalg import rank
 from . import hopf as hopf_mod
 from . import repcat, coend as coend_mod, cardy as cardy_mod, diagrams
 from .hopf import AlgebraFormatError, HopfError
@@ -312,12 +312,12 @@ def _structural_checks(h, sd, rep, have_ribbon):
 
 
 def _character_checks(h, sd, cd, rep):
-    eye = Matrix.identity(h.field, h.dim)
     ok = True
     cochars = []
     for s in list(sd.simples) + list(sd.projectives):
         chi, chk = coend_mod.characters(cd, s)
-        ok = ok and chi.matrix == cd.omega * kron(chk.matrix, eye)
+        ok = ok and chi.matrix == coend_mod.structure_word(
+            cd, "(box(chk) * id(L)) ; box(omega)", chk=(chk.matrix, 0, 1))
         cochars.append(chk.matrix)
     rep.add("chi = omega(chk x id)", ok)
     rep.add("cocharacters of simples linearly independent",

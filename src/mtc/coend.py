@@ -7,34 +7,36 @@ Frobenius (Radford) pairing, and the modular S and T transformations.
 The structure morphisms are listed once, in STRUCTURE.  Each is solved from
 its defining diagram with X = H (regular module), through the explicit
 section xi -> xi (x) 1 of iota_H, and, for a word on a pair, Y = the sum of
-the projective covers, through a solved right inverse of iota_Y.  Each is
-then certified by re-checking its defining relation on all simples and
-projective covers, or on all pairs of them.  Diagram words are evaluated
-column-by-column on sparse vectors.
+the projective covers, through a solved right inverse of iota_Y, and then
+certified on all simples and projective covers, or on all pairs of them.
+The integrals are the kernel of sparse rows: the intertwining equations of
+`repcat` and the integral equations, read from mu's or Delta's entries.
 
-The derived morphisms are diagram words in the solved structure, evaluated
-by the same evaluator.  One copairing word (rho x id)(id x copairing)
-gives the S transformation (rho = omega), the Frobenius coproduct
-(rho = mu) and the coaction delta^Lambda of an L-module (rho its action).
-The words on an object X are the canonical coaction delta_X =
+Everything derived from the solved structure is a diagram word, evaluated
+column by column on sparse vectors by the one evaluator, with no Kronecker
+product: zeta, the Radford copairing and S (each once, for the solved
+Lambda), the snake and kappa checks, and one copairing word
+(rho x id)(id x copairing), which gives S (rho = omega), the Frobenius
+coproduct (rho = mu) and the coaction delta^Lambda of an L-module (rho its
+action).  The words on an object X are the canonical coaction delta_X =
 (id x iota_X)(coev_X x id), the action rho_X = (id x omega)(delta_X x id)
 with delta_X inlined, the character chi_X as the pivotal trace of that
 action word, and the cocharacter iota_X coev~_X.
 """
-
 from collections import namedtuple
 from itertools import product
 from math import prod
 
-from .scalars import sqrt_adjoin
-from .linalg import Matrix, kron, solve_right, kernel_basis, rank, invert, \
+from .scalars import sqrt_adjoin, sqrt_in_field
+from .linalg import Matrix, solve_right, sparse_kernel, rank, invert, \
     NoSolution, rank_factor, _matrix_colfn, columns_matrix, _step
 from . import repcat, diagrams
+from .etale import sign_normalized_first
 from .hopf import Algebra, hopf_axiom_words, check_words
 from .diagrams import apply_word, word_matrix, obj_dual
 from .repcat import (ModuleObject, Morphism, trivial_module, regular_module,
                      tensor_obj, dual_obj, hom_basis, simples_data,
-                     generating_indices, _sparse_columns)
+                     generating_indices, _sparse_columns, _intertwining_rows)
 from .report import Report
 
 
@@ -319,13 +321,29 @@ def solve_structure_morphisms(cd):
     return cd
 
 
-def _structure_env(cd):
-    """Environment with the carrier bound as L and the solved structure
-    morphisms of the coend as boxes on it."""
+# The solved boxes after STRUCTURE's, as (box, CoendData attribute,
+# domain, codomain), bound once their attribute is set
+SOLVED = (("Lam", "Lambda", (), _L), ("lam", "lambda_", _L, ()),
+          ("kappa", "kappa", _L + _L, ()), ("Smod", "S_transform", _L, _L),
+          ("copair", "kappa_copair", (), _L + _L))
+
+
+def _structure_env(cd, **extra):
+    """Environment with the carrier bound as L, and as boxes on it the
+    structure morphisms, the solved entries of SOLVED and each extra box
+    name=(map, k, l) of a map L^k -> L^l."""
     env = diagrams.Env(cd.h).bind_object("L", cd.carrier)
-    for e in STRUCTURE:
-        env.bind_box(e.box, getattr(cd, e.attr), e.dom, e.cod)
+    for box, attr, dom, cod in [e[1:5] for e in STRUCTURE] + list(SOLVED):
+        if getattr(cd, attr) is not None:
+            env.bind_box(box, getattr(cd, attr), dom, cod)
+    for name, (m, k, l) in extra.items():
+        env.bind_box(name, m, _L * k, _L * l)
     return env
+
+
+def structure_word(cd, word, **extra):
+    """The matrix of a word on `_structure_env(cd, **extra)`."""
+    return word_matrix(_structure_env(cd, **extra), word)
 
 
 # The Hopf-algebra identities of the coend in the braided category: H's
@@ -485,44 +503,56 @@ def _batches(items, size):
 # ---------------------------------------------------------------------------
 # integrals, modularity, S/T
 
+# The Frobenius snakes (each equal to id(L)) and the kappa relations of S
+SNAKE_WORDS = ("(id(L) * box(copair)) ; (box(kappa) * id(L))",
+               "(box(copair) * id(L)) ; (id(L) * box(kappa))")
+KAPPA_WORDS = (
+    ("kappa(S x id) = omega",
+     ("(box(Smod) * id(L)) ; box(kappa)", "box(omega)"), None),
+    ("kappa(id x S) = omega",
+     ("(id(L) * box(Smod)) ; box(kappa)", "box(omega)"), None),
+)
+
+
+def _integral_rows(n, product, counit):
+    """The equations m(e_a x X) = counit_a X = m(X x e_a) on the unknown
+    X, for the product e_i e_j = product(i, j) -> [(k, Scalar)]: one
+    sparse row per coordinate of each side."""
+    rows = []
+    for a, c in enumerate(counit):
+        for side in (lambda j: product(a, j), lambda i: product(i, a)):
+            eqs = [{k: -c} for k in range(n)]
+            for j in range(n):
+                for k, v in side(j):
+                    eqs[k][j] = eqs[k][j] + v if j in eqs[k] else v
+            rows += [{j: v for j, v in eq.items() if any(v.num)} for eq in eqs]
+    return rows
+
+
 def solve_integrals(cd):
     """The (1-dimensional) two-sided integral and cointegral spaces of L,
     normalized so lambda . Lambda = 1 with the deterministic lambda pivot.
-    Returns (Lambda, lambda)."""
-    h = cd.h
-    f = cd.field
-    n = h.dim
-    L = cd.carrier
-    a = cd.algebra
-    eye = Matrix.identity(f, n)
-    gens = generating_indices(h)
-    basis = [a.basis_vec(i) for i in range(n)]
-
-    # Lambda: invariant, and mu(e_a x Lambda) = eps(e_a) Lambda =
-    # mu(Lambda x e_a)
-    invariant = [columns_matrix(f, n, n, L.action_colfn(g)) -
-                 eye.scale(h.counit.data[g]) for g in gens]
-    rows = list(invariant)
-    for i, eps_a in enumerate(cd.eps.data):
-        rows += [a.left_regular(i) - eye.scale(eps_a),
-                 a.right_mult_matrix(basis[i]) - eye.scale(eps_a)]
-    space = kernel_basis(rows[0].vstack(*rows[1:]))
+    Lambda: 1 -> L intertwines, with mu(e_a x Lambda) = eps_a Lambda =
+    mu(Lambda x e_a); lambda: L -> 1 intertwines and is the integral of
+    the dual algebra (Delta^T, eta).  Returns (Lambda, lambda)."""
+    h, f, n = cd.h, cd.field, cd.h.dim
+    one, gens, mult = trivial_module(h), generating_indices(h), cd.algebra.mult
+    space = sparse_kernel(
+        _intertwining_rows(one, cd.carrier, gens) +
+        _integral_rows(n, lambda i, j: mult[i][j].items(), cd.eps.data), n, f)
     if len(space) != 1:
         raise CoendError("integral space has dimension %d (expected 1: "
                          "non-unimodularity contradicts modularity)" % len(space))
-    Lam = space[0]
+    Lam = Matrix(f, n, 1, space[0])
 
-    # lambda (as a column): invariant, with (e^a x lambda) Delta =
-    # eta_a lambda = (lambda x e^a) Delta
-    rows = [m.transpose() for m in invariant]
-    for e, eta_a in zip(basis, cd.eta.data):
-        e = e.transpose()
-        rows += [(kron(e, eye) * cd.delta).transpose() - eye.scale(eta_a),
-                 (kron(eye, e) * cd.delta).transpose() - eye.scale(eta_a)]
-    space = kernel_basis(rows[0].vstack(*rows[1:]))
+    def coproduct(i, j):
+        return [(k, v) for k, v in enumerate(cd.delta.row_list(i * n + j))
+                if any(v.num)]
+    space = sparse_kernel(_intertwining_rows(cd.carrier, one, gens) +
+                          _integral_rows(n, coproduct, cd.eta.data), n, f)
     if len(space) != 1:
         raise CoendError("cointegral space has dimension %d (expected 1)" % len(space))
-    lam = space[0].transpose()
+    lam = Matrix(f, 1, n, space[0])
 
     piv = next(i for i in range(n) if not lam.data[i].is_zero())
     lam = lam.scale(lam.data[piv].inv())
@@ -536,65 +566,47 @@ def solve_integrals(cd):
 def integrals_and_zeta(cd):
     """Two-sided integral and cointegral of L, normalized per the modularity
     parameter and the vacuum compatibility eps . S = lambda; fixes D as a
-    square root of zeta and the constants Delta^{+-}."""
-    f = cd.field
-    n = cd.h.dim
-    eye = Matrix.identity(f, n)
+    square root of zeta and the constants Delta^{+-}, and stores the
+    Radford copairing and S.  zeta, the copairing and S are evaluated once,
+    for the solved Lambda, and rescaled with it."""
     Lam, lam = solve_integrals(cd)
+    env = _structure_env(cd, Lam=(Lam, 0, 1))
+    w = word_matrix(env, "(id(L) * box(Lam)) ; box(omega)")
+    if w.is_zero():
+        raise CoendError("zeta = 0: the Hopf pairing is degenerate")
+    zeta = _proportionality(w, lam)
+    if zeta is None:
+        raise CoendError("omega(id x Lambda) is not proportional to lambda")
+    # the Radford copairing (S x id) Delta Lambda
+    copair = word_matrix(env, "box(Lam) ; box(delta) ; (box(S) * id(L))")
+    s = through_copairing(cd, cd.carrier, cd.omega, trivial_module(cd.h),
+                          copair)
 
-    def zeta_of(lam, Lam):
-        w = cd.omega * kron(eye, Lam)
-        if w.is_zero():
-            raise CoendError("zeta = 0: the Hopf pairing is degenerate")
-        zeta = _proportionality(w, lam)
-        if zeta is None:
-            raise CoendError("omega(id x Lambda) is not proportional to lambda")
-        return zeta
-
-    zeta = zeta_of(lam, Lam)
-
-    # The pair (lambda, Lambda) is only fixed up to (c lambda, Lambda/c),
-    # which rescales zeta by c^{-2}.  The representative is pinned by the
-    # vacuum compatibility eps . S_transform = lambda (the relation that
-    # makes the character/cocharacter transformation laws and the two
-    # defect-operator formulas hold on the nose): solve c^2 from the
-    # measured proportionality and rescale when the root is in the field.
-    from .scalars import sqrt_in_field
-    from .etale import sign_normalized_first
-    eps_s = cd.eps * through_copairing(cd, cd.carrier, cd.omega,
-                                       trivial_module(cd.h),
-                                       _copairing(cd, Lam))
-    ratio = _proportionality(eps_s, lam)
+    # (lambda, Lambda) is fixed only up to (c lambda, Lambda/c), which
+    # rescales zeta by c^{-2} and the copairing and S (linear in Lambda) by
+    # 1/c.  The vacuum compatibility eps . S_transform = lambda (which makes
+    # the character/cocharacter laws and the two defect-operator formulas
+    # hold on the nose) pins c^2; c = 1 when no root is in the field.
+    ratio = _proportionality(cd.eps * s, lam)
     if ratio is None:
         raise CoendError("eps . S_transform is not proportional to lambda")
     roots = sqrt_in_field(ratio)
-    if roots:
-        c = sign_normalized_first(roots)
-        lam = lam.scale(c)
-        Lam = Lam.scale(c.inv())
-        zeta = zeta_of(lam, Lam)
-
-    tinv = invert(cd.T_transform)
-    dplus = (cd.eps * (cd.T_transform * Lam)).data[0]
-    dminus = (cd.eps * (tinv * Lam)).data[0]
+    c = sign_normalized_first(roots) if roots else cd.field.one()
+    cinv = c.inv()
+    dplus = (cd.eps * (cd.T_transform * Lam)).data[0] * cinv
+    dminus = (cd.eps * (invert(cd.T_transform) * Lam)).data[0] * cinv
     if dplus.is_zero() or dminus.is_zero():
         raise CoendError("Delta^+- vanished")
     # residual overall sign: make the first nonzero coordinate of Delta^+
-    # positive via (lambda, Lambda) -> (-lambda, -Lambda)
-    lead = next(x for x in dplus.num if x != 0)
-    if lead < 0:
-        lam = lam.scale(-f.one())
-        Lam = Lam.scale(-f.one())
-        dplus = -dplus
-        dminus = -dminus
-
-    cd.Lambda = Lam
-    cd.lambda_ = lam
-    cd.zeta = zeta
-    cd.D, cd.D_field = sqrt_adjoin(zeta)
-    cd.Delta_plus = dplus
-    cd.Delta_minus = dminus
-    if cd.Delta_plus * cd.Delta_minus != zeta:
+    # positive via c -> -c
+    if next(x for x in dplus.num if x != 0) < 0:
+        c, cinv, dplus, dminus = -c, -cinv, -dplus, -dminus
+    cd.Lambda, cd.lambda_ = Lam.scale(cinv), lam.scale(c)
+    cd.zeta = zeta * cinv * cinv
+    cd.kappa_copair, cd.S_transform = copair.scale(cinv), s.scale(cinv)
+    cd.D, cd.D_field = sqrt_adjoin(cd.zeta)
+    cd.Delta_plus, cd.Delta_minus = dplus, dminus
+    if dplus * dminus != cd.zeta:
         raise CoendError("zeta != Delta^+ Delta^-")
     return cd
 
@@ -605,22 +617,14 @@ def modularity_test(cd):
 
 
 def radford_pairing(cd):
-    """kappa = lambda . mu and its copairing (S x id) Delta Lambda, with the
-    Frobenius snake identities verified."""
-    eye = Matrix.identity(cd.field, cd.h.dim)
+    """kappa = lambda . mu, with the Frobenius snake identities of kappa
+    and the copairing (S x id) Delta Lambda stored by integrals_and_zeta
+    checked as words on L."""
     cd.kappa = cd.lambda_ * cd.mu
-    cd.kappa_copair = _copairing(cd, cd.Lambda)
-    snake1 = kron(cd.kappa, eye) * kron(eye, cd.kappa_copair)
-    snake2 = kron(eye, cd.kappa) * kron(cd.kappa_copair, eye)
-    if snake1 != eye or snake2 != eye:
+    env = _structure_env(cd)
+    if not all(diagrams.words_agree(env, (w, "id(L)")) for w in SNAKE_WORDS):
         raise CoendError("Frobenius snake identities fail for the Radford pairing")
     return cd.kappa, cd.kappa_copair
-
-
-def _copairing(cd, Lam):
-    """(S x id) Delta Lambda: 1 -> L (x) L."""
-    eye = Matrix.identity(cd.field, cd.h.dim)
-    return kron(cd.antipode_L, eye) * (cd.delta * Lam)
 
 
 def through_copairing(cd, w, rho, v, copair):
@@ -643,32 +647,21 @@ def frobenius_coproduct(cd):
 
 
 def s_t_transforms(cd):
-    """S = (omega x id)(id x copairing); checks S^2 = zeta S^{-1},
-    kappa(S x id) = omega = kappa(id x S), S^4 = zeta^2 S_L^{-2}, and the
-    projective SL(2,Z) relations on Hom(L, 1)."""
-    f = cd.field
-    n = cd.h.dim
+    """Checks on S = (omega x id)(id x copairing), stored by
+    integrals_and_zeta: S^2 = zeta S_L^{-1}, kappa(S x id) = omega =
+    kappa(id x S) as words, S^4 = zeta^2 S_L^{-2}, and the projective
+    SL(2,Z) relations on Hom(L, 1)."""
     if cd.kappa is None:
         radford_pairing(cd)
-    eye = Matrix.identity(f, n)
-    cd.S_transform = through_copairing(cd, cd.carrier, cd.omega,
-                                       trivial_module(cd.h), cd.kappa_copair)
-
+    s = cd.S_transform
     rep = Report("S/T transforms")
     s_inv_ant = invert(cd.antipode_L)
-    rep.add("S_transform invertible", rank(cd.S_transform) == n)
-    rep.add("S^2 = zeta S_L^{-1}",
-            cd.S_transform * cd.S_transform == s_inv_ant.scale(cd.zeta))
-    rep.add("kappa(S x id) = omega",
-            cd.kappa * kron(cd.S_transform, eye) == cd.omega)
-    rep.add("kappa(id x S) = omega",
-            cd.kappa * kron(eye, cd.S_transform) == cd.omega)
+    rep.add("S_transform invertible", rank(s) == cd.h.dim)
+    rep.add("S^2 = zeta S_L^{-1}", s * s == s_inv_ant.scale(cd.zeta))
+    check_words(rep, _structure_env(cd), KAPPA_WORDS)
     rep.add("S^4 = zeta^2 S_L^{-2}",
-            cd.S_transform * cd.S_transform * cd.S_transform * cd.S_transform
-            == (s_inv_ant * s_inv_ant).scale(cd.zeta * cd.zeta))
-
-    scalars = sl2z_check(cd, rep)
-    return rep, scalars
+            s * s * s * s == (s_inv_ant * s_inv_ant).scale(cd.zeta * cd.zeta))
+    return rep, sl2z_check(cd, rep)
 
 
 def sl2z_check(cd, rep):
@@ -724,11 +717,12 @@ def _proportionality(a, b):
 def _object_word(cd, x, word):
     """The matrix of a derived word on the object x, with the carrier bound
     as L, x as X, iota_X as iota_x and, once solved, the Hopf pairing as
-    omega."""
+    omega and the entries of SOLVED."""
     env = diagrams.Env(cd.h).bind_object("L", cd.carrier).bind_object("X", x)
     env.bind_box("iota_x", cd.iota_columns(x), obj_dual(_X) + _X, _L)
-    if cd.omega is not None:
-        env.bind_box("omega", cd.omega, _L + _L, ())
+    for box, attr, dom, cod in (("omega", "omega", _L + _L, ()),) + SOLVED:
+        if getattr(cd, attr) is not None:
+            env.bind_box(box, getattr(cd, attr), dom, cod)
     return word_matrix(env, word)
 
 
@@ -800,8 +794,7 @@ def cutting_decomposition(cd, x):
     h = cd.h
     f = h.field
     d = x.dim
-    e = kron(Matrix.identity(f, d), cd.lambda_) * \
-        _object_word(cd, x, COACTION_WORD)
+    e = _object_word(cd, x, COACTION_WORD + " ; (id(X) * box(lam))")
 
     one = trivial_module(h)
     a_basis = hom_basis(x, one)
@@ -823,8 +816,7 @@ def cutting_decomposition(cd, x):
     a = afac * a_basis[0].matrix.vstack(*(ai.matrix for ai in a_basis[1:]))
     b = b_basis[0].matrix.hstack(*(bj.matrix for bj in b_basis[1:])) * bfac
     assert b * a == e, "cutting factorization failed"
-    lhs = _object_word(cd, x, ACTION_WORD) * \
-        kron(Matrix.identity(f, d), cd.Lambda)
+    lhs = _object_word(cd, x, "(id(X) * box(Lam)) ; " + ACTION_WORD)
     if lhs != e.scale(cd.zeta):
         raise CoendError("rho_X(id x Lambda) != zeta (id x lambda) delta_X")
     return m, a, b

@@ -94,6 +94,12 @@ class Algebra:
                     m.data[k * self.dim + i] = m.data[k * self.dim + i] + y * c
         return m
 
+    def noncentral_index(self, v):
+        """The first basis index i with v e_i != e_i v, None if v is central."""
+        return next((i for i in range(self.dim)
+                     if self.mul_vec(v, self.basis_vec(i)) !=
+                     self.mul_vec(self.basis_vec(i), v)), None)
+
     def left_regular(self, i):
         """Matrix of left multiplication by e_i (the regular action)."""
         return self._derived(("lmul", i),
@@ -470,11 +476,7 @@ def verify_ribbon(h, rep=None):
         return rep
     rep.add("ribbon element present", True)
     v = h.ribbon
-    bad = None
-    for i in range(h.dim):
-        if h.mul_vec(v, h.basis_vec(i)) != h.mul_vec(h.basis_vec(i), v):
-            bad = i
-            break
+    bad = h.noncentral_index(v)
     rep.add("v central", bad is None, None if bad is None else "basis index %d" % bad)
     try:
         h.inv_vec(v)
@@ -682,7 +684,7 @@ def solve_ribbon(h):
         if h.mul_vec(l, l) != g:
             continue
         v = h.mul_vec(h.antipode * l, u)
-        if h.left_mult_matrix(v) == h.right_mult_matrix(v):
+        if h.noncentral_index(v) is None:
             out.append(v)
     out.sort(key=lambda m: tuple(s.sort_key() for s in m.data))
     return out

@@ -219,14 +219,18 @@ def kron(a, b):
 
 def _matrix_colfn(matrix):
     """Column function j -> [(row, Scalar)] of a dense matrix, nonzero
-    entries only."""
+    entries only, read on the first call (a box a word does not use)."""
     cols = {}
-    n = matrix.cols
-    for k, v in enumerate(matrix.data):
-        if any(v.num):
-            i, j = divmod(k, n)
-            cols.setdefault(j, []).append((i, v))
-    return lambda j: cols.get(j, [])
+
+    def col(j):
+        if not cols:
+            cols[None] = []  # the columns are read
+            for k, v in enumerate(matrix.data):
+                if any(v.num):
+                    i, c = divmod(k, matrix.cols)
+                    cols.setdefault(c, []).append((i, v))
+        return cols.get(j, [])
+    return col
 
 
 def columns_matrix(field, rows, ncols, col):

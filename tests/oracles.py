@@ -541,6 +541,44 @@ def coadjoint_oracle(h):
     return action
 
 
+def integrals_oracle(cd):
+    """(Lambda, lambda) of the coend from dense equation stacks: Lambda in
+    the kernel of L_g - eps(g) and of the left and right multiplications
+    by e_a minus eps_a, lambda in the kernel of the transposed invariance
+    and of ((e^a x id) Delta)^T - eta_a and ((id x e^a) Delta)^T - eta_a,
+    normalized as `coend.solve_integrals` documents; raises CoendError with
+    its messages."""
+    h, f, n = cd.h, cd.field, cd.h.dim
+    a = cd.algebra
+    eye = Matrix.identity(f, n)
+    basis = [a.basis_vec(i) for i in range(n)]
+    invariant = [dense_action(cd.carrier)[g] - eye.scale(h.counit.data[g])
+                 for g in repcat.generating_indices(h)]
+    rows = list(invariant)
+    for i, eps_a in enumerate(cd.eps.data):
+        rows += [a.left_mult_matrix(basis[i]) - eye.scale(eps_a),
+                 a.right_mult_matrix(basis[i]) - eye.scale(eps_a)]
+    space = kernel_basis(rows[0].vstack(*rows[1:]))
+    if len(space) != 1:
+        raise coend.CoendError(
+            "integral space has dimension %d (expected 1: non-unimodularity "
+            "contradicts modularity)" % len(space))
+    Lam = space[0]
+    rows = [m.transpose() for m in invariant]
+    for e, eta_a in zip(basis, cd.eta.data):
+        e = e.transpose()
+        rows += [(kron(e, eye) * cd.delta).transpose() - eye.scale(eta_a),
+                 (kron(eye, e) * cd.delta).transpose() - eye.scale(eta_a)]
+    space = kernel_basis(rows[0].vstack(*rows[1:]))
+    if len(space) != 1:
+        raise coend.CoendError("cointegral space has dimension %d "
+                               "(expected 1)" % len(space))
+    lam = space[0].transpose()
+    piv = next(i for i in range(n) if not lam.data[i].is_zero())
+    lam = lam.scale(lam.data[piv].inv())
+    return Lam.scale((lam * Lam).data[0].inv()), lam
+
+
 def iota_pair_oracle(h, x, y):
     """Column idx of iota_{X (x) Y} on the flat (X x Y)* (x) (X x Y) basis
     as a sorted list of nonzero (row, coeff) pairs: entry m is

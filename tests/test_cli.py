@@ -40,6 +40,17 @@ def test_verify_nonmodular_fails_and_skips(capsys):
     assert stat["cardy certificates"] == "skip"
 
 
+def test_verify_nonmodular_still_normalizes_the_integrals(capsys):
+    """k[Z/3] with the trivial R-matrix is not modular; its integrals are
+    solved and normalized all the same."""
+    code, out, err = run_cli(["verify", "--builtin", "group_algebra",
+                              "--param", "orders=3", "--format", "json"], capsys)
+    assert code == EXIT_CHECK_FAILED
+    stat = {c["name"]: c["status"] for c in json.loads(out)["checks"]}
+    assert stat["modularity (omega non-degenerate)"] == "fail"
+    assert stat["integrals normalized (lambda Lambda = 1)"] == "pass"
+
+
 def _raise_coend_error(*args):
     raise CoendError("injected")
 

@@ -1,5 +1,6 @@
 import copy
 import random
+import re
 import time
 from itertools import product
 
@@ -12,9 +13,9 @@ from mtc.linalg import (Matrix, kron, rank, solve_right, _matrix_colfn,
                         columns_matrix)
 from mtc.repcat import (trivial_module, regular_module, tensor_obj, dual_obj,
                         direct_sum, hom_basis, simples_data)
-from mtc.coend import (build_coend, solve_integrals, modularity_test,
-                       canonical_action, canonical_coaction, characters,
-                       cocharacter, cutting_decomposition)
+from mtc.coend import (CoendError, build_coend, solve_integrals,
+                       modularity_test, canonical_action, canonical_coaction,
+                       characters, cocharacter, cutting_decomposition)
 from mtc.cardy import cardy_action, delta_lambda_coaction
 from mtc.diagrams import Env, parse
 
@@ -190,6 +191,98 @@ def test_structure_relations(dz2_coend):
     # sl2z proportionality scalars measured and nonzero
     assert cd.sl2z_scalars["st3_vs_s2"] is not None
     assert cd.sl2z_scalars["s4_vs_id"] is not None
+
+
+def _integrals_or_error(solve, cd):
+    try:
+        return solve(cd)
+    except CoendError as e:
+        return str(e)
+
+
+def test_integrals_match_dense_oracle(any_coend):
+    """The integrals solved from sparse intertwining and integral rows equal
+    the dense stacks' exactly; on the Sweedler coend, which is not
+    unimodular, both fail with one message."""
+    got = _integrals_or_error(solve_integrals, any_coend)
+    assert got == _integrals_or_error(oracles.integrals_oracle, any_coend)
+    if modularity_test(any_coend):
+        assert (got[1] * got[0]).data[0].is_one()
+    else:
+        assert got.startswith("integral space has dimension 0")
+
+
+@pytest.mark.slow
+def test_integrals_match_dense_oracle_slow():
+    """As the tier-1 comparison, on D(Z/5) with ribbon element 0.  Budget:
+    60 s, for the ribbon solve, the structure solve, the integrals and the
+    oracle."""
+    start = time.perf_counter()
+    h = hopf.builtin("double_group_algebra", [5])
+    cd = build_coend(h.with_ribbon(hopf.solve_ribbon(h)[0]))
+    coend.solve_structure_morphisms(cd)
+    assert solve_integrals(cd) == oracles.integrals_oracle(cd)
+    assert time.perf_counter() - start < 60
+
+
+def test_integrals_rescale_zeta_copairing_and_s_exactly(dz3_coend,
+                                                        monkeypatch):
+    """zeta, the copairing and S are evaluated once, for the solved
+    integrals, and rescaled with the normalization constant c.  c = +-1 on
+    every example, so the integrals are patched to (2 Lambda, lambda / 2),
+    where c = +-2: everything stored must equal the unpatched run's."""
+    cd = dz3_coend
+    lam_vec, lam_row = solve_integrals(cd)
+    two = cd.field.from_rational(2)
+    monkeypatch.setattr(coend, "solve_integrals", lambda _: (
+        lam_vec.scale(two), lam_row.scale(two.inv())))
+    got = coend.integrals_and_zeta(copy.copy(cd))
+    for attr in ("Lambda", "lambda_", "zeta", "Delta_plus", "Delta_minus",
+                 "kappa_copair", "S_transform"):
+        assert getattr(got, attr) == getattr(cd, attr), attr
+    assert str(got.D) == str(cd.D)
+
+
+def test_kappa_checks_witness_a_bumped_s(dz3_coend):
+    """The kappa relations of S are word checks: with one entry of the
+    stored S moved, "kappa(S x id) = omega" fails at a basis pair."""
+    bumped = copy.copy(dz3_coend)
+    s = dz3_coend.S_transform.copy()
+    s[0, 0] = s[0, 0] + s.field.one()
+    bumped.S_transform = s
+    rep, _ = coend.s_t_transforms(bumped)
+    failed = {name: w for name, status, w in rep.checks if status == FAIL}
+    assert re.fullmatch(r"basis pair \(\d+, \d+\)",
+                        failed["kappa(S x id) = omega"])
+
+
+def test_radford_pairing_rejects_a_scaled_copairing(dz3_coend):
+    bad = copy.copy(dz3_coend)
+    bad.kappa_copair = dz3_coend.kappa_copair.scale(
+        bad.field.from_rational(2))
+    with pytest.raises(CoendError, match="Frobenius snake identities fail"):
+        coend.radford_pairing(bad)
+
+
+def test_integral_stage_builds_no_matrix_over_n_cubed(dz4_coend,
+                                                      monkeypatch):
+    """The integrals, the Radford pairing and the S/T checks build no
+    Matrix of more than n^3 cells on D(Z/4) (n = 16): f (x) id is a word
+    step, not a Kronecker product with an identity, which has n^4."""
+    cd = copy.copy(dz4_coend)
+    n = cd.h.dim
+    cells = []
+    init = Matrix.__init__
+
+    def counted(self, field, rows, cols, data):
+        cells.append(rows * cols)
+        init(self, field, rows, cols, data)
+    monkeypatch.setattr(Matrix, "__init__", counted)
+    coend.integrals_and_zeta(cd)
+    coend.radford_pairing(cd)
+    coend.s_t_transforms(cd)
+    monkeypatch.undo()
+    assert cells and max(cells) <= n ** 3
 
 
 def _failed_after_bump(cd, attr, i, j):

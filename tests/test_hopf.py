@@ -81,6 +81,20 @@ def test_solve_ribbon_z2(z2):
     assert any(v == z2.unit for v in vs)
 
 
+def test_noncentral_index_is_where_left_and_right_products_differ(sweedler):
+    """The first column on which the dense left and right multiplications
+    by a basis element differ, which verify_ribbon reports for g."""
+    h = sweedler
+    for i in range(h.dim):
+        v = h.basis_vec(i)
+        left, right = h.left_mult_matrix(v), h.right_mult_matrix(v)
+        assert h.noncentral_index(v) == next(
+            (j for j in range(h.dim) if left.col_list(j) != right.col_list(j)),
+            None)
+    assert ("v central", "fail", "basis index 2") in \
+        verify_ribbon(h.with_ribbon(h.basis_vec(1))).checks
+
+
 def test_solve_ribbon_dz2_matches_brute_oracle(dz2, dz2_ribbons):
     # oracle: exhaustive sympy solve of the quadratic system over the centre
     brute = brute_ribbon_elements(dz2)
