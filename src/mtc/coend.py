@@ -261,8 +261,8 @@ def build_coend(h):
     section column to the unit column (the surjectivity witness)."""
     cd = CoendData(h)
     ih, one = cd.iota_columns(regular_module(h)), h.field.one()
-    assert all(_step(c, ih, h.dim ** 2, h.dim, 1) == {a: one}
-               for a, c in enumerate(cd.section_columns())), \
+    assert _step(cd.section_columns(), ih, h.dim ** 2, h.dim, 1) == \
+        [{a: one} for a in range(h.dim)], \
         "section is not a right inverse of iota_H"
     return cd
 
@@ -282,12 +282,31 @@ def _faithful_witness(h):
 def solve_structure_morphisms(cd):
     """Solve the structure morphisms of STRUCTURE from their defining
     diagrams, verify the Hopf axioms, run the dinaturality certificate,
-    and build cd.algebra.
+    and build cd.algebra."""
+    # the witnesses of the solve, and the columns their environments
+    # keep, are freed before the certificates, the coend's memory peak
+    _solve_structure_words(cd)
+    rep = verify_hopf_on_coend(cd)
+    if not rep.ok:
+        raise CoendError("coend Hopf structure failed verification:\n%s" % rep)
+    rep = dinaturality_certificate(cd)
+    if not rep.ok:
+        raise CoendError("dinaturality certificate failed:\n%s" % rep)
+    # column i*n + j of mu is e_i e_j
+    h, n = cd.h, cd.h.dim
+    mult = [[{k: c for k, c in enumerate(cd.mu.col_list(i * n + j))
+              if not c.is_zero()} for j in range(n)] for i in range(n)]
+    cd.algebra = Algebra(h.field, n, ["%s*" % x for x in h.basis_labels],
+                         mult, cd.eta, "L")
+    return cd
 
-    A word on one L is read on the regular module through the section
-    xi -> xi (x) 1 of iota_H.  A word on L (x) L only needs iota_X (x)
-    iota_Y jointly surjective: its second argument is the faithful witness,
-    no larger than H, through the solved right inverse of its iota."""
+
+def _solve_structure_words(cd):
+    """Set each STRUCTURE morphism that has a word, and eta.  A word on
+    one L is read on the regular module through the section xi -> xi (x) 1
+    of iota_H.  A word on L (x) L only needs iota_X (x) iota_Y jointly
+    surjective: its second argument is the faithful witness, no larger
+    than H, through the solved right inverse of its iota."""
     h = cd.h
     n = h.dim
     reg = regular_module(h)
@@ -306,19 +325,6 @@ def solve_structure_morphisms(cd):
             env, cols = witnesses[len(e.dom)]
             setattr(cd, e.attr, apply_word(env, e.word, cols))
     cd.eta = h.counit.transpose()
-
-    rep = verify_hopf_on_coend(cd)
-    if not rep.ok:
-        raise CoendError("coend Hopf structure failed verification:\n%s" % rep)
-    rep = dinaturality_certificate(cd)
-    if not rep.ok:
-        raise CoendError("dinaturality certificate failed:\n%s" % rep)
-    # column i*n + j of mu is e_i e_j
-    mult = [[{k: c for k, c in enumerate(cd.mu.col_list(i * n + j))
-              if not c.is_zero()} for j in range(n)] for i in range(n)]
-    cd.algebra = Algebra(h.field, n, ["%s*" % x for x in h.basis_labels],
-                         mult, cd.eta, "L")
-    return cd
 
 
 # The solved boxes after STRUCTURE's, as (box, CoendData attribute,
@@ -464,12 +470,11 @@ def dinaturality_certificate(cd):
             for k, fm in enumerate(hom_basis(x, y)):
                 fcol = _matrix_colfn(fm.matrix)
                 frow = _matrix_colfn(fm.matrix.transpose())
-                good = all(
-                    _step({i * x.dim + l: v for i, v in frow(j)}, iotas[a],
-                          x.dim * x.dim, n, 1) ==
-                    _step({j * y.dim + m: v for m, v in fcol(l)}, iotas[b],
-                          y.dim * y.dim, n, 1)
-                    for j in range(y.dim) for l in range(x.dim))
+                jl = [(j, l) for j in range(y.dim) for l in range(x.dim)]
+                good = _step([{i * x.dim + l: v for i, v in frow(j)}
+                              for j, l in jl], iotas[a], x.dim * x.dim, n, 1) \
+                    == _step([{j * y.dim + m: v for m, v in fcol(l)}
+                              for j, l in jl], iotas[b], y.dim * y.dim, n, 1)
                 rep.add("dinaturality %s->%s #%d" % (x.name, y.name, k), good)
     return rep
 
@@ -480,8 +485,8 @@ def _agree_by_block(vals, doms, mcol, din, dout):
     the values of all the blocks in order."""
     out, start = [], 0
     for flat, cols in doms:
-        out.append(all(_step(c, mcol, din, dout, 1) == v for c, v in
-                       zip(cols, vals[start:start + len(flat)])))
+        out.append(_step(cols, mcol, din, dout, 1) ==
+                   vals[start:start + len(flat)])
         start += len(flat)
     return out
 

@@ -256,8 +256,8 @@ class Env:
 
     def bind_box(self, name, box, dom_expr, cod_expr):
         """A box given by a Matrix, or by a column function
-        col_index -> [(row, Scalar)] for morphisms too large to
-        materialize."""
+        col_index -> [(row, Scalar)] with no zero entries for morphisms
+        too large to materialize."""
         colfn = _matrix_colfn(box) if isinstance(box, Matrix) else box
         self.boxes[name] = (colfn, dom_expr, cod_expr)
         return self
@@ -379,13 +379,14 @@ def typecheck(ast, env):
 #
 # The one evaluator, and the one implementation of the category's
 # structure maps: a word is normalized into layers of tensored generators
-# and applied column by column to sparse vectors, one generator at a time,
-# so the dense matrix of a composite word is never built; `word_matrix` is
-# the dense view.  id, ev, coev and box read only dimensions.  tw, twinv,
-# evt, coevt, br and brinv read only the action columns of their object
-# argument's module, which Env.module_of builds for a product with
-# tensor_obj and for a dual with dual_obj, from the factors' columns, with
-# no dense matrix.
+# and applied to a list of sparse columns, one generator at a time and each
+# generator to all the columns in one step, so the dense matrix of a
+# composite word is never built; `word_matrix` is the dense view.  The
+# columns and the generators' columns hold no zero entry.  id, ev, coev
+# and box read only dimensions.  tw, twinv, evt, coevt, br and brinv read
+# only the action columns of their object argument's module, which
+# Env.module_of builds for a product with tensor_obj and for a dual with
+# dual_obj, from the factors' columns, with no dense matrix.
 
 def _gen_colfn(gen, env):
     """(dom_dim, cod_dim, colfn|None); the generators that act through
@@ -456,16 +457,17 @@ def evaluate_applied(ast, env, columns):
         return got
 
     # f (x) g = (id (x) g)(f (x) id): a layer is applied one atom at a time
-    # from the left, each a step on the flat index pre * sub * post, and an
-    # identity atom is no step.  Left first multiplies the coefficients in
-    # the order of the atoms, as one product per term would.
+    # from the left, each one `_step` of all the columns on the flat index
+    # pre * sub * post, and an identity atom is no step.  Left first
+    # multiplies the coefficients in the order of the atoms, as one product
+    # per term would.
     cur = columns
     for layer in layers:
         atoms = [atom_data(g, d, c) for g, d, c in layer]
         for k, (din, dout, colfn) in enumerate(atoms):
             if colfn is not None:
                 post = prod(a[0] for a in atoms[k + 1:])
-                cur = [_step(col, colfn, din, dout, post) for col in cur]
+                cur = _step(cur, colfn, din, dout, post)
     return cur, env.dim_of(cod)
 
 

@@ -15,6 +15,7 @@ linear algebra:
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate, combinations, count, repeat
 from math import comb, gcd, isqrt, lcm
 
@@ -246,8 +247,14 @@ def _recombine(f, lifts, q):
 def split_etale_cyclic(field, q):
     """Primitive idempotents of k[t]/(q) for squarefree q over the scalar
     field k.  Returns a list of Scalar coefficient vectors (t-basis, degree
-    deg(q)), one per simple factor, in deterministic order."""
-    q = poly_trim(q)
+    deg(q)), one per simple factor, in deterministic order.  Each (k, q)
+    is split once: the corners of an algebra repeat minimal polynomials."""
+    return [list(e) for e in _split_etale_cyclic(field, tuple(poly_trim(q)))]
+
+
+@cache
+def _split_etale_cyclic(field, q):
+    q = list(q)
     deg = len(q) - 1
     assert deg >= 1
     if deg == 1:
@@ -256,7 +263,11 @@ def split_etale_cyclic(field, q):
     rationals = CycField(1)
     # primitive element theta = t + c*z, c a small integer
     zgen = field.zeta(1) if field.phi > 1 else field.one()
-    for c in _int_stream(deg * deg * field.dim * field.dim + 2):
+    cs = _int_stream(deg * deg * field.dim * field.dim + 2)
+    if field.phi > 1 and all(x.is_rational() for x in q):
+        # the Q-minimal polynomial of t divides q: of degree below dimQ
+        next(cs)
+    for c in cs:
         theta = [field.from_rational(c) * zgen, field.one()]  # c*z + t
         # theta^0 .. theta^dimQ in k[t]/(q), as vectors of length deg
         pows = [[field.one()] + [field.zero()] * (deg - 1)]
@@ -314,28 +325,16 @@ def poly_roots_in_field(coeffs):
     deg = len(p) - 1
     if deg == 1:
         return [-(p[0] * p[1].inv())]
-    idems = split_etale_cyclic(field, p)
     roots = []
-    for e in idems:
-        # t * e = lambda * e exactly when the factor is one-dimensional over k
+    for e in split_etale_cyclic(field, p):
+        # t e = c e exactly when the factor is one-dimensional over k, and
+        # then c is a root
         te = poly_divmod([field.zero()] + e, p)[1]
         te = te + [field.zero()] * (deg - len(te))
-        lam = None
-        ok = True
-        for ec, tc in zip(e, te):
-            if ec.is_zero():
-                if not tc.is_zero():
-                    ok = False
-                    break
-                continue
-            cand = tc * ec.inv()
-            if lam is None:
-                lam = cand
-            elif lam != cand:
-                ok = False
-                break
-        if ok and lam is not None:
-            roots.append(lam)
+        j = next(j for j, x in enumerate(e) if x)
+        c = te[j] / e[j]
+        if all(y == c * x for x, y in zip(e, te)):
+            roots.append(c)
     roots.sort(key=lambda s: s.sort_key())
     return roots
 
@@ -378,15 +377,6 @@ class Subalgebra:
         """Monic minimal polynomial of w, with unit as w^0."""
         return minimal_polynomial(accumulate(repeat(w), self.mul,
                                              initial=self.unit))
-
-    def evaluate_poly(self, coeffs, w):
-        """Polynomial in w with Scalar coefficients, unit as w^0."""
-        acc = self.unit.scale(coeffs[0])
-        cur = self.unit
-        for c in coeffs[1:]:
-            cur = self.mul(cur, w)
-            acc = acc + cur.scale(c)
-        return acc
 
 
 def newton_lift_idempotent(field, mul, e):
@@ -431,17 +421,20 @@ def split_corner(sub):
     non-split block)."""
     field = sub.field
     for w in _candidate_stream(sub):
-        q_sf = poly_squarefree(sub.min_poly(w))
+        pows = []  # w^0, w^1, ..., kept as the minimal polynomial reads them
+        q_sf = poly_squarefree(minimal_polynomial(
+            pows.append(v) or v
+            for v in accumulate(repeat(w), sub.mul, initial=sub.unit)))
         if len(q_sf) - 1 < 2:
             continue
         idems = split_etale_cyclic(field, q_sf)
         if len(idems) < 2:
             continue
         # a nonzero, non-unit idempotent of k[t]/(q_sf) lifts to one of
-        # the corner
-        return [newton_lift_idempotent(field, sub.mul,
-                                       sub.evaluate_poly(e, w))
-                for e in idems]
+        # the corner, a combination of the powers of w already made
+        return [newton_lift_idempotent(field, sub.mul, sum(
+            (v.scale(c) for c, v in zip(e[1:], pows[1:])),
+            pows[0].scale(e[0]))) for e in idems]
     return None
 
 
@@ -468,6 +461,10 @@ def orthogonal_primitive_idempotents(field, mul, ambient_basis, unit,
                     "block of dimension %d in %s has no scalar splitting"
                     % (corner.dim, block_name))
             done.append(p)
-            continue
-        todo[:0] = es
+        elif len(es) == corner.dim:
+            # each e A e holds e, and they lie in p A p as a direct sum:
+            # every corner is one-dimensional
+            done += es
+        else:
+            todo[:0] = es
     return done

@@ -145,7 +145,8 @@ class Algebra:
         unit vectors at the span's free indices."""
         def mul(a, b):
             return ideal.reduce(self.mul_vec(a, b))
-        return (mul, [self.basis_vec(j) for j in ideal.free_indices()],
+        return (mul if ideal.rank else self.mul_vec,
+                [self.basis_vec(j) for j in ideal.free_indices()],
                 ideal.reduce(self.unit))
 
     # -- characters ---------------------------------------------------------
@@ -178,14 +179,19 @@ class Algebra:
         for e in orthogonal_primitive_idempotents(
                 f, mul, basis, unit, require_split=False,
                 block_name="%s/[%s, %s]" % ((self.name,) * 3)):
-            corner = corner_subalgebra(f, mul, basis, e)
             j = next(j for j, x in enumerate(e.data) if not x.is_zero())
-            chi = []
+            corner, chi = None, []
             for i in range(n):
+                # A/I is commutative, so w is in e (A/I) e; e_i acts there
+                # as c when w = c e, always so on a block of dimension 1
                 w = mul(self.basis_vec(i), e)
-                # a block of dimension 1 is k e, and w = (w_j / e_j) e on it
-                p = ([-w.data[j], e.data[j]] if corner.dim == 1
-                     else poly_squarefree(corner.min_poly(w)))
+                c = w.data[j] / e.data[j]
+                if w == e.scale(c):
+                    chi.append(c)
+                    continue
+                if corner is None:
+                    corner = corner_subalgebra(f, mul, basis, e)
+                p = poly_squarefree(corner.min_poly(w))
                 if len(p) != 2:
                     break
                 chi.append(-p[0] / p[1])
@@ -406,16 +412,18 @@ def check_words(rep, env, table):
 
 def _structure_env(h):
     """H's regular module bound as H, and its structure constants as
-    sparse column-function boxes: mu, eta, delta, eps, S, the flip of
-    H (x) H, and R when H has one."""
+    sparse column-function boxes with no zero entries: mu, eta, delta,
+    eps, S, the flip of H (x) H, and R when H has one."""
     n = h.dim
     one = h.field.one()
     hh = (("name", "H"),)
-    env = diagrams.Env(h).bind_object("H", repcat.regular_module(h))
+    reg = repcat.regular_module(h)
+    env = diagrams.Env(h).bind_object("H", reg)
     eta = [(i, c) for i, c in enumerate(h.unit.data) if not c.is_zero()]
-    delta = [[(j * n + k, v) for (j, k), v in d.items()] for d in h.comult]
+    delta = [[(j * n + k, v) for (j, k), v in d.items() if not v.is_zero()]
+             for d in h.comult]
     eps = [[] if c.is_zero() else [(0, c)] for c in h.counit.data]
-    env.bind_box("mu", lambda c: h.mult[c // n][c % n].items(), hh + hh, hh)
+    env.bind_box("mu", lambda c: reg.action_colfn(c // n)(c % n), hh + hh, hh)
     env.bind_box("eta", lambda c: eta, (), hh)
     env.bind_box("delta", delta.__getitem__, hh, hh + hh)
     env.bind_box("eps", eps.__getitem__, hh, ())
@@ -423,7 +431,8 @@ def _structure_env(h):
     env.bind_box("flip", lambda c: [((c % n) * n + c // n, one)],
                  hh + hh, hh + hh)
     if h.rmatrix is not None:
-        r = [(i * n + j, c) for (i, j), c in h.rmatrix.items()]
+        r = [(i * n + j, c) for (i, j), c in h.rmatrix.items()
+             if not c.is_zero()]
         env.bind_box("R", lambda c: r, (), hh + hh)
     return env
 

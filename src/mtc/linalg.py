@@ -7,10 +7,11 @@ The external contract is dense row-major, except for two sparse forms:
 `sparse_kernel` takes the sparse rows {col: Scalar} that the elimination
 engine works on (no other module sees its pivots), and a column function
 j -> [(row, Scalar)] is read by `columns_matrix`, its dense view, and by
-`_step`, which applies it to a sparse column.  The product and the
-Kronecker product visit only nonzero entries.  One sparse row update
-serves `_rref` and `IncrementalSpan`, and one promotion rule puts the
-operands of a product or a solve over a common field.
+`_step`, which applies it to a list of sparse columns in one call.  The
+product, the Kronecker product and `_step` visit only nonzero entries.
+One sparse row update serves `_rref` and `IncrementalSpan`, and one
+promotion rule puts the operands of a product or a solve over a common
+field.
 """
 
 from .scalars import Scalar
@@ -243,19 +244,36 @@ def columns_matrix(field, rows, ncols, col):
     return Matrix(field, rows, ncols, out)
 
 
-def _step(col, colfn, din, dout, post):
-    """The sparse column `col` under id_pre (x) f (x) id_post, where f is
-    the din -> dout map of `colfn`."""
-    out = {}
-    for flat, val in col.items():
-        top, q = divmod(flat, post)
-        p, sub = divmod(top, din)
-        base = p * dout
-        for row, w in colfn(sub):
-            pos = (base + row) * post + q
-            v = val * w
-            out[pos] = out[pos] + v if pos in out else v
-    return {p: v for p, v in out.items() if any(v.num)}
+def _step(cols, colfn, din, dout, post):
+    """The sparse columns `cols` under id_pre (x) f (x) id_post, where f is
+    the din -> dout map of `colfn`; neither the columns nor f's columns
+    hold a zero entry."""
+    first = next((v for c in cols for v in c.values()), None)
+    # 1 in Q(z_N) times an entry of f is that entry; a 1 of the D-extension
+    # would lift an entry of Q(z_N) to it, so it multiplies
+    one = None if first is None else (1,) + (0,) * (first.field.phi - 1)
+    out = []
+    for col in cols:
+        acc, summed = {}, []
+        for flat, val in col.items():
+            top, q = divmod(flat, post)
+            p, sub = divmod(top, din)
+            base = p * dout * post + q
+            unit = val.den == 1 and val.num == one
+            for row, w in colfn(sub):
+                pos = base + row * post
+                v = w if unit else val * w
+                if pos in acc:
+                    acc[pos] = acc[pos] + v
+                    summed.append(pos)
+                else:
+                    acc[pos] = v
+        # a product of nonzero scalars is nonzero: only a sum can cancel
+        for pos in summed:
+            if pos in acc and not any(acc[pos].num):
+                del acc[pos]
+        out.append(acc)
+    return out
 
 
 # ---------------------------------------------------------------------------

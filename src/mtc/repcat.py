@@ -64,8 +64,8 @@ class ModuleObject:
                   self.act_colfn(h.mul_vec(h.basis_vec(i), h.basis_vec(j))))
                  for i in range(h.dim) for j in range(h.dim))
         return all(unit(k) == [(k, one)] for k in range(d)) and all(
-            _step(dict(ej(k)), ei, d, d, 1) == dict(eij(k))
-            for ei, ej, eij in prods for k in range(d))
+            _step([dict(ej(k)) for k in range(d)], ei, d, d, 1) ==
+            [dict(eij(k)) for k in range(d)] for ei, ej, eij in prods)
 
     def fingerprint(self):
         """The sort keys of every entry of every action matrix, row by row,
@@ -374,26 +374,8 @@ def _simples_data(h):
         f, mul, qbasis, unit_bar, require_split=True,
         block_name="semisimple quotient of %s" % h.name)
 
-    # group into isomorphism classes: P ~ P' iff P Abar P' != 0
-    classes = []
-    for p in prims:
-        placed = False
-        for cls in classes:
-            rep = cls[0]
-            linked = False
-            for b in qbasis:
-                if not mul(mul(rep, b), p).is_zero():
-                    linked = True
-                    break
-            if linked:
-                cls.append(p)
-                placed = True
-                break
-        if not placed:
-            classes.append([p])
-
     entries = []
-    for cls in classes:
+    for cls in _isomorphism_classes(f, mul, qbasis, prims):
         p = cls[0]
         simple_vectors = [mul(b, p) for b in qbasis]
         s = module_from_vectors(h, simple_vectors, "S?",
@@ -429,6 +411,24 @@ def _simples_data(h):
     cartan = [[len(hom_basis(projectives[v], projectives[u]))
                for v in range(m)] for u in range(m)]
     return SimplesData(h, simples, projectives, idems, cartan)
+
+
+def _isomorphism_classes(field, mul, qbasis, prims):
+    """The primitive idempotents of the semisimple algebra Abar with basis
+    qbasis, in isomorphism classes in order of first appearance: p joins
+    the first class whose representative r has r Abar p != 0.  x -> x p
+    is linear, so p is tested on a basis of r Abar kept per class."""
+    classes = []
+    for p in prims:
+        for cls, basis in classes:
+            if any(not mul(v, p).is_zero() for v in basis):
+                cls.append(p)
+                break
+        else:
+            span = IncrementalSpan(field, p.rows)
+            classes.append(([p], [v for v in (mul(p, b) for b in qbasis)
+                                  if span.add(v)]))
+    return [cls for cls, _ in classes]
 
 
 def composition_factors(x, sd):

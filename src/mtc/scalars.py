@@ -221,7 +221,9 @@ class Scalar:
         return self, NotImplemented
 
     def __add__(self, other):
-        a, b = self._coerce(other)
+        # two elements of one field need no coercion
+        a, b = ((self, other) if other.__class__ is Scalar and
+                other.field is self.field else self._coerce(other))
         if b is NotImplemented:
             return NotImplemented
         # a zero summand hands back the other operand: Scalars are immutable
@@ -250,7 +252,8 @@ class Scalar:
         return (-self) + other
 
     def __mul__(self, other):
-        a, b = self._coerce(other)
+        a, b = ((self, other) if other.__class__ is Scalar and
+                other.field is self.field else self._coerce(other))
         if b is NotImplemented:
             return NotImplemented
         fld = a.field

@@ -13,7 +13,9 @@ from itertools import product
 from mtc import repcat, coend, cli, linalg
 from mtc.hopf import check_words
 from mtc.report import Report
-from mtc.etale import Subalgebra, orthogonal_primitive_idempotents
+from mtc.etale import (Subalgebra, orthogonal_primitive_idempotents,
+                       corner_subalgebra, NonSplitError, split_etale_cyclic,
+                       newton_lift_idempotent, _candidate_stream)
 from mtc.scalars import Scalar, poly_squarefree, sqrt_in_field, parse_scalar
 from mtc.diagrams import (Compose, Tensor, Env, apply_word, words_agree,
                           word_matrix, _layers, _gen_colfn)
@@ -1120,3 +1122,118 @@ def qpoly_factor_oracle(coeffs):
         lead = cs[-1]
         out.append([c / lead for c in cs])
     return out
+
+
+def isomorphism_classes_oracle(field, mul, qbasis, prims):
+    """`repcat._isomorphism_classes` by the search it replaced: p joins the
+    first class whose representative r has r b p != 0 for some b of
+    qbasis, one product r b p per b."""
+    classes = []
+    for p in prims:
+        for cls in classes:
+            if any(not mul(mul(cls[0], b), p).is_zero() for b in qbasis):
+                cls.append(p)
+                break
+        else:
+            classes.append([p])
+    return classes
+
+
+def _split_corner_oracle(sub):
+    """`etale.split_corner` as it was: each idempotent of k[t]/(q) is
+    evaluated at w by the products w^k again, after the minimal
+    polynomial has made them."""
+    for w in _candidate_stream(sub):
+        q_sf = poly_squarefree(sub.min_poly(w))
+        if len(q_sf) < 3:
+            continue
+        idems = split_etale_cyclic(sub.field, q_sf)
+        if len(idems) < 2:
+            continue
+        out = []
+        for e in idems:
+            acc, cur = sub.unit.scale(e[0]), sub.unit
+            for c in e[1:]:
+                cur = sub.mul(cur, w)
+                acc = acc + cur.scale(c)
+            out.append(newton_lift_idempotent(sub.field, sub.mul, acc))
+        return out
+    return None
+
+
+def primitive_idempotents_oracle(field, mul, ambient_basis, unit,
+                                 require_split=True, block_name="algebra"):
+    """`etale.orthogonal_primitive_idempotents` by the loop it replaced,
+    which builds the corner of every idempotent, the leaves of a split
+    into one-dimensional corners included, with `_split_corner_oracle`."""
+    todo, done = [unit], []
+    while todo:
+        p = todo.pop(0)
+        corner = corner_subalgebra(field, mul, ambient_basis, p)
+        if corner.dim == 1:
+            done.append(p)
+            continue
+        es = _split_corner_oracle(corner)
+        if es is None:
+            if require_split:
+                raise NonSplitError(
+                    "block of dimension %d in %s has no scalar splitting"
+                    % (corner.dim, block_name))
+            done.append(p)
+            continue
+        todo[:0] = es
+    return done
+
+
+def characters_oracle(a):
+    """`Algebra.characters` as it was computed before: the idempotents of
+    A/I from `primitive_idempotents_oracle`, and the corner of each one
+    built, its dimension read, and the minimal polynomial of every e_i e
+    in it taken when that dimension is not 1."""
+    f, n = a.field, a.dim
+    ideal = IncrementalSpan(f, n)
+    todo = [a.mul_vec(a.basis_vec(i), a.basis_vec(j))
+            - a.mul_vec(a.basis_vec(j), a.basis_vec(i))
+            for i in range(n) for j in range(i + 1, n)
+            if a.mult[i][j] != a.mult[j][i]]
+    while todo:
+        w = todo.pop()
+        if ideal.add(w):
+            for k in range(n):
+                e = a.basis_vec(k)
+                todo += [a.mul_vec(e, w), a.mul_vec(w, e)]
+    if ideal.rank == n:
+        return []
+    mul, basis, unit = a.quotient(ideal)
+    out = []
+    for e in primitive_idempotents_oracle(f, mul, basis, unit,
+                                          require_split=False):
+        corner = corner_subalgebra(f, mul, basis, e)
+        j = next(j for j, x in enumerate(e.data) if not x.is_zero())
+        chi = []
+        for i in range(n):
+            w = mul(a.basis_vec(i), e)
+            p = ([-w.data[j], e.data[j]] if corner.dim == 1
+                 else poly_squarefree(corner.min_poly(w)))
+            if len(p) != 2:
+                break
+            chi.append(-p[0] / p[1])
+        else:
+            out.append(Matrix.column(f, chi))
+    out.sort(key=lambda m: tuple(s.sort_key() for s in m.data))
+    return out
+
+
+def step_oracle(col, colfn, din, dout, post):
+    """`linalg._step` on one column, as it was before it took the column
+    list: colfn read once per entry, every entry multiplied, and every
+    position tested for zero after the sums."""
+    out = {}
+    for flat, val in col.items():
+        top, q = divmod(flat, post)
+        p, sub = divmod(top, din)
+        for row, w in colfn(sub):
+            pos = (p * dout + row) * post + q
+            v = val * w
+            out[pos] = out[pos] + v if pos in out else v
+    return {p: v for p, v in out.items() if any(v.num)}

@@ -667,6 +667,19 @@ def test_golden_cartan_double_taft_slow(capsys):
 
 
 @pytest.mark.slow
+def test_golden_simples_double_taft_slow(capsys):
+    """The simples of D(Taft_3) (blocks of dimension 2 and 3 in its
+    semisimple quotient, where another choice of idempotents would show),
+    as recorded in tests/golden, within a 60 s budget."""
+    start = time.perf_counter()
+    code, out, err = run_cli(["simples", "--builtin", "double_taft",
+                              "--param", "n=3", "--format", "json"], capsys)
+    assert time.perf_counter() - start < 60
+    assert (code, err) == (EXIT_OK, "")
+    assert out == (GOLDEN / "simples_double_taft_n3.json").read_text()
+
+
+@pytest.mark.slow
 def test_golden_verify_double_z6_slow(capsys):
     """The report of verify on D(Z/6) with --ribbon 0 (dim 36 and 36
     simples, so the hexagon word runs on a sum of dimension 36), as

@@ -3,14 +3,14 @@ import time
 
 import pytest
 
-from mtc import cli, coend, hopf, repcat
-from mtc.linalg import Matrix
+from mtc import cli, coend, diagrams, hopf, repcat
+from mtc.linalg import Matrix, _step
 from mtc.diagrams import (parse, typecheck, evaluate_applied, apply_word,
                           identity_columns, words_agree, Env, Gen, Compose,
                           Tensor, DiagramError, DiagramTypeError, obj_name)
 from oracles import (dense_word_oracle, evaluate_applied_oracle,
                      matmul_oracle, word_matrix_on, dense_action,
-                     iota_matrix_oracle, count_columns_matrix)
+                     iota_matrix_oracle, count_columns_matrix, step_oracle)
 
 
 @pytest.fixture(scope="module")
@@ -276,6 +276,28 @@ def test_coend_words_match_layer_loop(dz3, dz3_coend, dz3_simples):
         env.bind_object("Z", z)
         for w in cli.HEXAGON_WORDS + cli.TWIST_WORDS:
             assert _matches_layer_loop(env, w), (w, x.name, y.name, z.name)
+
+
+def test_step_on_the_column_list_matches_each_column(dz3, dz3_coend,
+                                                     monkeypatch):
+    """D(Z/3): on every step of H's Hopf and quasitriangular tables and of
+    the coend's Hopf table, the list form of `_step` gives what the step
+    of one column at a time gave."""
+    steps = []
+
+    def checked(cols, colfn, din, dout, post):
+        got = _step(cols, colfn, din, dout, post)
+        assert got == [step_oracle(c, colfn, din, dout, post) for c in cols]
+        steps.append(len(cols))
+        return got
+    monkeypatch.setattr(diagrams, "_step", checked)
+    tables = [(hopf._structure_env(dz3), hopf.HOPF_AXIOMS),
+              (hopf._structure_env(dz3), hopf.QUASITRIANGULAR_AXIOMS),
+              (coend._structure_env(dz3_coend), coend.HOPF_AXIOMS)]
+    for env, table in tables:
+        for w in _table_words(table):
+            word_matrix(env, w)
+    assert len(steps) > 100 and max(steps) > 1
 
 
 @pytest.mark.slow

@@ -4,10 +4,12 @@ factor_list as the oracle."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from mtc import etale
-from mtc.scalars import cyclotomic_poly, poly_mul, poly_squarefree
+from mtc.scalars import (CycField, cyclotomic_poly, format_scalar, poly_mul,
+                         poly_squarefree)
 from oracles import qpoly_factor_oracle
 
 EXACT = settings(derandomize=True, database=None, deadline=None,
@@ -105,3 +107,63 @@ def test_constants_linear_factors_and_repeated_factors():
     assert factor([3, 6]) == [[Fraction(1, 2), 1]]
     # (x - 1)^2 (x + 2): multiplicity dropped
     assert factor([2, -3, 0, 1]) == [[-1, 1], [2, 1]]
+
+
+# q over Q(z_N) with rational coefficients, low degree first, and the
+# idempotents of k[t]/(q) as the splitting gave them when it tried the
+# primitive element t (c = 0) first
+RATIONAL_SPLITS = [
+    (3, [3, 0, 1], [["1/2", "1/6+1/3*z"], ["1/2", "-1/6-1/3*z"]]),
+    (3, [-1, 0, 0, 1], [["1/3", "1/3", "1/3"],
+                        ["1/3", "1/3*z", "-1/3-1/3*z"],
+                        ["1/3", "-1/3-1/3*z", "1/3*z"]]),
+    (3, [-2, 0, 1], [["1", "0"]]),
+    (4, [1, 0, 1], [["1/2", "1/2*z"], ["1/2", "-1/2*z"]]),
+    (4, [-1, 0, 0, 0, 1], [["1/4", "1/4*z", "-1/4", "-1/4*z"],
+                           ["1/4", "1/4", "1/4", "1/4"],
+                           ["1/4", "-1/4", "1/4", "-1/4"],
+                           ["1/4", "-1/4*z", "-1/4", "1/4*z"]]),
+    (4, [-2, 0, 1], [["1", "0"]]),
+    (4, [0, -1, 0, 1], [["1", "0", "-1"], ["0", "1/2", "1/2"],
+                        ["0", "-1/2", "1/2"]]),
+]
+
+
+def _split_recording_thetas(field, q, monkeypatch):
+    """The idempotents of k[t]/(q), split afresh, and for each primitive
+    element tried the Q-coordinates of theta^1."""
+    thetas = []
+    minpoly = etale.minimal_polynomial
+
+    def recorded(powers):
+        powers = list(powers)
+        thetas.append([x.as_fraction() for x in powers[1].data])
+        return minpoly(powers)
+    monkeypatch.setattr(etale, "minimal_polynomial", recorded)
+    etale._split_etale_cyclic.cache_clear()
+    idems = etale.split_etale_cyclic(field, q)
+    return [[format_scalar(x) for x in e] for e in idems], thetas
+
+
+@pytest.mark.parametrize("order, q, want", RATIONAL_SPLITS)
+def test_rational_q_skips_the_primitive_element_t(order, q, want,
+                                                  monkeypatch):
+    """q in Q[t] kills t, so the Q-minimal polynomial of t divides q and
+    has degree below dim_Q k[t]/(q): c = 0 cannot succeed.  It is not
+    tried, and the idempotents, order included, are those it gave."""
+    f = CycField(order)
+    got, thetas = _split_recording_thetas(
+        f, [f.from_rational(c) for c in q], monkeypatch)
+    assert got == want
+    t = [0] * f.dim + [1] + [0] * (f.dim - 1)  # the Q-coordinates of t
+    assert thetas and t not in thetas
+
+
+def test_nonrational_q_tries_t_first(monkeypatch):
+    """q = t^2 - z over Q(z_3) has a coefficient that is not rational:
+    t is tried first, and it is a primitive element."""
+    f = CycField(3)
+    got, thetas = _split_recording_thetas(
+        f, [-f.zeta(), f.zero(), f.one()], monkeypatch)
+    assert got == [["1/2", "-1/2*z"], ["1/2", "1/2*z"]]
+    assert thetas == [[0, 0, 1, 0]]

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from mtc.scalars import CycField, Scalar
 from mtc.linalg import (Matrix, kron, solve_right, kernel_basis, rank,
                         invert, rank_factor, NoSolution, IncrementalSpan,
-                        minimal_polynomial)
-from oracles import rank_oracle_fraction, matmul_oracle
+                        minimal_polynomial, _step)
+from oracles import rank_oracle_fraction, matmul_oracle, step_oracle
 
 F = CycField(4)
 
@@ -289,3 +289,37 @@ def test_kron_entries(data):
                 for jb in range(b.cols):
                     assert got[ia * b.rows + ib, ja * b.cols + jb] == \
                         a[ia, ja] * b[ib, jb]
+
+
+def test_step_drops_a_cancelled_sum():
+    """id_2 (x) f (x) id_1 with f = [[1, -1], [2, 1], [0, 0]]: (1, 1)
+    goes to (0, 3, 0) in each block, and the cancelled entry is no entry
+    at all."""
+    a = F.from_rational(5)
+    f = {0: [(0, F.one()), (1, F.from_rational(2))],
+         1: [(0, -F.one()), (1, F.one())]}
+    cols = [{0: a, 1: a}, {2: F.one(), 3: F.one()}, {1: a, 2: a}]
+    got = _step(cols, f.__getitem__, 2, 3, 1)
+    three = F.from_rational(3)
+    assert got == [{1: three * a}, {4: three},
+                   {0: -a, 1: a, 3: a, 4: a * 2}]
+    assert got == [step_oracle(c, f.__getitem__, 2, 3, 1) for c in cols]
+
+
+def test_step_unit_coefficient_across_fields(monkeypatch):
+    """A coefficient 1 of Q(z_3) on an entry of Q(z_3)(D), and a 1 of
+    Q(z_3)(D) on an entry of Q(z_3), give what the product gives, over
+    the extension.  A 1 of Q(z_3) that is not the field's shared one is
+    taken without a product."""
+    ext = PRODUCT_FIELDS[2]
+    for one, w in ((Q3.one(), ext.dgen()), (Q3.scalar((1, 0)), ext.dgen()),
+                   (ext.one(), Q3.zeta()), (ext.one(), Q3.one())):
+        got = _step([{0: one}], lambda j: [(1, w)], 1, 2, 1)
+        want = one * w
+        assert got == [{1: want}] and got[0][1].field is ext
+    products, one, z = [], Q3.scalar((1, 0)), Q3.zeta()
+    mul = Scalar.__mul__
+    monkeypatch.setattr(Scalar, "__mul__",
+                        lambda a, b: products.append(1) or mul(a, b))
+    assert _step([{0: one}], lambda j: [(0, z)], 1, 1, 1) == [{0: z}]
+    assert products == []

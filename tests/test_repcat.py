@@ -1,8 +1,9 @@
 import random
+import time
 
 import pytest
 
-from mtc import hopf, repcat
+from mtc import etale, hopf, repcat
 from mtc.linalg import Matrix, kron, rank, IncrementalSpan, _matrix_colfn
 
 from mtc.repcat import (trivial_module, regular_module, tensor_obj, dual_obj,
@@ -13,7 +14,8 @@ from oracles import (tensor_action_oracle, radical_filtration_factors,
                      flip_matrix_oracle, word_matrix_on, hom_basis_oracle,
                      module_from_vectors_oracle, direct_sum_oracle,
                      module_file_oracle, dense_act_oracle, dense_action,
-                     count_columns_matrix)
+                     count_columns_matrix, isomorphism_classes_oracle,
+                     primitive_idempotents_oracle, characters_oracle)
 
 
 def all_test_objects(h):
@@ -446,3 +448,62 @@ def test_quotient_by_the_radical(name):
     assert len(basis) == h.dim - rad.rank
     assert all(rad.reduce(b) == b for b in basis)
     assert all(mul(unit, b) == b == mul(b, unit) for b in basis)
+
+
+def _split_and_oracle(name, params, monkeypatch):
+    """On a fresh copy of the builtin, each time: the primitive
+    idempotents of H/rad, their isomorphism classes, the lifted
+    idempotents, the action columns of every simple and projective cover,
+    the Cartan matrix and the characters of H and of H*.  Once from the
+    library, once with the class search, the corner loop and the
+    characters of the oracles, with no split kept from the first run."""
+    def run(opi, classes, characters):
+        h = hopf.builtin(name, params)
+        rad = IncrementalSpan(h.field, h.dim)
+        for v in repcat.radical_basis(h):
+            rad.add(v)
+        mul, qbasis, unit = h.quotient(rad)
+        prims = opi(h.field, mul, qbasis, unit)
+        sd = simples_data(h)
+        return (prims, classes(h.field, mul, qbasis, prims), sd.idempotents,
+                [[[list(m.action_colfn(i)(j)) for j in range(m.dim)]
+                  for i in range(h.dim)]
+                 for m in sd.simples + sd.projectives],
+                sd.cartan, characters(h), characters(h.dual()))
+    got = run(etale.orthogonal_primitive_idempotents,
+              repcat._isomorphism_classes, hopf.Algebra.characters)
+    with monkeypatch.context() as m:
+        m.setattr(repcat, "orthogonal_primitive_idempotents",
+                  primitive_idempotents_oracle)
+        m.setattr(repcat, "_isomorphism_classes", isomorphism_classes_oracle)
+        etale._split_etale_cyclic.cache_clear()
+        want = run(primitive_idempotents_oracle, isomorphism_classes_oracle,
+                   characters_oracle)
+    return got, want
+
+
+@pytest.mark.parametrize("name, params", [
+    ("trivial", None), ("group_algebra", None), ("sweedler", None),
+    ("double_group_algebra", None), ("double_group_algebra", [3]),
+    ("double_group_algebra", [4]), ("double_z2", None),
+    ("double_sweedler", None), ("taft", None)])
+def test_split_matches_the_corner_loop_and_class_search(name, params,
+                                                        monkeypatch):
+    """Every builtin but D(Taft_3), which runs under -m slow: a class
+    kept as a basis of r Abar, the leaves of a split left without a
+    corner and the characters read off w = c e give what the search over
+    every r b p, the corner of every idempotent and the characters from
+    every corner gave, in the same order.  D(Sweedler)'s simples have
+    dimension 2."""
+    got, want = _split_and_oracle(name, params, monkeypatch)
+    assert got == want
+
+
+@pytest.mark.slow
+def test_split_matches_the_corner_loop_and_class_search_slow(monkeypatch):
+    """D(Taft_3) (dim 81), whose semisimple quotient has blocks of
+    dimension 2 and 3, within a 60 s budget."""
+    start = time.perf_counter()
+    got, want = _split_and_oracle("double_taft", [3], monkeypatch)
+    assert got == want
+    assert time.perf_counter() - start < 60

@@ -14,9 +14,12 @@ each side's `mtcbench/run.py --trace 0 --seed 1 --seconds S` (default 30),
 alternating which side runs first, and reads each run's last JSON line.
 It then prints, per workload and end-to-end metric of BENCHMARK.json, the
 median and quartiles of each side and the number of pairs in which the
-change was better.  A run that fails stops the comparison with its exit
-code and the tail of its stderr.  The temporary directories are removed at
-the end.
+change was better, and each side's tracemalloc peak of one in-process run
+of `mtc.cli.main` on the workload's argv from `mtcbench/workloads.prepare`
+(mtc imported before tracing starts, so the peak leaves out the import and
+the compiling of the modules that `peak_rss_mb` includes).  A run that
+fails stops the comparison with its exit code and the tail of its stderr.
+The temporary directories are removed at the end.
 """
 
 import argparse
@@ -61,17 +64,47 @@ def copy_work_tree(dest):
 
 def bench_run(root, workload, seconds):
     """The metrics of the last JSON line of one run of root's run.py."""
-    proc = subprocess.run(
-        [sys.executable, os.path.join(root, "mtcbench", "run.py"),
-         "--workload", workload, "--seed", str(SEED),
-         "--seconds", str(seconds), "--trace", "0"],
-        cwd=root, capture_output=True, text=True,
-        env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
+    return json.loads(child(root, [
+        os.path.join(root, "mtcbench", "run.py"), "--workload", workload,
+        "--seed", str(SEED), "--seconds", str(seconds), "--trace", "0"]))[
+            "metrics"]
+
+
+# one run of mtc.cli.main on argv (JSON), traced from after the import
+TRACED_MAIN = """
+import contextlib, io, json, sys, tracemalloc
+sys.path.insert(0, sys.argv[1])
+import mtc.cli
+tracemalloc.start()
+with contextlib.redirect_stdout(io.StringIO()), \\
+        contextlib.redirect_stderr(io.StringIO()):
+    mtc.cli.main(json.loads(sys.argv[2]))
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
+def child(root, args):
+    """The last stdout line of a Python child run in root without writing
+    bytecode; a failure stops the comparison."""
+    proc = subprocess.run([sys.executable] + args, cwd=root,
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
-        sys.exit("run.py in %s on %s failed (exit %d): %s" % (
-            root, workload, proc.returncode, proc.stderr[-2000:]))
-    return json.loads(lines[-1])["metrics"]
+        sys.exit("%s in %s failed (exit %d): %s" % (
+            args[0], root, proc.returncode, proc.stderr[-2000:]))
+    return lines[-1]
+
+
+def traced_peak_mb(root, workload, workdir):
+    """The tracemalloc peak in MB of one run of root's mtc.cli.main on the
+    workload, whose input root's worker.py prepares in workdir in a
+    process of its own, so that nothing it caches reaches the run."""
+    argv = json.loads(child(root, [
+        os.path.join(root, "mtcbench", "worker.py"), "prepare", workload,
+        str(SEED), workdir]))["argv"]
+    return int(child(root, ["-c", TRACED_MAIN, os.path.join(root, "src"),
+                            json.dumps(argv)])) / 2 ** 20
 
 
 def summary(values):
@@ -119,6 +152,12 @@ def main(argv=None):
                     runs[side].append(bench_run(dirs[side], workload,
                                                 args.seconds))
             report(workload, runs, metrics)
+            peaks = [traced_peak_mb(dirs[side], workload,
+                                    tempfile.mkdtemp(dir=base))
+                     for side in SIDES]
+            print("  tracemalloc peak of mtc.cli.main, one run: "
+                  "%.3f -> %.3f MB" % tuple(peaks))
+            sys.stdout.flush()
     finally:
         shutil.rmtree(base)
     return 0
