@@ -3,6 +3,9 @@ amplitudes, the torus partition function with its Cartan-matrix certificate,
 topological defect operators and their fusion algebra, two-point pairings,
 and the free-module adjunction maps.
 
+Each map with a factor f (x) id is a diagram word in the coend's one word
+context `coend.word_env`, evaluated with no Kronecker product.
+
 A defect operator is left multiplication by a cocharacter in the coend's
 algebra L, and the defect fusion algebras are `hopf.Algebra` instances, so
 `repcat.regular_module(a).validate()` and `repcat.radical_basis(a)` check
@@ -12,9 +15,11 @@ them.
 from itertools import accumulate, repeat
 
 from .scalars import CycField, poly_squarefree
-from .linalg import Matrix, kron, rank, minimal_polynomial, columns_matrix
+from .linalg import Matrix, rank, minimal_polynomial, columns_matrix
 from .hopf import Algebra
 from . import repcat, diagrams, coend as coend_mod
+from .coend import word_env, COPAIRING_WORD
+from .diagrams import word_matrix
 from .repcat import (Morphism, trivial_module, tensor_obj, dual_obj,
                      simples_data, grothendieck_ring)
 from .report import Report
@@ -27,6 +32,13 @@ class CardyError(Exception):
 # ---------------------------------------------------------------------------
 # field content
 
+# The axioms of an L-action rho: W (x) L -> W, unit and associativity,
+# each a pair of words that must agree
+MODULE_WORDS = (("(id(W) * box(eta)) ; box(rho)", "id(W)"),
+                ("(box(rho) * id(L)) ; box(rho)",
+                 "(id(W) * box(mu)) ; box(rho)"))
+
+
 class LModule:
     """An L-module in the category: an underlying module with an action
     morphism W (x) L -> W."""
@@ -36,16 +48,10 @@ class LModule:
         self.action = action  # Matrix (module.dim) x (module.dim * n)
 
     def is_module(self, cd):
-        """Unit and associativity of the L-action."""
-        f = cd.field
-        n = cd.h.dim
-        d = self.module.dim
-        eye_d = Matrix.identity(f, d)
-        if self.action * kron(eye_d, cd.eta) != eye_d:
-            return False
-        lhs = self.action * kron(self.action, Matrix.identity(f, n))
-        rhs = self.action * kron(eye_d, cd.mu)
-        return lhs == rhs
+        """Unit and associativity of the L-action, the words of
+        MODULE_WORDS."""
+        env = word_env(cd, {"W": self.module}, rho=(self.action, "W x L", "W"))
+        return all(diagrams.words_agree(env, w) for w in MODULE_WORDS)
 
 
 def boundary_field_content(m, n):
@@ -59,11 +65,9 @@ def bulk_field_content(cd):
 
 
 def disorder_field_content(cd, k):
-    """F_{S1_k} = the free module k (x) L."""
-    f = cd.field
-    d = k.dim
+    """F_{S1_k} = the free module k (x) L, with the action id_k (x) mu."""
     return LModule(tensor_obj(k, cd.carrier),
-                   kron(Matrix.identity(f, d), cd.mu))
+                   word_matrix(word_env(cd, {"K": k}), "id(K) * box(mu)"))
 
 
 # ---------------------------------------------------------------------------
@@ -160,21 +164,20 @@ def defect_operator(cd, d_obj, check=True):
     """The matrix of O_D = mu (chk_D x id), left multiplication by the
     cocharacter in L; cross-checked against the Frobenius-side formula
     ((chi_D . S) x id) Delta_Lambda."""
-    a = cd.algebra
-    o = a.left_mult_matrix(coend_mod.cocharacter(cd, d_obj).matrix)
+    chk = coend_mod.cocharacter(cd, d_obj).matrix
+    o = word_matrix(word_env(cd, chk=(chk, "1", "L")),
+                    "(box(chk) * id(L)) ; box(mu)")
     if check:
         chi, _ = coend_mod.characters(cd, d_obj)
-        alt = coend_mod.structure_word(
-            cd, "box(dLam) ; (box(chiS) * id(L))",
-            dLam=(coend_mod.frobenius_coproduct(cd), 1, 2),
-            chiS=(chi.matrix * cd.S_transform, 1, 0))
-        if o != alt:
+        env = word_env(cd, O=(o, "L", "L"),
+                       dLam=(coend_mod.frobenius_coproduct(cd), "L", "L x L"),
+                       chiS=(chi.matrix * cd.S_transform, "L", "1"))
+        if o != word_matrix(env, "box(dLam) ; (box(chiS) * id(L))"):
             raise CardyError("the two defect-operator formulas disagree for %s"
                              % d_obj.name)
-        # O_D commutes with left multiplication, O mu = mu (id x O): on
-        # e_i (x) e_j this is O L_i = L_i O
-        if not all(o * a.left_regular(i) == a.left_regular(i) * o
-                   for i in range(a.dim)):
+        # O_D commutes with left multiplication: O mu = mu (id x O)
+        if not diagrams.words_agree(env, ("box(mu) ; box(O)",
+                                          "(id(L) * box(O)) ; box(mu)")):
             raise CardyError("defect operator is not an L-module endomorphism")
     return o
 
@@ -294,23 +297,24 @@ def sf_fusion_algebra(npairs):
 
 def cardy_action(cd, x, xbar):
     """The canonical L-action on the bulk module W = X (x) Xbar: the
-    comodule structure is id_X (x) delta_Xbar, so the action is
-    id_X (x) rho_Xbar (the second factor carries the mirrored braiding
+    comodule structure is id_X (x) delta_Xbar, so the action is the word
+    id(X) * rho_Xbar (the second factor carries the mirrored braiding
     under the equivalence).  `coend._half_braiding_action` derives the
     same action from the half-braiding figure, independently."""
     w = tensor_obj(x, xbar)
-    rho = kron(Matrix.identity(cd.field, x.dim),
-               coend_mod.canonical_action(cd, xbar).matrix)
-    return Morphism(tensor_obj(w, cd.carrier), w, rho)
+    env = word_env(cd, {"X": x, "Xb": xbar}, rho=(
+        coend_mod.canonical_action(cd, xbar).matrix, "Xb x L", "Xb"))
+    return Morphism(tensor_obj(w, cd.carrier), w,
+                    word_matrix(env, "id(X) * box(rho)"))
 
 
 def delta_lambda_coaction(cd, rho):
     """delta^Lambda = (rho x id)(id x copairing): W -> W (x) L from an
     action rho: W (x) L -> W via the Radford copairing."""
     w = rho.cod
+    env = word_env(cd, {"W": w}, rho=(rho.matrix, "W x L", "W"))
     return Morphism(w, tensor_obj(w, cd.carrier),
-                    coend_mod.through_copairing(cd, w, rho.matrix, w,
-                                                cd.kappa_copair))
+                    word_matrix(env, COPAIRING_WORD))
 
 
 def adjunction_maps(cd, k):
@@ -318,31 +322,36 @@ def adjunction_maps(cd, k):
 
     phi(g) = rho_{YxYbar} . (g x id); psi(f) = D^{-1} (f x id) . delta^Lambda;
     counit(f) = (id_k x lambda) . f."""
-    f_ext = cd.D_field
-    n = cd.h.dim
+    kl = tensor_obj(k, cd.carrier)
 
     def phi(g, rho_target):
-        return Morphism(
-            tensor_obj(k, cd.carrier), rho_target.cod,
-            rho_target.matrix * kron(g.matrix, Matrix.identity(cd.field, n)))
+        w = rho_target.cod
+        env = word_env(cd, {"K": k, "W": w}, g=(g.matrix, "K", "W"),
+                       rho=(rho_target.matrix, "W x L", "W"))
+        return Morphism(kl, w, word_matrix(env, "(box(g) * id(L)) ; box(rho)"))
 
     def psi(f, rho_source):
-        dinv = cd.D.inv()
-        dl = delta_lambda_coaction(cd, rho_source)
-        return Morphism(
-            rho_source.cod, tensor_obj(k, cd.carrier),
-            (kron(f.matrix, Matrix.identity(cd.field, n)) * dl.matrix).promote(f_ext).scale(dinv))
+        w = rho_source.cod
+        env = word_env(cd, {"K": k, "W": w}, f=(f.matrix, "W", "K"),
+                       rho=(rho_source.matrix, "W x L", "W"))
+        m = word_matrix(env, COPAIRING_WORD + " ; (box(f) * id(L))")
+        return Morphism(w, kl, m.promote(cd.D_field).scale(cd.D.inv()))
 
     def counit(f):
-        return Morphism(f.dom, k,
-                        kron(Matrix.identity(cd.field, k.dim), cd.lambda_) * f.matrix)
+        env = word_env(cd, {"K": k, "V": f.dom}, f=(f.matrix, "V", "K x L"))
+        # f may lie over the D-extension: the entries of the word do too
+        m = word_matrix(env, "box(f) ; (id(K) * box(lam))")
+        return Morphism(f.dom, k, m.promote(f.matrix.field))
 
     return phi, psi, counit
 
 
-# Path B of the bulk two-point pairing on X (x) Xbar -> Y (x) Ybar: gf
-# followed by the cutting endomorphism cut = b . a of Ybar (x) Xbar*, the
-# Xbar* leg closed against the incoming Xbar
+# The two paths of the bulk two-point pairing on X (x) Xbar -> Y (x) Ybar.
+# A: rho_{YxYbar} (gf x id) delta^Lambda, the copairing word on X (x) Xbar.
+# B: gf followed by the cutting endomorphism cut = b . a of
+# Ybar (x) Xbar*, the Xbar* leg closed against the incoming Xbar
+TWO_POINT_A_WORD = ("(id(X x Xb) * box(copair)) ; (box(rhox) * id(L)) ; "
+                    "(box(gf) * id(L)) ; box(rhoy)")
 TWO_POINT_WORD = ("(id(X) * coev(Xb) * id(Xb)) ; "
                   "(box(gf) * id(Xb.dual) * id(Xb)) ; "
                   "(id(Y) * box(cut) * id(Xb)) ; (id(Y) * id(Yb) * ev(Xb))")
@@ -351,33 +360,24 @@ TWO_POINT_WORD = ("(id(X) * coev(Xb) * id(Xb)) ; "
 def bulk_two_point(cd, f_mor, g_mor, x, xbar, y, ybar, k):
     """The two evaluation paths of the bulk two-point pairing.
 
-    Path A: phi(g) . psi(f) through the adjunction maps.
+    Path A: phi(g) . psi(f) through the adjunction maps, D^{-1} times the
+    word TWO_POINT_A_WORD on the Cardy actions rhox and rhoy.
     Path B: the Psi-decomposition D . sum_a (left_a (x) right_a) through the
-    cutting b . a = sum_a b_a a_a of Ybar (x) Xbar*, as the one word
+    cutting b . a = sum_a b_a a_a of Ybar (x) Xbar*, D times the word
     TWO_POINT_WORD.
 
     Returns (pathA, pathB, m); raises CardyError when they disagree."""
-    fld = cd.field
-    n = cd.h.dim
-    rho_x = cardy_action(cd, x, xbar)
-    rho_y = cardy_action(cd, y, ybar)
-
-    # path A
-    dl = delta_lambda_coaction(cd, rho_x)
-    gf = g_mor.matrix * f_mor.matrix
-    patha = rho_y.matrix * kron(gf, Matrix.identity(fld, n)) * dl.matrix
-    patha = patha.promote(cd.D_field).scale(cd.D.inv())
-
-    # path B: cutting of Ybar (x) Xbar*
     m, a, b = coend_mod.cutting_decomposition(
         cd, tensor_obj(ybar, dual_obj(xbar)))
-    env = diagrams.Env(cd.h).bind_object("X", x).bind_object("Xb", xbar)
-    env.bind_object("Y", y).bind_object("Yb", ybar)
-    xs, ys = (("name", "X"), ("name", "Xb")), (("name", "Y"), ("name", "Yb"))
-    env.bind_box("gf", gf, xs, ys)
-    cut = ys[1:] + diagrams.obj_dual(xs[1:])
-    env.bind_box("cut", b * a, cut, cut)
-    pathb = diagrams.word_matrix(env, TWO_POINT_WORD)
+    env = word_env(
+        cd, {"X": x, "Xb": xbar, "Y": y, "Yb": ybar},
+        gf=(g_mor.matrix * f_mor.matrix, "X x Xb", "Y x Yb"),
+        cut=(b * a, "Yb x Xb.dual", "Yb x Xb.dual"),
+        rhox=(cardy_action(cd, x, xbar).matrix, "X x Xb x L", "X x Xb"),
+        rhoy=(cardy_action(cd, y, ybar).matrix, "Y x Yb x L", "Y x Yb"))
+    patha = word_matrix(env, TWO_POINT_A_WORD)
+    patha = patha.promote(cd.D_field).scale(cd.D.inv())
+    pathb = word_matrix(env, TWO_POINT_WORD)
     pathb = pathb.promote(cd.D_field).scale(cd.D)
 
     if patha != pathb:

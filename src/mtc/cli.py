@@ -316,8 +316,9 @@ def _character_checks(h, sd, cd, rep):
     cochars = []
     for s in list(sd.simples) + list(sd.projectives):
         chi, chk = coend_mod.characters(cd, s)
-        ok = ok and chi.matrix == coend_mod.structure_word(
-            cd, "(box(chk) * id(L)) ; box(omega)", chk=(chk.matrix, 0, 1))
+        ok = ok and chi.matrix == diagrams.word_matrix(
+            coend_mod.word_env(cd, chk=(chk.matrix, "1", "L")),
+            "(box(chk) * id(L)) ; box(omega)")
         cochars.append(chk.matrix)
     rep.add("chi = omega(chk x id)", ok)
     rep.add("cocharacters of simples linearly independent",

@@ -14,14 +14,17 @@ The integrals are the kernel of sparse rows: the intertwining equations of
 
 Everything derived from the solved structure is a diagram word, evaluated
 column by column on sparse vectors by the one evaluator, with no Kronecker
-product: zeta, the Radford copairing and S (each once, for the solved
-Lambda), the snake and kappa checks, and one copairing word
+product, in the one word context `word_env`: the carrier as L, the boxes
+of STRUCTURE and SOLVED, and the objects and boxes a caller names.  These
+are zeta, the Radford copairing and S (each once, for the solved Lambda),
+the snake and kappa checks, and one copairing word
 (rho x id)(id x copairing), which gives S (rho = omega), the Frobenius
 coproduct (rho = mu) and the coaction delta^Lambda of an L-module (rho its
-action).  The words on an object X are the canonical coaction delta_X =
-(id x iota_X)(coev_X x id), the action rho_X = (id x omega)(delta_X x id)
-with delta_X inlined, the character chi_X as the pivotal trace of that
-action word, and the cocharacter iota_X coev~_X.
+action).  The words on an object X, with iota_X as the box iota_x, are the
+canonical coaction delta_X = (id x iota_X)(coev_X x id), the action
+rho_X = (id x omega)(delta_X x id) with delta_X inlined, the character
+chi_X as the pivotal trace of that action word, and the cocharacter
+iota_X coev~_X.  `mtc.cardy` reads its composites in the same context.
 """
 from collections import namedtuple
 from itertools import product
@@ -33,7 +36,7 @@ from .linalg import Matrix, solve_right, sparse_kernel, rank, invert, \
 from . import repcat, diagrams
 from .etale import sign_normalized_first
 from .hopf import Algebra, hopf_axiom_words, check_words
-from .diagrams import apply_word, word_matrix, obj_dual
+from .diagrams import apply_word, word_matrix, obj_dual, parse_obj
 from .repcat import (ModuleObject, Morphism, trivial_module, regular_module,
                      tensor_obj, dual_obj, hom_basis, simples_data,
                      generating_indices, _sparse_columns, _intertwining_rows)
@@ -180,7 +183,7 @@ def coadjoint_module(h):
 # the structure morphisms and their defining diagram words
 
 # The derived morphisms.  The copairing word is read on a module W with a
-# map rho: W (x) L -> V and a copairing copair: 1 -> L (x) L; the other
+# map rho: W (x) L -> V and the copairing copair: 1 -> L (x) L; the other
 # words on an object X with iota_x = iota_X and the Hopf pairing omega
 COPAIRING_WORD = "(id(W) * box(copair)) ; (box(rho) * id(L))"
 COACTION_WORD = "(coev(X) * id(X)) ; (id(X) * box(iota_x))"
@@ -191,12 +194,12 @@ CHARACTER_WORD = ("(coevt(X) * id(L)) ; "
                   "(id(X.dual) * coev(X) * id(X) * id(L)) ; "
                   "(id(X.dual) * id(X) * box(iota_x) * id(L)) ; "
                   "(id(X.dual) * id(X) * box(omega)) ; ev(X)")
-_L, _X, _W, _V = ((("name", s),) for s in "LXWV")
+_L = (("name", "L"),)
 
 Structure = namedtuple("Structure", "check box attr dom cod word")
 
 # The one list of the coend's structure morphisms: the name its checks use,
-# its box in _structure_env, its CoendData attribute, its domain and
+# its box in word_env, its CoendData attribute, its domain and
 # codomain as powers of L, and its defining word through the dinatural
 # family (coend structure figure).  A word on one L is read on an object XX
 # (the boxes of _object_env), a word on L (x) L on a pair XX, YY (those of
@@ -334,22 +337,21 @@ SOLVED = (("Lam", "Lambda", (), _L), ("lam", "lambda_", _L, ()),
           ("copair", "kappa_copair", (), _L + _L))
 
 
-def _structure_env(cd, **extra):
-    """Environment with the carrier bound as L, and as boxes on it the
-    structure morphisms, the solved entries of SOLVED and each extra box
-    name=(map, k, l) of a map L^k -> L^l."""
+def word_env(cd, objects=None, **boxes):
+    """The one word context of the morphisms derived from the coend: the
+    carrier as L, the boxes of STRUCTURE and, once set, of SOLVED, the
+    modules of `objects` by name, and each extra box name=(map, dom, cod),
+    a Matrix or column function typed by object expressions such as
+    "X x L" ("1" is the unit); an extra box may shadow a structure box."""
     env = diagrams.Env(cd.h).bind_object("L", cd.carrier)
+    for name, x in (objects or {}).items():
+        env.bind_object(name, x)
     for box, attr, dom, cod in [e[1:5] for e in STRUCTURE] + list(SOLVED):
         if getattr(cd, attr) is not None:
             env.bind_box(box, getattr(cd, attr), dom, cod)
-    for name, (m, k, l) in extra.items():
-        env.bind_box(name, m, _L * k, _L * l)
+    for name, (m, dom, cod) in boxes.items():
+        env.bind_box(name, m, parse_obj(dom), parse_obj(cod))
     return env
-
-
-def structure_word(cd, word, **extra):
-    """The matrix of a word on `_structure_env(cd, **extra)`."""
-    return word_matrix(_structure_env(cd, **extra), word)
 
 
 # The Hopf-algebra identities of the coend in the braided category: H's
@@ -372,7 +374,7 @@ def verify_hopf_on_coend(cd):
     h = cd.h
     L = cd.carrier
     one = trivial_module(h)
-    env = _structure_env(cd)
+    env = word_env(cd)
     ok = dict.fromkeys((e.check for e in STRUCTURE), True)
     for g in generating_indices(h):
         # the action of g on L^{(x) k} as the box g<k>
@@ -575,7 +577,7 @@ def integrals_and_zeta(cd):
     Radford copairing and S.  zeta, the copairing and S are evaluated once,
     for the solved Lambda, and rescaled with it."""
     Lam, lam = solve_integrals(cd)
-    env = _structure_env(cd, Lam=(Lam, 0, 1))
+    env = word_env(cd, Lam=(Lam, "1", "L"))
     w = word_matrix(env, "(id(L) * box(Lam)) ; box(omega)")
     if w.is_zero():
         raise CoendError("zeta = 0: the Hopf pairing is degenerate")
@@ -584,8 +586,9 @@ def integrals_and_zeta(cd):
         raise CoendError("omega(id x Lambda) is not proportional to lambda")
     # the Radford copairing (S x id) Delta Lambda
     copair = word_matrix(env, "box(Lam) ; box(delta) ; (box(S) * id(L))")
-    s = through_copairing(cd, cd.carrier, cd.omega, trivial_module(cd.h),
-                          copair)
+    s = word_matrix(word_env(cd, {"W": cd.carrier},
+                             rho=(cd.omega, "W x L", "1"),
+                             copair=(copair, "1", "L x L")), COPAIRING_WORD)
 
     # (lambda, Lambda) is fixed only up to (c lambda, Lambda/c), which
     # rescales zeta by c^{-2} and the copairing and S (linear in Lambda) by
@@ -626,28 +629,19 @@ def radford_pairing(cd):
     and the copairing (S x id) Delta Lambda stored by integrals_and_zeta
     checked as words on L."""
     cd.kappa = cd.lambda_ * cd.mu
-    env = _structure_env(cd)
+    env = word_env(cd)
     if not all(diagrams.words_agree(env, (w, "id(L)")) for w in SNAKE_WORDS):
         raise CoendError("Frobenius snake identities fail for the Radford pairing")
     return cd.kappa, cd.kappa_copair
-
-
-def through_copairing(cd, w, rho, v, copair):
-    """(rho x id)(id x copair): W -> V (x) L, the copairing word for
-    rho: W (x) L -> V on the modules w and v."""
-    env = diagrams.Env(cd.h).bind_object("L", cd.carrier)
-    env.bind_object("W", w).bind_object("V", v)
-    env.bind_box("copair", copair, (), _L + _L)
-    env.bind_box("rho", rho, _W + _L, _V)
-    return word_matrix(env, COPAIRING_WORD)
 
 
 def frobenius_coproduct(cd):
     """Delta_Lambda = (mu x id)(id x copairing): the Frobenius coalgebra
     structure with counit lambda, evaluated once and kept on cd."""
     if cd.delta_Lambda is None:
-        cd.delta_Lambda = through_copairing(cd, cd.carrier, cd.mu, cd.carrier,
-                                            cd.kappa_copair)
+        cd.delta_Lambda = word_matrix(
+            word_env(cd, {"W": cd.carrier}, rho=(cd.mu, "W x L", "W")),
+            COPAIRING_WORD)
     return cd.delta_Lambda
 
 
@@ -663,7 +657,7 @@ def s_t_transforms(cd):
     s_inv_ant = invert(cd.antipode_L)
     rep.add("S_transform invertible", rank(s) == cd.h.dim)
     rep.add("S^2 = zeta S_L^{-1}", s * s == s_inv_ant.scale(cd.zeta))
-    check_words(rep, _structure_env(cd), KAPPA_WORDS)
+    check_words(rep, word_env(cd), KAPPA_WORDS)
     rep.add("S^4 = zeta^2 S_L^{-2}",
             s * s * s * s == (s_inv_ant * s_inv_ant).scale(cd.zeta * cd.zeta))
     return rep, sl2z_check(cd, rep)
@@ -720,15 +714,9 @@ def _proportionality(a, b):
 # canonical action / coaction, characters
 
 def _object_word(cd, x, word):
-    """The matrix of a derived word on the object x, with the carrier bound
-    as L, x as X, iota_X as iota_x and, once solved, the Hopf pairing as
-    omega and the entries of SOLVED."""
-    env = diagrams.Env(cd.h).bind_object("L", cd.carrier).bind_object("X", x)
-    env.bind_box("iota_x", cd.iota_columns(x), obj_dual(_X) + _X, _L)
-    for box, attr, dom, cod in (("omega", "omega", _L + _L, ()),) + SOLVED:
-        if getattr(cd, attr) is not None:
-            env.bind_box(box, getattr(cd, attr), dom, cod)
-    return word_matrix(env, word)
+    """The matrix of a word on the object x, bound as X, iota_X as iota_x."""
+    return word_matrix(word_env(cd, {"X": x}, iota_x=(
+        cd.iota_columns(x), "X.dual x X", "L")), word)
 
 
 def canonical_coaction(cd, x):

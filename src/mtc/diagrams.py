@@ -12,6 +12,7 @@ Object expressions are compared structurally up to tensor flattening; duals
 of composites stay as-is (the canonical identifications are explicit boxes).
 """
 
+from functools import cache
 from math import prod
 
 from .linalg import Matrix, _matrix_colfn, columns_matrix, _step
@@ -236,6 +237,18 @@ def parse(text):
             raise DiagramError("unexpected %r after expression" % t.val, t.pos)
         _PARSED[text] = ast
     return ast
+
+
+@cache
+def parse_obj(text):
+    """The normalized form of an object expression such as "X x L" or
+    "Y x X.dual", parsed once; "1" is the unit object."""
+    if text == "1":
+        return ()
+    p = _Parser(_tokenize(text))
+    expr = p.obj()
+    p.take("eof")
+    return expr
 
 
 # -- environment ------------------------------------------------------------

@@ -261,14 +261,16 @@ def _split_etale_cyclic(field, q):
         return [[field.one()]]
     dimQ = deg * field.dim
     rationals = CycField(1)
-    # primitive element theta = t + c*z, c a small integer
-    zgen = field.zeta(1) if field.phi > 1 else field.one()
+    # primitive element theta = t + c*g, c a small integer and g = z (1
+    # when phi(N) = 1), plus D over a D-extension: g generates k over Q
+    gen = field.zeta(1) if field.phi > 1 else field.one()
+    gen = gen + field.dgen() if field.extended else gen
     cs = _int_stream(deg * deg * field.dim * field.dim + 2)
-    if field.phi > 1 and all(x.is_rational() for x in q):
+    if field.dim > 1 and all(x.is_rational() for x in q):
         # the Q-minimal polynomial of t divides q: of degree below dimQ
         next(cs)
     for c in cs:
-        theta = [field.from_rational(c) * zgen, field.one()]  # c*z + t
+        theta = [field.from_rational(c) * gen, field.one()]  # c*g + t
         # theta^0 .. theta^dimQ in k[t]/(q), as vectors of length deg
         pows = [[field.one()] + [field.zero()] * (deg - 1)]
         for _ in range(dimQ):

@@ -100,11 +100,6 @@ class Algebra:
                      if self.mul_vec(v, self.basis_vec(i)) !=
                      self.mul_vec(self.basis_vec(i), v)), None)
 
-    def left_regular(self, i):
-        """Matrix of left multiplication by e_i (the regular action)."""
-        return self._derived(("lmul", i),
-                             lambda: self.left_mult_matrix(self.basis_vec(i)))
-
     def inv_vec(self, a):
         try:
             return solve_right(self.left_mult_matrix(a), self.unit)

@@ -54,6 +54,17 @@ def dz2_coend(dz2_ribbon):
 
 
 @pytest.fixture(scope="session")
+def dz4_coend():
+    """The solved coend of D(Z/4) with ribbon element 0: 16 simples, twists
+    of order 4.  Its integrals are not solved: a test that needs them
+    solves them on a copy."""
+    h = hopf.builtin("double_group_algebra", [4])
+    cd = coend.build_coend(h.with_ribbon(hopf.solve_ribbon(h)[0]))
+    coend.solve_structure_morphisms(cd)
+    return cd
+
+
+@pytest.fixture(scope="session")
 def dz2_simples(dz2_ribbon):
     return repcat.simples_data(dz2_ribbon)
 

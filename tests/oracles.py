@@ -447,7 +447,8 @@ def brute_ribbon_elements(h):
     n = h.dim
     rows = None
     for i in range(n):
-        d = h.left_regular(i) - h.right_mult_matrix(h.basis_vec(i))
+        e = h.basis_vec(i)
+        d = h.left_mult_matrix(e) - h.right_mult_matrix(e)
         rows = d if rows is None else rows.vstack(d)
     rows = rows.vstack(h.antipode - Matrix.identity(f, n))
     zb = kernel_basis(rows)
@@ -822,7 +823,7 @@ def invert_tensor2_oracle(h, r):
     n = h.dim
     lm = Matrix.zeros(h.field, n * n, n * n)
     for (i, j), c in r.items():
-        li, lj = h.left_regular(i), h.left_regular(j)
+        li, lj = (h.left_mult_matrix(h.basis_vec(a)) for a in (i, j))
         for a, b, p, q in ((a, b, p, q) for a in range(n) for b in range(n)
                            for p in range(n) for q in range(n)):
             x, y = li.data[a * n + b], lj.data[p * n + q]
@@ -928,8 +929,8 @@ def sqrt_branch_ribbon_elements(h):
     c = h.mul_vec(u, h.antipode * u)
 
     # centre: [L_i - R_i] x = 0 for all i
-    rows = [h.left_regular(i) - h.right_mult_matrix(h.basis_vec(i))
-            for i in range(n)]
+    rows = [h.left_mult_matrix(e) - h.right_mult_matrix(e)
+            for e in map(h.basis_vec, range(n))]
     stack = rows[0].vstack(*rows[1:], h.antipode - Matrix.identity(f, n))
     zbasis = kernel_basis(stack)
     if not zbasis:
@@ -1056,7 +1057,7 @@ def verify_hopf_on_coend_oracle(cd):
                 m * act[len(e.dom)] == act[len(e.cod)] * m
     for check, good in ok.items():
         rep.add("%s is an intertwiner" % check, good)
-    return check_words(rep, coend._structure_env(cd), coend.HOPF_AXIOMS)
+    return check_words(rep, coend.word_env(cd), coend.HOPF_AXIOMS)
 
 
 def dinaturality_certificate_oracle(cd):

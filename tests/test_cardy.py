@@ -1,8 +1,9 @@
+import copy
 import random
 
 import pytest
 
-from mtc import hopf, repcat, coend, cardy
+from mtc import hopf, repcat, coend, cardy, diagrams
 from mtc.linalg import Matrix, kron, _matrix_colfn
 from mtc.coend import carrier_bimodule
 from mtc.repcat import (trivial_module, regular_module, tensor_obj, dual_obj,
@@ -34,6 +35,29 @@ def test_field_content(dz2_coend, dz2_simples):
     assert dis.action == bulk.action
     dis2 = disorder_field_content(cd, dz2_simples.simples[2])
     assert dis2.is_module(cd)
+    # one entry bumped off the unit's support breaks associativity alone;
+    # e . mu for an idempotent e != 1 of L is associative but does not fix
+    # the unit
+    a = cd.algebra
+    free = next(j for j in range(h.dim) if cd.eta.data[j].is_zero())
+    e = next(v for v in map(a.basis_vec, range(a.dim))
+             if a.mul_vec(v, v) == v and v != a.unit)
+    for lm in (bulk, dis2):
+        bumped = lm.action.copy()
+        bumped[0, free] = bumped[0, free] + h.field.one()
+        eye = Matrix.identity(h.field, lm.module.dim // h.dim)
+        not_unital = kron(eye, a.left_mult_matrix(e)) * lm.action
+        for action, failing in ((bumped, [1]), (not_unital, [0])):
+            assert not cardy.LModule(lm.module, action).is_module(cd)
+            assert _failed_module_words(cd, lm.module, action) == failing
+
+
+def _failed_module_words(cd, module, action):
+    """The indices in cardy.MODULE_WORDS of the axioms that the action
+    on module fails."""
+    env = coend.word_env(cd, {"W": module}, rho=(action, "W x L", "W"))
+    return [i for i, words in enumerate(cardy.MODULE_WORDS)
+            if not diagrams.words_agree(env, words)]
 
 
 def test_boundary_states(dz2_coend, dz2_simples):
@@ -371,7 +395,7 @@ def test_coend_algebra_is_mu(coend_name, request):
     assert a.unit == cd.eta
     for i in range(a.dim):
         e = a.basis_vec(i)
-        assert a.left_regular(i) == cd.mu * kron(e, eye)
+        assert a.left_mult_matrix(e) == cd.mu * kron(e, eye)
         assert a.right_mult_matrix(e) == cd.mu * kron(eye, e)
 
 
@@ -386,3 +410,38 @@ def test_defect_minimal_polynomial_matches_operator_powers(
         op = defect_operator(cd, d_obj, check=False)
         assert defect_minimal_polynomial(cd, d_obj) == \
             operator_minimal_polynomial_oracle(op), d_obj.name
+
+
+def test_cardy_layer_builds_no_matrix_over_n_cubed(dz4_coend, monkeypatch):
+    """On D(Z/4) (n = 16) the L-module axioms of the bulk field and of a
+    disorder field, the Cardy action, the adjunction maps and both paths
+    of the two-point pairing build no Matrix of more than n^3 cells: each
+    f (x) id is a word step, not a Kronecker product with an identity,
+    and the associativity of an action on W is checked on the columns of
+    W (x) L (x) L, never as a matrix of n^5 cells."""
+    cd = copy.copy(dz4_coend)
+    coend.integrals_and_zeta(cd)
+    coend.radford_pairing(cd)
+    n = cd.h.dim
+    sd = simples_data(cd.h)
+    x, xb = sd.simples[1], sd.simples[2]
+    w = tensor_obj(x, xb)
+    k = next(s for s in sd.simples if hom_basis(w, s))
+    fm, gm = hom_basis(w, k)[0], hom_basis(k, w)[0]
+    cells = []
+    init = Matrix.__init__
+
+    def counted(self, field, rows, cols, data):
+        cells.append(rows * cols)
+        init(self, field, rows, cols, data)
+    monkeypatch.setattr(Matrix, "__init__", counted)
+    assert bulk_field_content(cd).is_module(cd)
+    assert disorder_field_content(cd, sd.simples[3]).is_module(cd)
+    rho = cardy_action(cd, x, xb)
+    phi, psi, counit = adjunction_maps(cd, k)
+    phi(gm, rho)
+    counit(psi(fm, rho))
+    pa, pb, _ = bulk_two_point(cd, fm, gm, x, xb, x, xb, k)
+    monkeypatch.undo()
+    assert pa == pb
+    assert cells and max(cells) <= n ** 3

@@ -17,7 +17,7 @@ from mtc.coend import (CoendError, build_coend, solve_integrals,
                        modularity_test, canonical_action, canonical_coaction,
                        characters, cocharacter, cutting_decomposition)
 from mtc.cardy import cardy_action, delta_lambda_coaction
-from mtc.diagrams import Env, parse
+from mtc.diagrams import Env, parse, word_matrix
 
 
 def test_carrier_and_iota(dz2_ribbon):
@@ -386,16 +386,6 @@ def test_certificate_rederives_omega_bar(dz3_coend):
     assert all(name.startswith("omega_bar . (iota_S") for name in failed)
 
 
-@pytest.fixture(scope="module")
-def dz4_coend():
-    """The solved coend of D(Z/4) with ribbon element 0: 16 simples, twists
-    of order 4."""
-    h = hopf.builtin("double_group_algebra", [4])
-    cd = build_coend(h.with_ribbon(hopf.solve_ribbon(h)[0]))
-    coend.solve_structure_morphisms(cd)
-    return cd
-
-
 def _certificates_match_oracles(cd):
     """The two coend certificates report the same checks, in the same
     order and with the same verdicts, as their dense oracles."""
@@ -511,12 +501,11 @@ def test_copairing_words_match_index_formulas(any_coend):
         assert coend.frobenius_coproduct(cd) == \
             oracles.frobenius_coproduct_oracle(cd.mu, cop, n)
     assert not cop.is_zero()
-    L = cd.carrier
-    assert coend.through_copairing(cd, L, cd.omega, trivial_module(cd.h),
-                                   cop) == \
-        oracles.copairing_oracle(cd.omega, cop, n)
-    assert coend.through_copairing(cd, L, cd.mu, L, cop) == \
-        oracles.frobenius_coproduct_oracle(cd.mu, cop, n)
+    for rho, cod, oracle in ((cd.omega, "1", oracles.copairing_oracle),
+                             (cd.mu, "L", oracles.frobenius_coproduct_oracle)):
+        env = coend.word_env(cd, {"W": cd.carrier}, rho=(rho, "W x L", cod),
+                             copair=(cop, "1", "L x L"))
+        assert word_matrix(env, coend.COPAIRING_WORD) == oracle(rho, cop, n)
     # delta^Lambda of each canonical action against the Kronecker formula
     # (rho x id)(id x copairing); the Radford copairings of the abelian
     # doubles are symmetric, the Sweedler cop is not, so it tells the two

@@ -254,7 +254,7 @@ def test_coend_words_match_layer_loop(dz3, dz3_coend, dz3_simples):
     STRUCTURE on the regular module, a sum of two simples and on pairs of
     them, and the hexagon and twist words of `verify`."""
     cd = dz3_coend
-    env = coend._structure_env(cd)
+    env = coend.word_env(cd)
     for w in _table_words(coend.HOPF_AXIOMS):
         assert _matches_layer_loop(env, w), w
     reg = repcat.regular_module(dz3)
@@ -293,7 +293,7 @@ def test_step_on_the_column_list_matches_each_column(dz3, dz3_coend,
     monkeypatch.setattr(diagrams, "_step", checked)
     tables = [(hopf._structure_env(dz3), hopf.HOPF_AXIOMS),
               (hopf._structure_env(dz3), hopf.QUASITRIANGULAR_AXIOMS),
-              (coend._structure_env(dz3_coend), coend.HOPF_AXIOMS)]
+              (coend.word_env(dz3_coend), coend.HOPF_AXIOMS)]
     for env, table in tables:
         for w in _table_words(table):
             word_matrix(env, w)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from mtc import etale
 from mtc.scalars import (CycField, cyclotomic_poly, format_scalar, poly_mul,
-                         poly_squarefree)
+                         poly_divmod, poly_squarefree)
 from oracles import qpoly_factor_oracle
 
 EXACT = settings(derandomize=True, database=None, deadline=None,
@@ -167,3 +167,38 @@ def test_nonrational_q_tries_t_first(monkeypatch):
         f, [-f.zeta(), f.zero(), f.one()], monkeypatch)
     assert got == [["1/2", "-1/2*z"], ["1/2", "1/2*z"]]
     assert thetas == [[0, 0, 1, 0]]
+
+
+# (N, D^2, q, number of factors) over Q(z_N)(D): t alone is no primitive
+# element of k[t]/(q) over Q when q is rational, so theta must involve D
+D_EXTENSION_SPLITS = [
+    (2, -1, [-2, 0, 1], 1),
+    (1, 2, [-3, 0, 1], 1),
+    (4, 2, [-3, 0, 1], 1),
+    (1, 2, [-2, 0, 1], 2),
+    (4, 2, [2, 0, 1], 2),
+    (4, 2, [-9, 0, 0, 0, 1], 2),
+]
+
+
+@pytest.mark.parametrize("order, dsquare, q, count", D_EXTENSION_SPLITS)
+def test_split_over_a_d_extension(order, dsquare, q, count):
+    """The idempotents of k[t]/(q) over a D-extension k: each is one
+    modulo q, they are pairwise orthogonal and sum to 1, and there is one
+    per simple factor."""
+    base = CycField(order)
+    k = base.extend_sqrt(base.from_rational(dsquare))
+    qk = [k.from_rational(c) for c in q]
+    idems = etale.split_etale_cyclic(k, qk)
+
+    def reduced(p):
+        rem = poly_divmod(p, qk)[1]
+        return rem + [k.zero()] * (len(q) - 1 - len(rem))
+    zero = [k.zero()] * (len(q) - 1)
+    assert len(idems) == count
+    for i, e in enumerate(idems):
+        assert reduced(poly_mul(e, e)) == e
+        for d in idems[i + 1:]:
+            assert reduced(poly_mul(e, d)) == zero
+    total = [sum(col, k.zero()) for col in zip(*idems)]
+    assert total == [k.one()] + zero[1:]

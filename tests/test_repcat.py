@@ -124,8 +124,8 @@ def test_constructors_match_dense_oracles(hom_objects):
     an explicit 0 against entry-by-entry assignment."""
     h, objs = hom_objects
     f = h.field
-    assert dense_action(regular_module(h)) == [h.left_regular(i)
-                                               for i in range(h.dim)]
+    assert dense_action(regular_module(h)) == [
+        h.left_mult_matrix(h.basis_vec(i)) for i in range(h.dim)]
     assert dense_action(trivial_module(h)) == [
         Matrix.from_rows(f, [[c]]) for c in h.counit.data]
     sd = simples_data(h)
